@@ -24,8 +24,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (BudgetExceeded, ConfigError, GraphParseError,
-                     NotEstablished, PreconditionFailed)
+from .errors import (BudgetExceeded, ConfigError, NotEstablished,
+                     PreconditionFailed)
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
@@ -234,6 +234,17 @@ def _space_overrides(args) -> dict | None:
     return space
 
 
+def _space_for(cfg: dict, radius: float, path: str):
+    """The config's space, refusing an operator radius it cannot reach."""
+    from .config import space_from
+    from .spaces import CayleyF2
+    space = space_from(cfg["space"])
+    if isinstance(space, CayleyF2) and radius > space.MAX_RADIUS:
+        raise ConfigError(f"needs a free-group ball of radius {radius:g}, "
+                          f"above the maximum {space.MAX_RADIUS}", path)
+    return space
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -308,8 +319,7 @@ def _cmd_percolate(args) -> int:
         growth = percolation.chemical_ball_growth(cluster, cfg["tmax"])
         report["plateau_stat"] = growth.plateau_stat
         report["plateau_window"] = growth.plateau_window
-        ladder = percolation.cluster_ladder(cluster, cfg["tmax"],
-                                            budget=args.budget)
+        ladder = cluster.radii_ladder(cfg["tmax"], budget=args.budget)
         c_rep = condition_c_report(ladder, threshold=cfg["threshold"])
         report["condition_c"] = {
             "verdict": c_rep.verdict, "threshold": c_rep.threshold,
@@ -338,9 +348,9 @@ def _cmd_percolate(args) -> int:
 
 def _cmd_dos(args) -> int:
     cfg = _load_config(args, "dos", {})
-    from .config import fn_from, hamiltonian_from, space_from
+    from .config import fn_from, hamiltonian_from
     from .dos import dos_approximant
-    space = space_from(cfg["space"])
+    space = _space_for(cfg, cfg["radii"][-1] + cfg["margin"], "radii")
     est = dos_approximant(space, hamiltonian_from(cfg["hamiltonian"]),
                           fn_from(cfg["g"]), cfg["radii"],
                           margin=cfg["margin"], budget=args.budget)
@@ -360,9 +370,9 @@ def _cmd_dos(args) -> int:
 
 def _cmd_ids(args) -> int:
     cfg = _load_config(args, "ids", {})
-    from .config import hamiltonian_from, space_from
+    from .config import hamiltonian_from
     from .dos import ids_histogram
-    space = space_from(cfg["space"])
+    space = _space_for(cfg, cfg["radius"], "radius")
     hist = ids_histogram(space, hamiltonian_from(cfg["hamiltonian"]),
                          cfg["radius"], margin=cfg["margin"],
                          budget=args.budget)
@@ -387,9 +397,9 @@ def _measurability_dict(est) -> dict:
 
 def _cmd_dixmier(args) -> int:
     cfg = _load_config(args, "dixmier", {})
-    from .config import fn_from, hamiltonian_from, space_from, weight_from
+    from .config import fn_from, hamiltonian_from, weight_from
     from .dos import dixmier_lhs
-    space = space_from(cfg["space"])
+    space = _space_for(cfg, cfg["r_outer"], "r_outer")
     ladder = space.ladder_to_radius(cfg["r_outer"], budget=args.budget)
     w = weight_from(cfg["weight"], space, ladder)
     window = tuple(cfg["window"]) if cfg["window"] else None
@@ -409,9 +419,9 @@ def _cmd_dixmier(args) -> int:
 
 def _cmd_theorem_check(args) -> int:
     cfg = _load_config(args, "theorem-check", {})
-    from .config import fn_from, hamiltonian_from, space_from, weight_from
+    from .config import fn_from, hamiltonian_from, weight_from
     from .dos import main_theorem_check
-    space = space_from(cfg["space"])
+    space = _space_for(cfg, cfg["r_outer"], "r_outer")
     ladder = space.ladder_to_radius(cfg["r_outer"], budget=args.budget)
     w = weight_from(cfg["weight"], space, ladder)
     window = tuple(cfg["window"]) if cfg["window"] else None
@@ -492,9 +502,9 @@ def _cmd_vp_trace(args) -> int:
 
 def _cmd_equivariance(args) -> int:
     cfg = _load_config(args, "equivariance", {})
-    from .config import fn_from, hamiltonian_from, space_from
+    from .config import fn_from, hamiltonian_from
     from .ergodic import equivariance_check
-    space = space_from(cfg["space"])
+    space = _space_for(cfg, cfg["radii"][-1] + cfg["margin"], "radii")
     rep = equivariance_check(space, hamiltonian_from(cfg["hamiltonian"]),
                              cfg["shift"], fn_from(cfg["g"]), cfg["radii"],
                              margin=cfg["margin"], budget=args.budget)
@@ -610,11 +620,11 @@ def main(argv=None) -> int:
         else:
             handler = _HANDLERS[args.command]
         return handler(args)
-    except (ConfigError, BudgetExceeded, PreconditionFailed, NotEstablished,
-            GraphParseError) as exc:
-        print(f"doslab: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, BudgetExceeded, PreconditionFailed, NotEstablished,
+            OSError) as exc:
+        # ValueError covers ConfigError, GraphParseError and the domain
+        # checks that need the built objects (too few eigenvalues for the
+        # slope window, a window beyond the series)
         print(f"doslab: error: {exc}", file=sys.stderr)
         return 1
 

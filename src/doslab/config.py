@@ -66,6 +66,16 @@ def number(lo: float | None = None, hi: float | None = None,
     return check
 
 
+def increasing(check: Callable):
+    """``check`` for an array, then refuse entries that do not increase."""
+    def wrapped(v, path):
+        out = check(v, path)
+        if any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError("must be strictly increasing", path)
+        return out
+    return wrapped
+
+
 def string(choices: tuple | None = None):
     def check(v, path):
         if not isinstance(v, str):
@@ -199,7 +209,7 @@ SCHEMAS = {
         "space": Field(SPACE),
         "hamiltonian": Field(HAMILTONIAN),
         "g": Field(FN),
-        "radii": Field(array(number(lo=0.0), min_len=1)),
+        "radii": Field(increasing(array(number(lo=0.0), min_len=1))),
         "margin": Field(number(lo=0.0), 50.0),
         "out": _OUT,
     },
@@ -246,7 +256,7 @@ SCHEMAS = {
         "hamiltonian": Field(HAMILTONIAN),
         "g": Field(FN),
         "shift": Field(array(integer(), min_len=1)),
-        "radii": Field(array(number(lo=0.0), min_len=1)),
+        "radii": Field(increasing(array(number(lo=0.0), min_len=1))),
         "margin": Field(number(lo=0.0), 50.0),
         "out": _OUT,
     },

@@ -80,8 +80,7 @@ def _ball_prefix_counts(op: TruncatedOperator, radii: np.ndarray) -> np.ndarray:
 
 def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
                     budget: int | None = None,
-                    operator: TruncatedOperator | None = None,
-                    fold: str | bool = "auto") -> DosEstimate:
+                    operator: TruncatedOperator | None = None) -> DosEstimate:
     """Tr(g(H) chi_B)/|B| along the given radii.
 
     The Hamiltonian is built once on the ball of radius max(radii)+margin
@@ -100,7 +99,7 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
                       "and pick up edge contamination", stacklevel=2)
     outer = float(radii[-1]) + float(margin)
     if operator is None:
-        operator = build_truncated(space, spec, outer, budget=budget, fold=fold)
+        operator = build_truncated(space, spec, outer, budget=budget)
     elif operator.radius + 1e-9 < outer:
         raise ValueError(
             f"supplied operator truncated at {operator.radius}, need >= {outer}")
@@ -156,15 +155,14 @@ class IdsHistogram:
 
 def ids_histogram(space, spec, radius: float, margin: float = 0.0,
                   budget: int | None = None,
-                  operator: TruncatedOperator | None = None,
-                  fold: str | bool = "auto") -> IdsHistogram:
+                  operator: TruncatedOperator | None = None) -> IdsHistogram:
     """Sorted eigenvalues of the truncation at ``radius`` with ECDF fractions.
 
     ``margin`` is provenance only: the histogram is a spectral object of
     the plain truncation, so there is no larger build to restrict from.
     """
     if operator is None:
-        operator = build_truncated(space, spec, radius, budget=budget, fold=fold)
+        operator = build_truncated(space, spec, radius, budget=budget)
     energies = np.sort(symmetric_eigenvalues(operator).values)
     n = len(energies)
     return IdsHistogram(energies=energies,
@@ -277,8 +275,7 @@ def truncation_fit_window(n: int) -> tuple:
 def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
                 budget: int | None = None,
                 operator: TruncatedOperator | None = None,
-                window: tuple | None = None,
-                fold: str | bool = "auto") -> DixmierEstimate:
+                window: tuple | None = None) -> DixmierEstimate:
     """Slope estimate for g(H) M_w on the truncation at ``R_outer``.
 
     A supplied ``operator`` is taken as the truncation itself (its radius
@@ -287,7 +284,7 @@ def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
     """
     certify_weight(w)
     if operator is None:
-        operator = build_truncated(space, spec, R_outer, budget=budget, fold=fold)
+        operator = build_truncated(space, spec, R_outer, budget=budget)
     prods = product_eigenvalues(operator, w, fn=fn)
     series = log_cesaro(prods)
     if window is None:
@@ -363,7 +360,6 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
                        operator: TruncatedOperator | None = None,
                        dos_operator: TruncatedOperator | None = None,
                        budget: int | None = None,
-                       fold: str | bool = "auto",
                        c_threshold: float = 0.01,
                        window: tuple | None = None) -> TheoremCheck:
     """Compare slope(g(H) M_w) with slope(M_w) x DOS tail value.
@@ -386,14 +382,14 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
     if radii is None:
         radii = ladder.radii
     dos = dos_approximant(space, spec, fn, radii, margin=margin, budget=budget,
-                          operator=dos_operator, fold=fold)
+                          operator=dos_operator)
     if dos.diverged:
         raise NotEstablished(
             "DOS limit not numerically established: tail spread "
             f"{dos.tail_spread:.4g} against tail mean {dos.tail_mean:.4g}")
 
     if operator is None:
-        operator = build_truncated(space, spec, R_outer, budget=budget, fold=fold)
+        operator = build_truncated(space, spec, R_outer, budget=budget)
     lhs = dixmier_lhs(space, spec, fn, w, R_outer, operator=operator,
                       window=window)
     weight_fit = weight_dixmier_trace(w, window=window)

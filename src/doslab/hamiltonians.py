@@ -1,13 +1,18 @@
 """Finite-range operators truncated to balls, and radial weight functions.
 
 ``build_truncated`` applies a hopping kernel plus a potential to the points
-of a closed ball and stores the result as
+of a closed ball.  The result keeps the exact truncated Hamiltonian ``H`` as
+a sparse CSR matrix together with its block decomposition
 
-* a dense symmetric matrix (the generic case),
-* a bare diagonal when there is no hopping, or
-* a pair of parity sectors for 1-d lattice operators with an even
-  potential, where folding into reflection-symmetric/antisymmetric
-  combinations halves every subsequent eigensolve.
+    H = sum_b Q_b M_b Q_b^T,
+
+where each basis ``Q_b`` is sparse and orthonormal with at most one nonzero
+per row.  A generic operator is one block with Q = I.  A 1-d lattice
+operator around the origin with an even potential commutes with the
+reflection x -> -x and splits into its even and odd parity blocks, which
+halves every eigensolve.  A block without off-diagonal entries (no hopping)
+is its own eigenbasis and costs no eigensolve.  Each block caches its
+eigendecomposition, so every spectral quantity of one operator shares it.
 
 Truncation is plain Dirichlet: matrix elements between ball points are
 kept exactly as in the infinite operator (graph Laplacians keep the full
@@ -20,13 +25,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ._rng import site_keys, uniform_stream
-from .budget import DEFAULT_ENTRY_BUDGET, charge, point_budget
+from .budget import DEFAULT_ENTRY_BUDGET, point_budget
 from .errors import BudgetExceeded
 from .spaces import CayleyF2, Graph, Lattice, RadiiLadder
-
-_FOLD_MIN_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -151,34 +155,44 @@ def table_potential(table: dict) -> Potential:
     return Potential("table", table=dict(table))
 
 
-@dataclass
-class FoldedSectors:
-    """Parity-sector storage for reflection-symmetric 1-d operators.
+@dataclass(eq=False)
+class Block:
+    """One diagonal block of H = sum_b Q_b M_b Q_b^T.
 
-    ``plus`` acts on span{e_0} + {(e_x + e_-x)/sqrt2}, ``minus`` on
-    {(e_x - e_-x)/sqrt2}; ``pair_plus``/``pair_minus`` give the full-basis
-    indices of +x and -x for x = 1..R, ``center`` the index of x = 0.
+    ``basis`` (Q_b) is a sparse n x k matrix whose column j is the signed
+    indicator of an orbit of c_j points scaled to unit length, so it has
+    orthonormal columns, at most one nonzero per row and |Q_ij|^2 = 1/c_j;
+    ``matrix`` (M_b) is the sparse k x k block.
+    ``diagonal`` is diag M_b when the block has no off-diagonal entries (its
+    spectrum is then read off without an eigensolve) and None otherwise.
     """
 
-    plus: np.ndarray
-    minus: np.ndarray
-    center: int
-    pair_plus: np.ndarray
-    pair_minus: np.ndarray
+    basis: sparse.csr_array
+    matrix: sparse.csr_array
+    diagonal: np.ndarray | None = field(init=False)
+    _eigh: tuple | None = field(default=None, init=False, repr=False)
 
-    def sector_levels(self, levels: np.ndarray):
-        lev_plus = np.concatenate(([levels[self.center]], levels[self.pair_plus]))
-        return lev_plus, levels[self.pair_plus].copy()
+    def __post_init__(self):
+        m = self.matrix.tocoo()
+        off = (m.row != m.col) & (m.data != 0)
+        self.diagonal = None if off.any() else self.matrix.diagonal()
+
+    def eigh(self) -> tuple:
+        """Eigenvalues and eigenvectors of a non-diagonal M_b, computed once."""
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self.matrix.toarray())
+        return self._eigh
 
 
 @dataclass
 class TruncatedOperator:
     """A symmetric operator restricted to a ball, with point metadata.
 
-    Exactly one of ``matrix`` (dense), ``diagonal`` or ``sectors`` is set.
-    ``levels[i]`` maps point i to its ladder level (0 = base point), and
-    ``level_radii``/``level_counts`` include the level-0 entry, so weight
-    profiles and ball prefixes can be evaluated without float comparisons.
+    ``H`` is the exact truncated matrix (CSR, ball order) and ``blocks``
+    its block decomposition.  ``levels[i]`` maps point i to its ladder
+    level (0 = base point), and ``level_radii``/``level_counts`` include
+    the level-0 entry, so weight profiles and ball prefixes can be
+    evaluated without float comparisons.
     """
 
     space_kind: str
@@ -190,60 +204,16 @@ class TruncatedOperator:
     level_counts: np.ndarray
     potential: np.ndarray
     spec: HamiltonianSpec
-    matrix: np.ndarray | None = None
-    diagonal: np.ndarray | None = None
-    sectors: FoldedSectors | None = None
+    H: sparse.csr_array
+    blocks: tuple
     labels: np.ndarray | None = None
-    eig_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.dists)
 
-    @property
-    def storage(self) -> str:
-        if self.diagonal is not None:
-            return "diagonal"
-        if self.sectors is not None:
-            return "folded"
-        return "dense"
-
     def dense(self) -> np.ndarray:
-        """Materialise the full matrix (reconstructs folded storage)."""
-        if self.matrix is not None:
-            return self.matrix
-        if self.diagonal is not None:
-            return np.diag(self.diagonal)
-        s = self.sectors
-        n = self.n
-        out = np.zeros((n, n))
-        core_p = s.plus[1:, 1:]
-        core_m = s.minus
-        pp = (core_p + core_m) / 2.0
-        pm = (core_p - core_m) / 2.0
-        out[np.ix_(s.pair_plus, s.pair_plus)] = pp
-        out[np.ix_(s.pair_plus, s.pair_minus)] = pm
-        out[np.ix_(s.pair_minus, s.pair_plus)] = pm.T
-        out[np.ix_(s.pair_minus, s.pair_minus)] = pp
-        border = s.plus[0, 1:] / math.sqrt(2.0)
-        out[s.center, s.pair_plus] = border
-        out[s.center, s.pair_minus] = border
-        out[s.pair_plus, s.center] = border
-        out[s.pair_minus, s.center] = border
-        out[s.center, s.center] = s.plus[0, 0]
-        return out
-
-    def with_same_metadata(self, **replacements) -> "TruncatedOperator":
-        return TruncatedOperator(
-            space_kind=self.space_kind, radius=self.radius, points=self.points,
-            dists=self.dists, levels=self.levels, level_radii=self.level_radii,
-            level_counts=self.level_counts, potential=self.potential,
-            spec=self.spec, labels=self.labels,
-            **replacements)
-
-
-def _lattice_point_keys(coords: np.ndarray) -> np.ndarray:
-    return site_keys(coords)
+        return self.H.toarray()
 
 
 def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
@@ -285,111 +255,103 @@ def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.nd
     raise AssertionError(pot.kind)  # pragma: no cover
 
 
-def _lattice_hopping_matrix(space: Lattice, spec: HamiltonianSpec,
-                            points: np.ndarray) -> np.ndarray:
+def _lattice_hopping(space: Lattice, spec: HamiltonianSpec, points: np.ndarray):
+    """(rows, cols, values) of the hopping part between ball points."""
     n = len(points)
     hop = spec.hopping
+    units = [tuple(s if i == a else 0 for i in range(space.d))
+             for a in range(space.d) for s in (1, -1)]
     if hop.kind == "adjacency":
-        offsets = [e for a in range(space.d) for e in
-                   (tuple(1 if i == a else 0 for i in range(space.d)),
-                    tuple(-1 if i == a else 0 for i in range(space.d)))]
-        amps = [1.0] * len(offsets)
+        offsets, amps = units, [1.0] * len(units)
     elif hop.kind == "laplacian":
-        offsets = [(0,) * space.d]
-        amps = [2.0 * space.d]
-        for a in range(space.d):
-            offsets.append(tuple(1 if i == a else 0 for i in range(space.d)))
-            offsets.append(tuple(-1 if i == a else 0 for i in range(space.d)))
-            amps.extend([-1.0, -1.0])
+        offsets = [(0,) * space.d] + units
+        amps = [2.0 * space.d] + [-1.0] * len(units)
     else:
-        offsets = [tuple(o) for o in hop.offsets]
-        amps = list(hop.amplitudes)
-    keys = _lattice_point_keys(points)
+        offsets, amps = [tuple(o) for o in hop.offsets], list(hop.amplitudes)
+    keys = site_keys(points)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    m = np.zeros((n, n))
-    rows = np.arange(n)
+    rows, cols, vals = [], [], []
     for off, amp in zip(offsets, amps):
-        target = points + np.asarray(off, dtype=np.int64)
-        tkeys = site_keys(target)
-        pos = np.searchsorted(sorted_keys, tkeys)
-        pos_clipped = np.minimum(pos, n - 1)
-        hit = sorted_keys[pos_clipped] == tkeys
-        m[rows[hit], order[pos_clipped[hit]]] += amp
-    return m
+        tkeys = site_keys(points + np.asarray(off, dtype=np.int64))
+        pos = np.minimum(np.searchsorted(sorted_keys, tkeys), n - 1)
+        hit = np.flatnonzero(sorted_keys[pos] == tkeys)
+        rows.append(hit)
+        cols.append(order[pos[hit]])
+        vals.append(np.full(len(hit), float(amp)))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _graph_hopping_matrix(space: Graph, spec: HamiltonianSpec,
-                          node_idx: np.ndarray) -> np.ndarray:
-    n = len(node_idx)
-    remap = -np.ones(space.n_nodes, dtype=np.int64)
-    remap[node_idx] = np.arange(n)
-    m = np.zeros((n, n))
-    for local_i, old_i in enumerate(node_idx):
-        nbrs = remap[space.indices[space.indptr[old_i]:space.indptr[old_i + 1]]]
-        nbrs = nbrs[nbrs >= 0]
-        m[local_i, nbrs] = 1.0
+def _graph_hopping(space: Graph, spec: HamiltonianSpec, node_idx: np.ndarray):
+    adj = sparse.csr_array((np.ones(len(space.indices)), space.indices,
+                            space.indptr), shape=(space.n_nodes,) * 2)
+    sub = adj[node_idx][:, node_idx].tocoo()
+    rows, cols, vals = sub.row, sub.col, sub.data
     if spec.hopping.kind == "laplacian":
         deg = (space.indptr[node_idx + 1] - space.indptr[node_idx]).astype(np.float64)
-        m = np.diag(deg) - m
-    return m
+        diag = np.arange(len(node_idx))
+        rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
+        vals = np.concatenate((-vals, deg))
+    return rows, cols, vals
 
 
-def _f2_hopping_matrix(spec: HamiltonianSpec, words: np.ndarray) -> np.ndarray:
-    n = len(words)
+def _f2_hopping(spec: HamiltonianSpec, words: np.ndarray):
     order = np.argsort(words)
-    sorted_words = words[order]
-    m = np.zeros((n, n))
-    child_mask = words > 1
-    parents = words[child_mask] >> 2
-    pos = np.searchsorted(sorted_words, parents)
-    parent_idx = order[pos]
-    child_idx = np.flatnonzero(child_mask)
-    m[child_idx, parent_idx] = 1.0
-    m[parent_idx, child_idx] = 1.0
+    child = np.flatnonzero(words > 1)
+    parent = order[np.searchsorted(words[order], words[child] >> 2)]
+    rows, cols = np.concatenate((child, parent)), np.concatenate((parent, child))
+    vals = np.ones(len(rows))
     if spec.hopping.kind == "laplacian":
-        m = 4.0 * np.eye(n) - m
-    return m
+        diag = np.arange(len(words))
+        rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
+        vals = np.concatenate((-vals, np.full(len(words), 4.0)))
+    return rows, cols, vals
 
 
-def _fold_pairing(points: np.ndarray, dists: np.ndarray):
-    """Index pairing x <-> -x for a 1-d ball in canonical order."""
-    coords = points[:, 0]
-    order = np.argsort(coords)
-    idx_of = {int(coords[i]): i for i in order}
-    center = idx_of[0]
-    radius = int(coords.max())
-    pair_plus = np.array([idx_of[x] for x in range(1, radius + 1)], dtype=np.int64)
-    pair_minus = np.array([idx_of[-x] for x in range(1, radius + 1)], dtype=np.int64)
-    return center, pair_plus, pair_minus
+def _parity_blocks(H: sparse.csr_array, points: np.ndarray) -> tuple:
+    """Even and odd blocks of a reflection-invariant operator on [-R, R].
+
+    The even basis is e_0 and (e_x + e_-x)/sqrt2, the odd basis
+    (e_x - e_-x)/sqrt2, for x = 1..R.
+    """
+    order = np.argsort(points[:, 0])
+    r = len(order) // 2
+    plus, minus = order[r + 1:], order[:r][::-1]
+    k = np.arange(r)
+    even = _orbit_block(H, np.concatenate(([order[r]], plus, minus)),
+                        np.concatenate(([0], k + 1, k + 1)),
+                        np.ones(2 * r + 1), r + 1)
+    odd = _orbit_block(H, np.concatenate((plus, minus)), np.concatenate((k, k)),
+                       np.concatenate((np.ones(r), -np.ones(r))), r)
+    return even, odd
 
 
-def _fold_dense(dense: np.ndarray, center: int, pair_plus: np.ndarray,
-                pair_minus: np.ndarray) -> FoldedSectors:
-    app = dense[np.ix_(pair_plus, pair_plus)]
-    apm = dense[np.ix_(pair_plus, pair_minus)]
-    p = len(pair_plus)
-    plus = np.zeros((p + 1, p + 1))
-    plus[1:, 1:] = app + apm
-    border = dense[center, pair_plus] * math.sqrt(2.0)
-    plus[0, 1:] = border
-    plus[1:, 0] = border
-    plus[0, 0] = dense[center, center]
-    minus = app - apm
-    return FoldedSectors(plus=plus, minus=minus, center=center,
-                         pair_plus=pair_plus, pair_minus=pair_minus)
+def _orbit_block(H: sparse.csr_array, rows: np.ndarray, cols: np.ndarray,
+                 signs: np.ndarray, k: int) -> Block:
+    """Block of H on the k columns j = signed indicator of the orbit
+    {rows[cols == j]}, normalised to unit length."""
+    n = H.shape[0]
+    size = np.bincount(cols, minlength=k).astype(np.float64)
+    pattern = sparse.csr_array((signs, (rows, cols)), shape=(n, k))
+    m = (pattern.T @ H @ pattern).tocoo()
+    # sqrt(c)/c instead of 1/sqrt(c): pair-pair entries scale by exactly
+    # 1/2, so integer operators fold without rounding
+    cc = size[m.row] * size[m.col]
+    m = sparse.csr_array((m.data * (np.sqrt(cc) / cc), (m.row, m.col)),
+                         shape=(k, k))
+    basis = sparse.csr_array((signs / np.sqrt(size[cols]), (rows, cols)),
+                             shape=(n, k))
+    return Block(basis, sparse.csr_array((m + m.T) / 2.0))
 
 
 def build_truncated(space, spec: HamiltonianSpec, radius: float,
                     budget: int | None = None,
-                    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-                    fold: str | bool = "auto") -> TruncatedOperator:
+                    entry_budget: int = DEFAULT_ENTRY_BUDGET) -> TruncatedOperator:
     """Dirichlet truncation of the operator to the closed ball of ``radius``.
 
-    ``fold="auto"`` switches 1-d lattice operators with an even potential
-    to parity-sector storage once they are large enough to matter; pass
-    ``False`` to force plain dense storage (small cross-check tests) or
-    ``True`` to fold whenever valid.
+    A 1-d lattice operator around the origin with hopping and an even
+    potential is split into its two parity blocks; any other operator is a
+    single block.
     """
     b = point_budget(budget)
     points, keys, dists = space.ball_arrays(radius, b)
@@ -402,44 +364,40 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
     level_radii[levels] = dists
     v = _potential_values(space, spec, points)
     n = len(points)
-    common = dict(space_kind=space.kind, radius=float(radius), points=points,
-                  dists=dists, levels=levels, level_radii=level_radii,
-                  level_counts=level_counts.astype(np.int64), potential=v,
-                  spec=spec, labels=getattr(space, "labels", None))
-    if isinstance(space, Graph):
-        common["labels"] = space.labels[points]
-    if spec.hopping.kind == "none":
-        return TruncatedOperator(diagonal=v.copy(), **common)
-    if n * n > entry_budget:
-        raise BudgetExceeded(
-            f"dense truncation at radius {radius:g} needs {n * n} entries, "
-            f"entry budget is {entry_budget}", requested=n * n,
-            allowed=entry_budget)
-    if isinstance(space, Lattice):
-        m = _lattice_hopping_matrix(space, spec, points)
-    elif isinstance(space, Graph):
-        m = _graph_hopping_matrix(space, spec, points)
-    elif isinstance(space, CayleyF2):
-        m = _f2_hopping_matrix(spec, points)
-    else:
-        raise ValueError(f"unsupported space kind {space.kind!r}")
-    m[np.arange(n), np.arange(n)] += v
-    if not np.array_equal(m, m.T):
+    parts = [(np.arange(n), np.arange(n), v)]
+    if spec.hopping.kind != "none":
+        if n * n > entry_budget:
+            raise BudgetExceeded(
+                f"dense truncation at radius {radius:g} needs {n * n} entries, "
+                f"entry budget is {entry_budget}", requested=n * n,
+                allowed=entry_budget)
+        if isinstance(space, Lattice):
+            parts.append(_lattice_hopping(space, spec, points))
+        elif isinstance(space, Graph):
+            parts.append(_graph_hopping(space, spec, points))
+        elif isinstance(space, CayleyF2):
+            parts.append(_f2_hopping(spec, points))
+        else:
+            raise ValueError(f"unsupported space kind {space.kind!r}")
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    H = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    H.eliminate_zeros()
+    if (H != H.T).nnz:
         raise AssertionError("truncated matrix lost exact symmetry")
-    do_fold = False
-    if isinstance(space, Lattice) and space.d == 1 and space.base == (0,):
-        center, pp, pm = _fold_pairing(points, dists)
-        even_potential = np.array_equal(v[pp], v[pm])
-        if fold is True:
-            do_fold = even_potential
-            if not even_potential:
-                raise ValueError("fold requested but potential is not even")
-        elif fold == "auto":
-            do_fold = even_potential and n >= _FOLD_MIN_SIZE
-    if do_fold:
-        sectors = _fold_dense(m, center, pp, pm)
-        return TruncatedOperator(sectors=sectors, **common)
-    return TruncatedOperator(matrix=m, **common)
+    identity = sparse.csr_array((np.ones(n), (np.arange(n), np.arange(n))),
+                                shape=(n, n))
+    blocks = (Block(identity, H),)
+    if (spec.hopping.kind != "none" and isinstance(space, Lattice)
+            and space.d == 1 and space.base == (0,)):
+        order = np.argsort(points[:, 0])
+        if np.array_equal(v[order], v[order[::-1]]):
+            blocks = _parity_blocks(H, points)
+    return TruncatedOperator(
+        space_kind=space.kind, radius=float(radius), points=points,
+        dists=dists, levels=levels, level_radii=level_radii,
+        level_counts=level_counts.astype(np.int64), potential=v, spec=spec,
+        H=H, blocks=blocks,
+        labels=space.labels[points] if isinstance(space, Graph) else None)
 
 
 @dataclass

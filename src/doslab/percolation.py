@@ -20,9 +20,10 @@ import numpy as np
 
 from ._rng import uniform_stream
 from .budget import charge, point_budget
-from .spaces import Graph, RadiiLadder
+from .spaces import Graph
 
 _MAGIC = b"DLPC"
+_HEADER = struct.Struct("<4sQQQQ")
 _P_FIXED_SCALE = float(1 << 32)
 
 
@@ -192,17 +193,11 @@ def chemical_ball_growth(cluster: Graph, t_max: int) -> GrowthTable:
                        plateau_window=(lo, t_max), plateau_stat=stat)
 
 
-def cluster_ladder(cluster: Graph, k_max: int,
-                   budget: int | None = None) -> RadiiLadder:
-    return cluster.radii_ladder(k_max, budget)
-
-
 def save_sample(sample: PercolationSample, path) -> None:
     """Binary layout: magic, three u64 (d, L, p fixed-point/2^32), u64 seed,
     then the open-edge bitmask packed MSB-first."""
-    header = _MAGIC + struct.pack(
-        "<QQQQ", sample.d, sample.L,
-        int(round(sample.p * _P_FIXED_SCALE)), sample.seed)
+    header = _HEADER.pack(_MAGIC, sample.d, sample.L,
+                          int(round(sample.p * _P_FIXED_SCALE)), sample.seed)
     packed = np.packbits(sample.open_mask)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -210,18 +205,34 @@ def save_sample(sample: PercolationSample, path) -> None:
 
 
 def load_sample(path) -> PercolationSample:
+    """Read a sample written by ``save_sample``; any file whose header is
+    out of range or whose length differs from what the header implies is
+    refused with ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
+    if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
         raise ValueError("not a percolation sample file")
-    d, L, p_fixed, seed = struct.unpack("<QQQQ", blob[4:36])
-    d, L = int(d), int(L)
-    n_edges = d * L ** d
-    bits = np.unpackbits(np.frombuffer(blob[36:], dtype=np.uint8),
+    _, d, L, p_fixed, seed = _HEADER.unpack_from(blob)
+    if d < 1 or L < 2 or p_fixed > _P_FIXED_SCALE:
+        raise ValueError(f"corrupt percolation sample header: d={d}, L={L}, "
+                         f"p={p_fixed}/2^32")
+    # d * L^d edge bits, grown stepwise so a corrupt header cannot ask
+    # for a huge integer power
+    room = 8 * (len(blob) - _HEADER.size)
+    n_edges = d
+    for _ in range(d):
+        n_edges *= L
+        if n_edges > room:
+            break
+    if n_edges > room or len(blob) != _HEADER.size + (n_edges + 7) // 8:
+        raise ValueError(f"percolation sample file has {len(blob)} bytes, "
+                         f"which does not match its header (d={d}, L={L})")
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8,
+                                       offset=_HEADER.size),
                          count=n_edges).astype(bool)
     labels = _union_find_labels(d, L, bits)
     return PercolationSample(d=d, L=L, p=p_fixed / _P_FIXED_SCALE,
-                             seed=int(seed), open_mask=bits, labels=labels)
+                             seed=seed, open_mask=bits, labels=labels)
 
 
 def sample_digest(sample: PercolationSample) -> str:

@@ -14,12 +14,12 @@ few thousand the relative residual of the returned pairs is far below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .hamiltonians import TruncatedOperator, WeightFunction
+from .hamiltonians import Block, TruncatedOperator, WeightFunction
 
 # ---------------------------------------------------------------------------
 # spectral test functions
@@ -138,86 +138,77 @@ def _check_symmetric(a: np.ndarray) -> None:
 def symmetric_eigenvalues(op) -> EigenSequence:
     """Eigenvalues of a symmetric operator, ordered by decreasing modulus."""
     if isinstance(op, TruncatedOperator):
-        if op.storage == "diagonal":
-            return eigen_sequence(op.diagonal)
-        if op.storage == "folded":
-            vals = np.concatenate([np.linalg.eigvalsh(op.sectors.plus),
-                                   np.linalg.eigvalsh(op.sectors.minus)])
-            return eigen_sequence(vals)
-        return eigen_sequence(np.linalg.eigvalsh(op.matrix))
+        return eigen_sequence(np.concatenate([_block_eigvalsh(b)
+                                              for b in op.blocks]))
     a = np.asarray(op, dtype=np.float64)
     _check_symmetric(a)
     return eigen_sequence(np.linalg.eigvalsh(a))
 
 
-def _eig_dense(op: TruncatedOperator):
-    if "dense" not in op.eig_cache:
-        op.eig_cache["dense"] = np.linalg.eigh(op.matrix)
-    return op.eig_cache["dense"]
-
-
-def _eig_folded(op: TruncatedOperator):
-    if "folded" not in op.eig_cache:
-        op.eig_cache["folded"] = (np.linalg.eigh(op.sectors.plus),
-                                  np.linalg.eigh(op.sectors.minus))
-    return op.eig_cache["folded"]
-
-
-def _sym_reconstruct(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
-    g = (v * fn(w)) @ v.T
-    return (g + g.T) / 2.0
-
-
-def apply_function(op: TruncatedOperator, fn: Callable) -> TruncatedOperator:
-    """g(H) through the spectral theorem, preserving the storage layout."""
-    if op.storage == "diagonal":
-        return op.with_same_metadata(diagonal=np.asarray(fn(op.diagonal),
-                                                         dtype=np.float64))
-    if op.storage == "folded":
-        (wp, vp), (wm, vm) = _eig_folded(op)
-        s = op.sectors
-        gs = type(s)(plus=_sym_reconstruct(wp, vp, fn),
-                     minus=_sym_reconstruct(wm, vm, fn),
-                     center=s.center, pair_plus=s.pair_plus,
-                     pair_minus=s.pair_minus)
-        return op.with_same_metadata(sectors=gs)
-    w, v = _eig_dense(op)
-    return op.with_same_metadata(matrix=_sym_reconstruct(w, v, fn))
+def _block_eigvalsh(block: Block, weights=None, fn=None) -> np.ndarray:
+    """Eigenvalues of W^(1/2) T W^(1/2) with W = diag(weights) and T = M_b,
+    or T = fn(M_b) from the block's cached eigendecomposition.  Without
+    weights (W = 1) there is no ``fn``: these are M_b's own eigenvalues."""
+    if block.diagonal is not None:
+        d = block.diagonal if fn is None else fn(block.diagonal)
+        d = np.asarray(d, dtype=np.float64)
+        return d if weights is None else d * weights
+    if fn is None:
+        m = block.matrix.toarray()
+        if weights is not None:
+            s = np.sqrt(weights)
+            m *= np.outer(s, s)  # exactly symmetric by commutativity
+        return np.linalg.eigvalsh(m)
+    evals, evecs = block.eigh()
+    b = np.sqrt(weights)[:, None] * evecs
+    m = (b * fn(evals)) @ b.T
+    return np.linalg.eigvalsh((m + m.T) / 2.0)
 
 
 def function_diagonal(op: TruncatedOperator, fn: Callable) -> np.ndarray:
     """Diagonal of g(H) in the ball basis, without materialising g(H).
 
-    Needs one eigendecomposition; diag g(H) = (V*V) fn(w) row-wise.
+    Per block, diag g(M_b) = (V*V) fn(w) from one cached eigendecomposition
+    M_b = V diag(w) V^T; the blocks scatter back as (Q_b*Q_b) diag g(M_b),
+    where Q_b*Q_b is 1/c_j on the c_j points of orbit j.
     """
-    if op.storage == "diagonal":
-        return np.asarray(fn(op.diagonal), dtype=np.float64)
-    if op.storage == "folded":
-        (wp, vp), (wm, vm) = _eig_folded(op)
-        diag_plus = (vp * vp) @ fn(wp)
-        diag_minus = (vm * vm) @ fn(wm)
-        s = op.sectors
-        out = np.empty(op.n)
-        out[s.center] = diag_plus[0]
-        pair_vals = (diag_plus[1:] + diag_minus) / 2.0
-        out[s.pair_plus] = pair_vals
-        out[s.pair_minus] = pair_vals
-        return out
-    w, v = _eig_dense(op)
-    return (v * v) @ fn(w)
+    out = np.zeros(op.n)
+    for block in op.blocks:
+        if block.diagonal is not None:
+            diag = np.asarray(fn(block.diagonal), dtype=np.float64)
+        else:
+            evals, evecs = block.eigh()
+            diag = (evecs * evecs) @ fn(evals)
+        q = block.basis.tocoo()
+        size = np.bincount(q.col, minlength=q.shape[1])
+        out[q.row] += diag[q.col] / size[q.col]
+    return out
 
 
-def _scaled_eigvalsh(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    s = np.sqrt(weights)
-    scaled = matrix * np.outer(s, s)  # exactly symmetric by commutativity
-    return np.linalg.eigvalsh(scaled)
+def _block_weights(op: TruncatedOperator, w) -> list:
+    """The weight of ``op``'s points as one vector per block basis.
 
-
-def _scaled_fn_eigvalsh(evals: np.ndarray, evecs: np.ndarray, fn,
-                        weights: np.ndarray) -> np.ndarray:
-    b = np.sqrt(weights)[:, None] * evecs
-    m = (b * fn(evals)) @ b.T
-    return np.linalg.eigvalsh((m + m.T) / 2.0)
+    M_w maps each block to itself only when w is constant on the support
+    of every basis column (on a parity-folded operator: w(-x) == w(x));
+    any other w is refused rather than silently averaged.
+    """
+    if isinstance(w, WeightFunction):
+        w_pts = w.values_for_levels(op.levels)
+    else:
+        w_pts = np.asarray(w, dtype=np.float64)
+        if w_pts.shape != (op.n,):
+            raise ValueError("weight vector length does not match operator")
+    out = []
+    for block in op.blocks:
+        q = block.basis.tocoo()
+        wb = np.empty(q.shape[1])
+        wb[q.col] = w_pts[q.row]
+        if not np.array_equal(wb[q.col], w_pts[q.row]):
+            raise ValueError("weight is not constant on the operator's "
+                             "symmetry orbits (w(-x) != w(x) on a "
+                             "parity-folded operator)")
+        out.append(wb)
+    return out
 
 
 def product_eigenvalues(op: TruncatedOperator, w, fn=None) -> EigenSequence:
@@ -227,40 +218,13 @@ def product_eigenvalues(op: TruncatedOperator, w, fn=None) -> EigenSequence:
     cached eigendecomposition of H instead of materialising fn(H)).
     Computed through the symmetric similarity M_w^(1/2) T M_w^(1/2),
     which shares the product's spectrum; the result is real and comes from
-    a symmetric eigensolve.
+    a symmetric eigensolve per block.
     """
-    if isinstance(w, WeightFunction):
-        w_pts = w.values_for_levels(op.levels)
-    else:
-        w_pts = np.asarray(w, dtype=np.float64)
-        if len(w_pts) != op.n:
-            raise ValueError("weight vector length does not match operator")
-    if np.any(w_pts <= 0):
+    weights = _block_weights(op, w)
+    if any(np.any(wb <= 0) for wb in weights):
         raise ValueError("weights must be strictly positive")
-    if op.storage == "diagonal":
-        diag = fn(op.diagonal) if fn is not None else op.diagonal
-        return eigen_sequence(np.asarray(diag, dtype=np.float64) * w_pts)
-    if op.storage == "folded":
-        lev_plus, lev_minus = op.sectors.sector_levels(op.levels)
-        if isinstance(w, WeightFunction):
-            wp = w.values_for_levels(lev_plus)
-            wm = w.values_for_levels(lev_minus)
-        else:
-            s = op.sectors
-            wp = np.concatenate(([w_pts[s.center]], w_pts[s.pair_plus]))
-            wm = w_pts[s.pair_plus]
-        if fn is None:
-            vals = np.concatenate([_scaled_eigvalsh(op.sectors.plus, wp),
-                                   _scaled_eigvalsh(op.sectors.minus, wm)])
-        else:
-            (ep, vp), (em, vm) = _eig_folded(op)
-            vals = np.concatenate([_scaled_fn_eigvalsh(ep, vp, fn, wp),
-                                   _scaled_fn_eigvalsh(em, vm, fn, wm)])
-        return eigen_sequence(vals)
-    if fn is None:
-        return eigen_sequence(_scaled_eigvalsh(op.matrix, w_pts))
-    ev, v = _eig_dense(op)
-    return eigen_sequence(_scaled_fn_eigvalsh(ev, v, fn, w_pts))
+    return eigen_sequence(np.concatenate(
+        [_block_eigvalsh(b, wb, fn) for b, wb in zip(op.blocks, weights)]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +334,9 @@ def slope_dixmier_estimate(series: CesaroSeries, window: tuple | None = None,
         n_lo = max(8, n_hi >> 8)
     else:
         n_lo, n_hi = window
+    if n_hi > len(series.partial):
+        raise ValueError(f"window {n_lo}..{n_hi} reaches beyond the "
+                         f"{len(series.partial)} terms of the series")
     counts = dyadic_window_counts(int(n_lo), int(n_hi))
     if len(counts) < min_points:
         raise ValueError(
@@ -520,25 +487,11 @@ def modulated_norm_profile(op: TruncatedOperator, w, t_grid) -> ModulatedProfile
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("t grid must be positive")
-    if isinstance(w, WeightFunction):
-        w_pts = w.values_for_levels(op.levels)
-    else:
-        w_pts = np.asarray(w, dtype=np.float64)
-    if op.storage == "diagonal":
-        pieces = [(op.diagonal ** 2, w_pts)]
-    elif op.storage == "folded":
-        s = op.sectors
-        wp = np.concatenate(([w_pts[s.center]], w_pts[s.pair_plus]))
-        wm = w_pts[s.pair_plus]
-        pieces = [((s.plus ** 2).sum(axis=0), wp),
-                  ((s.minus ** 2).sum(axis=0), wm)]
-    else:
-        pieces = [((op.matrix ** 2).sum(axis=0), w_pts)]
-    values = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        acc = 0.0
-        for cn2, ww in pieces:
-            acc += float(np.sum(cn2 / (1.0 + t * ww) ** 2))
-        values[i] = math.sqrt(t * acc)
+    weights = np.concatenate(_block_weights(op, w))
+    # squared column norms of each M_b: the HS norm is basis invariant
+    col_norms = np.concatenate([(b.matrix * b.matrix).sum(axis=0)
+                                for b in op.blocks])
+    values = np.array([math.sqrt(t * np.sum(col_norms / (1.0 + t * weights) ** 2))
+                       for t in t_grid])
     return ModulatedProfile(t_grid=t_grid, values=values,
                             sup_value=float(values.max()))

@@ -121,7 +121,7 @@ def test_criterion_6_percolation_cluster_growth():
         sample = percolation.percolate_bonds(2, 600, 0.6, seed)
         cluster = percolation.largest_cluster(sample)
         growth = percolation.chemical_ball_growth(cluster, 150)
-        ladder = percolation.cluster_ladder(cluster, 150)
+        ladder = cluster.radii_ladder(150)
         ratio_report = condition_c_report(ladder, threshold=0.05)
         rebuilt = percolation.percolate_bonds(2, 600, 0.6, seed)
         plateaus.append(growth.plateau_stat)

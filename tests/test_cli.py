@@ -388,6 +388,27 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
     assert "ratios stabilise above 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, message", [
+    ("dos", {"space": {"kind": "lattice"}, "radii": [20, 10]},
+     "radii: must be strictly increasing"),
+    ("dixmier", {"space": {"kind": "lattice"}, "r_outer": 50},
+     "101 eigenvalues"),
+    ("dixmier", {"space": {"kind": "lattice"}, "r_outer": 50,
+                 "window": [2, 100000]},
+     "beyond the 101 terms"),
+    ("dos", {"space": {"kind": "f2"}, "radii": [1, 2, 3]},
+     "radii: needs a free-group ball of radius 53"),
+])
+def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
+                                          message):
+    cfg = write_config(tmp_path, {"hamiltonian": FREE_CHAIN,
+                                  "g": {"kind": "one"}, **payload})
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("doslab: error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["--version"])

@@ -99,8 +99,8 @@ def test_shift_relabels_the_diagonal():
     spec = adjacency(periodic_potential([0.0, 0.7, 1.3]))
     g = gaussian(0.3, 0.7)
     space = Lattice(1)
-    op = build_truncated(space, spec, 300.0, fold=False)
-    shifted = build_truncated(space, spec.shifted((1,)), 300.0, fold=False)
+    op = build_truncated(space, spec, 300.0)
+    shifted = build_truncated(space, spec.shifted((1,)), 300.0)
     diag = function_diagonal(op, g)
     diag_shifted = function_diagonal(shifted, g)
     pos = {int(x): i for i, x in enumerate(op.points[:, 0])}

@@ -1,4 +1,4 @@
-"""Truncated operator assembly: hoppings, potentials, folding, weights."""
+"""Truncated operator assembly: hoppings, potentials, parity blocks, weights."""
 
 import math
 
@@ -31,7 +31,7 @@ def dense_in_coord_order(op):
 
 
 def test_z1_adjacency_is_tridiagonal():
-    op = build_truncated(Lattice(1), adjacency(), 2.0, fold=False)
+    op = build_truncated(Lattice(1), adjacency(), 2.0)
     m = dense_in_coord_order(op)
     want = np.zeros((5, 5))
     for i in range(4):
@@ -64,7 +64,7 @@ def test_kernel_spec_validation():
 
 def test_kernel_operator_matches_manual_matrix():
     spec = kernel([(1,), (-1,), (2,), (-2,)], [1.0, 1.0, 0.5, 0.5])
-    op = build_truncated(Lattice(1), spec, 3.0, fold=False)
+    op = build_truncated(Lattice(1), spec, 3.0)
     m = dense_in_coord_order(op)
     xs = np.arange(-3, 4)
     want = np.zeros((7, 7))
@@ -102,7 +102,7 @@ def test_f2_adjacency_degrees():
 
 def test_periodic_potential_values():
     spec = adjacency(periodic_potential([0.0, 1.0]))
-    op = build_truncated(Lattice(1), spec, 4.0, fold=False)
+    op = build_truncated(Lattice(1), spec, 4.0)
     want = np.mod(op.points[:, 0], 2).astype(float)
     assert np.array_equal(op.potential, want)
 
@@ -164,8 +164,8 @@ def test_potential_validation():
 def test_shifted_periodic_values():
     base = adjacency(periodic_potential([0.0, 1.0, 2.0]))
     moved = base.shifted((1,))
-    op0 = build_truncated(Lattice(1), base, 6.0, fold=False)
-    op1 = build_truncated(Lattice(1), moved, 6.0, fold=False)
+    op0 = build_truncated(Lattice(1), base, 6.0)
+    op1 = build_truncated(Lattice(1), moved, 6.0)
     want = np.mod(op1.points[:, 0] + 1, 3).astype(float)
     assert np.array_equal(op1.potential, want)
     # composing shifts adds them up
@@ -196,43 +196,37 @@ def test_shift_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# parity folding
-
-
-def test_fold_matches_dense_spectrum():
-    spec = adjacency(periodic_potential([1.0, -1.0]))
-    flat = build_truncated(Lattice(1), spec, 60.0, fold=False)
-    folded = build_truncated(Lattice(1), spec, 60.0, fold=True)
-    assert folded.storage == "folded" and flat.storage == "dense"
-    a = np.sort(scipy.linalg.eigvalsh(flat.matrix))
-    s = folded.sectors
-    b = np.sort(np.concatenate([scipy.linalg.eigvalsh(s.plus),
-                                scipy.linalg.eigvalsh(s.minus)]))
-    assert np.allclose(a, b, atol=1e-10)
+# parity folding (the property test in test_spectral.py compares every
+# spectral quantity of folded operators with the dense reference)
 
 
 def test_fold_dense_reconstruction_is_exact():
     # vals[k] == vals[(-k) mod 3] makes the potential even on the line
     spec = kernel([(1,), (-1,), (3,), (-3,)], [1.0, 1.0, -0.25, -0.25],
                   periodic_potential([0.5, 2.0, 2.0]))
-    flat = build_truncated(Lattice(1), spec, 40.0, fold=False)
-    folded = build_truncated(Lattice(1), spec, 40.0, fold=True)
-    assert np.allclose(folded.dense(), flat.matrix, atol=1e-12)
+    op = build_truncated(Lattice(1), spec, 40.0)
+    assert len(op.blocks) == 2
+    rebuilt = sum(b.basis @ b.matrix @ b.basis.T for b in op.blocks)
+    assert np.allclose(rebuilt.toarray(), op.dense(), atol=1e-12)
+    for b in op.blocks:
+        gram = (b.basis.T @ b.basis).toarray()
+        assert np.allclose(gram, np.eye(b.matrix.shape[0]), atol=1e-15)
+        assert np.all(np.diff(b.basis.indptr) <= 1)  # one nonzero per row
 
 
 def test_fold_rejects_odd_potential():
     # any period-2 potential is even under x -> -x, so go to period 3
     spec = adjacency(periodic_potential([0.0, 1.0, 2.0]))  # V(-1) != V(1)
-    with pytest.raises(ValueError, match="not even"):
-        build_truncated(Lattice(1), spec, 10.0, fold=True)
-    # auto quietly falls back to dense storage
-    op = build_truncated(Lattice(1), spec, 3000.0)
-    assert op.storage == "dense"
+    op = build_truncated(Lattice(1), spec, 10.0)
+    assert len(op.blocks) == 1
+    assert op.blocks[0].matrix is op.H
 
 
 def test_fold_auto_kicks_in_for_large_even_operators():
     op = build_truncated(Lattice(1), adjacency(), 3000.0)
-    assert op.storage == "folded"
+    assert [b.matrix.shape[0] for b in op.blocks] == [3001, 3000]
+    # folding needs no minimum size
+    assert len(build_truncated(Lattice(1), adjacency(), 1.0).blocks) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,8 @@ def test_entry_budget_guard():
     # diagonal operators skip the dense allocation entirely
     op = build_truncated(Lattice(2), diagonal_spec(iid_potential(0, 1, 1)),
                          40.0, entry_budget=10_000)
-    assert op.storage == "diagonal"
+    (block,) = op.blocks
+    assert np.array_equal(block.diagonal, op.potential)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def test_lattice_weight_closed_form():
 def test_weight_level_guard():
     lad = Lattice(1).radii_ladder(5)
     w = default_weight(lad)
-    op = build_truncated(Lattice(1), adjacency(), 9.0, fold=False)
+    op = build_truncated(Lattice(1), adjacency(), 9.0)
     with pytest.raises(ValueError, match="longer ladder"):
         w.values_for_levels(op.levels)
     assert w.values_for_levels([0, 1, 2])[0] == 0.5

@@ -4,12 +4,14 @@ The cross-check oracle for cluster labelling is scipy's sparse
 connected-components, driven by the same open-edge mask.
 """
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from doslab.percolation import (chemical_ball_growth, cluster_ladder,
+from doslab.percolation import (chemical_ball_growth,
                                 largest_cluster, load_sample, percolate_bonds,
                                 sample_digest, save_sample)
 
@@ -146,7 +148,7 @@ def test_growth_guards():
 def test_growth_counts_match_cluster_ladder():
     g = largest_cluster(percolate_bonds(2, 60, 0.6, 5))
     growth = chemical_ball_growth(g, 30)
-    lad = cluster_ladder(g, 30)
+    lad = g.radii_ladder(30)
     assert np.array_equal(lad.counts, growth.ball_counts)
     assert np.all(np.diff(growth.ball_counts) >= 0)
 
@@ -169,6 +171,28 @@ def test_save_load_round_trip(tmp_path):
     bad.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ValueError, match="not a percolation sample"):
         load_sample(bad)
+
+
+def test_load_sample_refuses_corrupt_files(tmp_path):
+    s = percolate_bonds(2, 50, 0.6, 3)
+    path = tmp_path / "sample.bin"
+    save_sample(s, path)
+    blob = path.read_bytes()
+    header = 36
+    cases = {
+        # unpackbits would zero-pad a cut body into a sparser sample
+        "half.bin": blob[:header + (len(blob) - header) // 2],
+        "junk.bin": blob + b"\x00",
+        "short.bin": blob[:20],
+        "d0.bin": blob[:4] + struct.pack("<Q", 0) + blob[12:],
+        "p.bin": blob[:20] + struct.pack("<Q", (1 << 32) + 1) + blob[28:],
+        "hugeL.bin": blob[:12] + struct.pack("<Q", 1 << 62) + blob[20:],
+    }
+    for name, data in cases.items():
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_sample(bad)
 
 
 def test_frozen_regression_values():

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
-                                 diagonal_spec, periodic_potential,
-                                 table_potential)
+                                 diagonal_spec, kernel, laplacian,
+                                 periodic_potential, table_potential)
 from doslab.spaces import Lattice
-from doslab.spectral import (apply_function, bump,
+from doslab.spectral import (bump,
                              constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
                              function_diagonal, gaussian, identity_function,
@@ -59,12 +60,13 @@ def test_polynomial_and_table_and_one():
 def test_symmetric_eigenvalues_against_scipy():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(40, 40))
-    a = (a + a.T) / 2.0
-    op = build_truncated(Lattice(1), adjacency(), 19.0, fold=False)
-    op.matrix[:] = a[:39, :39] + a[:39, :39].T  # keep it symmetric
-    seq = symmetric_eigenvalues(op)
-    want = np.sort(np.abs(scipy.linalg.eigvalsh(op.matrix)))[::-1]
-    assert np.allclose(np.abs(seq.values), want,
+    a = a + a.T
+    want = np.sort(np.abs(scipy.linalg.eigvalsh(a)))[::-1]
+    assert np.allclose(np.abs(symmetric_eigenvalues(a).values), want,
+                       atol=1e-10)
+    op = build_truncated(Lattice(2), laplacian(), 4.0)
+    want = np.sort(np.abs(scipy.linalg.eigvalsh(op.dense())))[::-1]
+    assert np.allclose(np.abs(symmetric_eigenvalues(op).values), want,
                        atol=1e-10)
 
 
@@ -110,36 +112,14 @@ def test_product_eigenvalues_constant_one_gives_weight_spectrum():
     assert np.allclose(np.sort(got)[::-1], np.sort(want)[::-1], atol=1e-12)
 
 
-def test_product_eigenvalues_folded_equals_dense():
-    space = Lattice(1)
-    spec = adjacency(periodic_potential([1.0, -1.0]))
-    w = default_weight(space.radii_ladder(130))
-    g = gaussian(0.0, 1.0)
-    flat = build_truncated(space, spec, 128.0, fold=False)
-    folded = build_truncated(space, spec, 128.0, fold=True)
-    a = product_eigenvalues(flat, w, g).values
-    b = product_eigenvalues(folded, w, g).values
-    assert np.allclose(np.abs(a), np.abs(b), atol=1e-10)
-
-
-def test_apply_function_spectral_theorem():
-    op = build_truncated(Lattice(1), adjacency(), 25.0, fold=False)
-    sq = apply_function(op, lambda lam: lam ** 2)
-    assert np.allclose(sq.matrix, op.matrix @ op.matrix, atol=1e-10)
-    diag_op = build_truncated(
-        Lattice(1), diagonal_spec(periodic_potential([2.0, 3.0])), 10.0)
-    doubled = apply_function(diag_op, lambda lam: 2.0 * lam)
-    assert np.array_equal(doubled.diagonal, 2.0 * diag_op.potential)
-
-
 def test_function_diagonal_matches_dense_route():
     spec = adjacency(periodic_potential([0.0, 1.0]))
-    op = build_truncated(Lattice(1), spec, 80.0, fold=True)
-    flat = build_truncated(Lattice(1), spec, 80.0, fold=False)
+    op = build_truncated(Lattice(1), spec, 80.0)
+    assert len(op.blocks) == 2
     g = gaussian(0.3, 0.7)
-    got = function_diagonal(op, g)
-    want = np.diag(apply_function(flat, g).matrix)
-    assert np.allclose(got, want, atol=1e-11)
+    lam, vec = np.linalg.eigh(op.dense())
+    want = np.diag((vec * g(lam)) @ vec.T)
+    assert np.allclose(function_diagonal(op, g), want, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +324,92 @@ def test_modulated_profile_diagonal_closed_form():
         modulated_norm_profile(op, w, [0.0, 1.0])
 
 
-def test_modulated_profile_folded_matches_dense():
-    spec = adjacency(periodic_potential([1.0, -1.0]))
-    space = Lattice(1)
-    w = default_weight(space.radii_ladder(70))
-    flat = build_truncated(space, spec, 64.0, fold=False)
-    folded = build_truncated(space, spec, 64.0, fold=True)
-    t = np.array([1.0, 4.0, 16.0])
-    a = modulated_norm_profile(flat, w, t)
-    b = modulated_norm_profile(folded, w, t)
-    assert np.allclose(a.values, b.values, atol=1e-10)
+# ---------------------------------------------------------------------------
+# parity blocks against the dense reference
+
+
+def _mirror(op):
+    """Index of -x for each point x of a 1-d ball."""
+    order = np.argsort(op.points[:, 0])
+    out = np.empty_like(order)
+    out[order] = order[::-1]
+    return out
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+@st.composite
+def even_chain_operators(draw):
+    """A 1-d operator that commutes with x -> -x: nearest-neighbour or
+    random symmetric kernel hopping plus a random even periodic potential."""
+    radius = draw(st.integers(1, 80))
+    period = draw(st.integers(1, 5))
+    half = draw(st.lists(st.floats(-2.0, 2.0), min_size=period // 2 + 1,
+                         max_size=period // 2 + 1))
+    potential = periodic_potential(
+        [half[min(k, period - k)] for k in range(period)])  # V(-k) == V(k)
+    hopping = draw(st.sampled_from(("adjacency", "laplacian", "kernel")))
+    if hopping == "kernel":
+        reach = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                              unique=True))
+        amps = draw(st.lists(st.floats(-1.5, 1.5), min_size=len(reach),
+                             max_size=len(reach)))
+        spec = kernel([(s * k,) for k in reach for s in (1, -1)],
+                      [a for a in amps for _ in (1, -1)], potential)
+    elif hopping == "laplacian":
+        spec = laplacian(potential)
+    else:
+        spec = adjacency(potential)
+    op = build_truncated(Lattice(1), spec, float(radius))
+    level_w = np.asarray(draw(st.lists(st.floats(0.05, 2.0),
+                                       min_size=radius + 1,
+                                       max_size=radius + 1)))
+    g = gaussian(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.3, 2.0)))
+    return op, level_w[op.levels], g
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_chain_operators())
+def test_parity_blocks_match_the_dense_reference(case):
+    op, w, g = case
+    assert len(op.blocks) == 2
+    h = op.dense()
+    lam, vec = np.linalg.eigh(h)
+    _close(np.sort(symmetric_eigenvalues(op).values), lam)
+    _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+    s = np.sqrt(w)
+    g_of_h = (vec * g(lam)) @ vec.T
+    for fn, t_mat in ((None, h), (g, g_of_h)):
+        want = np.linalg.eigvalsh(s[:, None] * t_mat * s[None, :])
+        _close(np.sort(product_eigenvalues(op, w, fn).values), want)
+    t = np.array([0.5, 3.0, 40.0])
+    cn2 = (h * h).sum(axis=0)
+    want = [math.sqrt(tv * np.sum(cn2 / (1.0 + tv * w) ** 2)) for tv in t]
+    _close(modulated_norm_profile(op, w, t).values, np.array(want))
+
+
+def test_weights_must_be_constant_on_parity_orbits():
+    """M_w keeps the parity blocks apart only when w(-x) == w(x); any other
+    weight vector is refused instead of being averaged over x and -x."""
+    op = build_truncated(Lattice(1), adjacency(), 64.0)
+    g = gaussian(0.0, 1.0)
+    w = np.random.default_rng(0).uniform(0.5, 1.5, op.n)
+    for call in (lambda: product_eigenvalues(op, w),
+                 lambda: product_eigenvalues(op, w, g),
+                 lambda: modulated_norm_profile(op, w, [1.0, 10.0])):
+        with pytest.raises(ValueError, match="symmetry orbits"):
+            call()
+    even = (w + w[_mirror(op)]) / 2.0
+    lam, vec = np.linalg.eigh(op.dense())
+    s = np.sqrt(even)
+    want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
+    _close(np.sort(product_eigenvalues(op, even, g).values), want)
+
+
+def test_modulated_profile_checks_the_weight_length():
+    op = build_truncated(Lattice(1), adjacency(), 10.0)
+    with pytest.raises(ValueError, match="length"):
+        modulated_norm_profile(op, np.ones(op.n - 1), [1.0])
