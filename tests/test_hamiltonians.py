@@ -200,6 +200,16 @@ def test_shift_dimension_mismatch():
 # spectral quantity of folded operators with the dense reference)
 
 
+def test_fold_matches_dense_spectrum():
+    spec = adjacency(periodic_potential([1.0, -1.0]))
+    op = build_truncated(Lattice(1), spec, 60.0)
+    assert len(op.blocks) == 2
+    a = np.sort(scipy.linalg.eigvalsh(op.dense()))
+    b = np.sort(np.concatenate([scipy.linalg.eigvalsh(blk.matrix.toarray())
+                                for blk in op.blocks]))
+    assert np.allclose(a, b, atol=1e-10)
+
+
 def test_fold_dense_reconstruction_is_exact():
     # vals[k] == vals[(-k) mod 3] makes the potential even on the line
     spec = kernel([(1,), (-1,), (3,), (-3,)], [1.0, 1.0, -0.25, -0.25],

@@ -112,6 +112,21 @@ def test_product_eigenvalues_constant_one_gives_weight_spectrum():
     assert np.allclose(np.sort(got)[::-1], np.sort(want)[::-1], atol=1e-12)
 
 
+def test_product_eigenvalues_folded_equals_dense():
+    space = Lattice(1)
+    spec = adjacency(periodic_potential([1.0, -1.0]))
+    w = default_weight(space.radii_ladder(130))
+    g = gaussian(0.0, 1.0)
+    op = build_truncated(space, spec, 128.0)
+    assert len(op.blocks) == 2
+    lam, vec = np.linalg.eigh(op.dense())
+    s = np.sqrt(w.values_for_levels(op.levels))
+    want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
+    got = product_eigenvalues(op, w, g).values
+    assert np.allclose(np.sort(np.abs(got)), np.sort(np.abs(want)),
+                       atol=1e-10)
+
+
 def test_function_diagonal_matches_dense_route():
     spec = adjacency(periodic_potential([0.0, 1.0]))
     op = build_truncated(Lattice(1), spec, 80.0)
@@ -322,6 +337,21 @@ def test_modulated_profile_diagonal_closed_form():
     assert prof.sup_value == prof.values.max()
     with pytest.raises(ValueError):
         modulated_norm_profile(op, w, [0.0, 1.0])
+
+
+def test_modulated_profile_folded_matches_dense():
+    spec = adjacency(periodic_potential([1.0, -1.0]))
+    space = Lattice(1)
+    w = default_weight(space.radii_ladder(70))
+    op = build_truncated(space, spec, 64.0)
+    assert len(op.blocks) == 2
+    t = np.array([1.0, 4.0, 16.0])
+    h = op.dense()
+    cn2 = (h * h).sum(axis=0)
+    wv = w.values_for_levels(op.levels)
+    want = [math.sqrt(tv * np.sum(cn2 / (1.0 + tv * wv) ** 2)) for tv in t]
+    got = modulated_norm_profile(op, w, t)
+    assert np.allclose(got.values, want, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
