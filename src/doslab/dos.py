@@ -242,11 +242,6 @@ def dixmier_estimate_from_series(series: CesaroSeries,
                            measurability=_classify(fit, halves))
 
 
-def measurability_diagnostic(estimate: DixmierEstimate) -> MeasurabilityReport:
-    """Re-derive the verdict from the estimate's stored evidence."""
-    return _classify(estimate.fit, estimate.half_slopes)
-
-
 def certify_weight(w: WeightFunction) -> None:
     """Reject weights whose level sums w*N keep growing (not weak-l1)."""
     report = weak_l1_bound(w)

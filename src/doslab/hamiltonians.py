@@ -8,8 +8,8 @@ a sparse CSR matrix together with its block decomposition
 
 where each basis ``Q_b`` is sparse and orthonormal with at most one nonzero
 per row.  A generic operator is one block with Q = I.  A 1-d lattice
-operator around the origin with an even potential commutes with the
-reflection x -> -x and splits into its even and odd parity blocks, which
+operator whose potential is even about the ball centre b commutes with the
+reflection x -> 2b - x and splits into its even and odd parity blocks, which
 halves every eigensolve.  A block without off-diagonal entries (no hopping)
 is its own eigenbasis and costs no eigensolve.  Each block caches its
 eigendecomposition, so every spectral quantity of one operator shares it.
@@ -283,9 +283,7 @@ def _lattice_hopping(space: Lattice, spec: HamiltonianSpec, points: np.ndarray):
 
 
 def _graph_hopping(space: Graph, spec: HamiltonianSpec, node_idx: np.ndarray):
-    adj = sparse.csr_array((np.ones(len(space.indices)), space.indices,
-                            space.indptr), shape=(space.n_nodes,) * 2)
-    sub = adj[node_idx][:, node_idx].tocoo()
+    sub = space.adjacency_matrix()[node_idx][:, node_idx].tocoo()
     rows, cols, vals = sub.row, sub.col, sub.data
     if spec.hopping.kind == "laplacian":
         deg = (space.indptr[node_idx + 1] - space.indptr[node_idx]).astype(np.float64)
@@ -309,10 +307,10 @@ def _f2_hopping(spec: HamiltonianSpec, words: np.ndarray):
 
 
 def _parity_blocks(H: sparse.csr_array, points: np.ndarray) -> tuple:
-    """Even and odd blocks of a reflection-invariant operator on [-R, R].
+    """Even and odd blocks of a reflection-invariant operator on [b-R, b+R].
 
-    The even basis is e_0 and (e_x + e_-x)/sqrt2, the odd basis
-    (e_x - e_-x)/sqrt2, for x = 1..R.
+    The even basis is e_b and (e_b+x + e_b-x)/sqrt2, the odd basis
+    (e_b+x - e_b-x)/sqrt2, for x = 1..R.
     """
     order = np.argsort(points[:, 0])
     r = len(order) // 2
@@ -349,8 +347,8 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
                     entry_budget: int = DEFAULT_ENTRY_BUDGET) -> TruncatedOperator:
     """Dirichlet truncation of the operator to the closed ball of ``radius``.
 
-    A 1-d lattice operator around the origin with hopping and an even
-    potential is split into its two parity blocks; any other operator is a
+    A 1-d lattice operator with hopping and a potential even about the
+    ball centre is split into its two parity blocks; any other operator is a
     single block.
     """
     b = point_budget(budget)
@@ -388,7 +386,7 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
                                 shape=(n, n))
     blocks = (Block(identity, H),)
     if (spec.hopping.kind != "none" and isinstance(space, Lattice)
-            and space.d == 1 and space.base == (0,)):
+            and space.d == 1):
         order = np.argsort(points[:, 0])
         if np.array_equal(v[order], v[order[::-1]]):
             blocks = _parity_blocks(H, points)

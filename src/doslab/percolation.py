@@ -6,8 +6,9 @@ sample seed, and the edge is open iff its uniform is below p.  Samples are
 therefore pure functions of (d, L, p, seed), reruns are bit-identical, and
 raising p only adds open edges (monotone coupling on shared uniforms).
 
-Clusters come from a union-find pass over open edges; the largest cluster
-becomes a graph space whose hop metric is the chemical distance.
+The open bonds form one sparse adjacency matrix.  Clusters are its
+connected components, and the largest cluster becomes a graph space, a
+slice of that matrix, whose hop metric is the chemical distance.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ._rng import uniform_stream
 from .budget import charge, point_budget
@@ -29,7 +31,11 @@ _P_FIXED_SCALE = float(1 << 32)
 
 @dataclass
 class PercolationSample:
-    """Open-edge configuration plus per-vertex cluster roots."""
+    """Open-edge configuration plus per-vertex cluster labels.
+
+    ``labels[v]`` is the smallest vertex of v's cluster, so a vertex r
+    names a cluster exactly when ``labels[r] == r``.
+    """
 
     d: int
     L: int
@@ -75,83 +81,59 @@ def percolate_bonds(d: int, L: int, p: float, seed: int,
     edge_ids = np.arange(n * d, dtype=np.uint64)
     u = uniform_stream(seed, edge_ids)
     open_mask = (u < p) & _valid_edge_mask(d, L)
-    labels = _union_find_labels(d, L, open_mask)
+    labels = _cluster_labels(d, L, open_mask)
     return PercolationSample(d=d, L=L, p=float(p), seed=int(seed),
                              open_mask=open_mask, labels=labels)
 
 
-def _union_find_labels(d: int, L: int, open_mask: np.ndarray) -> np.ndarray:
+def _open_bonds(d: int, L: int, open_mask: np.ndarray) -> sparse.csr_array:
+    """Symmetric adjacency of the open bonds, n x n with n = L^d.
+
+    Edge id ``v*d + axis`` joins its tail v to the head one C-order step
+    along ``axis``; this is the one place that rule is written down.
+    """
     n = L ** d
-    strides = [L ** (d - 1 - a) for a in range(d)]  # C-order neighbour steps
-    parent = list(range(n))
-    size = [1] * n
-    edge_idx = np.flatnonzero(open_mask)
-    tails = (edge_idx // d).tolist()
-    axes = (edge_idx % d).tolist()
-    for v, axis in zip(tails, axes):
-        a = v
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        w = v + strides[axis]
-        bnode = w
-        while parent[bnode] != bnode:
-            parent[bnode] = parent[parent[bnode]]
-            bnode = parent[bnode]
-        if a == bnode:
-            continue
-        if size[a] < size[bnode]:
-            a, bnode = bnode, a
-        parent[bnode] = a
-        size[a] += size[bnode]
-    roots = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        a = v
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        roots[v] = a
-    return roots
+    edge = np.flatnonzero(open_mask)
+    tails = edge // d
+    heads = tails + L ** np.arange(d - 1, -1, -1, dtype=np.int64)[edge % d]
+    return sparse.csr_array(
+        (np.ones(2 * len(edge), dtype=np.int8),
+         (np.concatenate((tails, heads)), np.concatenate((heads, tails)))),
+        shape=(n, n))
+
+
+def _cluster_labels(d: int, L: int, open_mask: np.ndarray) -> np.ndarray:
+    """Each vertex labelled by the smallest vertex of its cluster."""
+    # csgraph imports scipy.sparse.linalg, which costs every process ~8 MB
+    from scipy.sparse.csgraph import connected_components
+    _, comp = connected_components(_open_bonds(d, L, open_mask),
+                                   directed=False)
+    _, smallest = np.unique(comp, return_index=True)
+    return smallest[comp].astype(np.int64)
 
 
 def largest_cluster(sample: PercolationSample) -> Graph:
     """The largest cluster as a graph space under the chemical metric.
 
-    The base point is the cluster vertex closest (euclidean, then
+    Ties in size go to the cluster with the smaller smallest vertex.  The
+    base point is the cluster vertex closest (euclidean, then
     lexicographic) to the box center.
     """
     roots, counts = np.unique(sample.labels, return_counts=True)
-    root = roots[int(np.argmax(counts))]
-    members = np.flatnonzero(sample.labels == root)
+    members = np.flatnonzero(sample.labels == roots[int(np.argmax(counts))])
     coords = sample.vertex_coords(members)
     center = (sample.L - 1) / 2.0
     d2 = ((coords - center) ** 2).sum(axis=1)
     order = np.lexsort(tuple(coords[:, a] for a in range(sample.d - 1, -1, -1))
                        + (d2,))
-    base_flat = int(members[order[0]])
-    edges = _cluster_edges(sample, members)
-    coords_by_label = {int(m): tuple(int(c) for c in coords[i])
-                       for i, m in enumerate(members)}
-    g = Graph.from_edges(edges, base_flat, coords_by_label=coords_by_label,
-                         meta={"d": sample.d, "L": sample.L, "p": sample.p,
-                             "seed": sample.seed,
-                             "cluster_size": int(len(members)),
-                             "n_clusters": int(len(roots))})
-    return g
-
-
-def _cluster_edges(sample: PercolationSample, members: np.ndarray):
-    # open edges always stay inside the box, and an open edge out of a
-    # cluster vertex lands in the same cluster by construction
-    d, L = sample.d, sample.L
-    strides = [L ** (d - 1 - a) for a in range(d)]
-    out = []
-    for axis in range(d):
-        open_here = sample.open_mask[members * d + axis]
-        heads = members + strides[axis]
-        for u, v in zip(members[open_here], heads[open_here]):
-            out.append((int(u), int(v)))
-    return out
+    # every open bond out of a member ends in the same cluster, so the
+    # slice keeps all of the cluster's edges and it is connected
+    adj = _open_bonds(sample.d, sample.L, sample.open_mask)[members][:, members]
+    adj.sort_indices()
+    return Graph(adj.indptr, adj.indices, int(order[0]), members, coords,
+                 meta={"d": sample.d, "L": sample.L, "p": sample.p,
+                       "seed": sample.seed, "cluster_size": int(len(members)),
+                       "n_clusters": int(len(roots))})
 
 
 @dataclass
@@ -230,7 +212,7 @@ def load_sample(path) -> PercolationSample:
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8,
                                        offset=_HEADER.size),
                          count=n_edges).astype(bool)
-    labels = _union_find_labels(d, L, bits)
+    labels = _cluster_labels(d, L, bits)
     return PercolationSample(d=d, L=L, p=p_fixed / _P_FIXED_SCALE,
                              seed=seed, open_mask=bits, labels=labels)
 

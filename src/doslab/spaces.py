@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .budget import charge, point_budget
 from .errors import BudgetExceeded, GraphParseError, LadderTruncated
@@ -156,56 +157,6 @@ def condition_c_report(ladder: RadiiLadder, threshold: float = 0.01,
         trend_maxima=trend, verdict=verdict)
 
 
-def coordination_sequence(ladder: RadiiLadder) -> np.ndarray:
-    """Shell sizes S_k per ladder entry (S_1 counts the first shell)."""
-    return ladder.shells
-
-
-@dataclass
-class QuasiPolyFit:
-    """Least-squares polynomial fit of a sequence split by residue class.
-
-    ``coefficients[r]`` holds the highest-degree-first polynomial fitted to
-    the entries with 1-based index congruent to ``r`` modulo ``modulus``.
-    The first ``modulus * (degree + 1)`` entries are treated as transient
-    and excluded from the fit.
-    """
-
-    modulus: int
-    degree: int
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    max_residual: float
-    points_per_class: np.ndarray
-
-
-def quasi_poly_fit(values: Sequence[float], modulus: int, degree: int) -> QuasiPolyFit:
-    v = np.asarray(values, dtype=np.float64)
-    if modulus < 1 or degree < 0:
-        raise ValueError("modulus must be >= 1 and degree >= 0")
-    if len(v) < modulus * (degree + 2):
-        raise ValueError(
-            f"need at least modulus*(degree+2) = {modulus * (degree + 2)} "
-            f"values, got {len(v)}")
-    skip = modulus * (degree + 1)
-    k = np.arange(1, len(v) + 1)
-    coeffs = np.zeros((modulus, degree + 1))
-    per_class = np.zeros(modulus)
-    npoints = np.zeros(modulus, dtype=np.int64)
-    for r in range(modulus):
-        mask = (k % modulus == r) & (k > skip)
-        kk, vv = k[mask], v[mask]
-        npoints[r] = len(kk)
-        if len(kk) < degree + 1:
-            raise ValueError(f"residue class {r} underdetermined after transient")
-        c = np.polyfit(kk, vv, degree)
-        coeffs[r] = c
-        per_class[r] = np.max(np.abs(np.polyval(c, kk) - vv)) if len(kk) else 0.0
-    return QuasiPolyFit(modulus=modulus, degree=degree, coefficients=coeffs,
-                        residuals=per_class, max_residual=float(per_class.max()),
-                        points_per_class=npoints)
-
-
 def _lex_order(keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
     cols = [coords[:, j] for j in range(coords.shape[1] - 1, -1, -1)]
     return np.lexsort(tuple(cols) + (keys,))
@@ -272,22 +223,22 @@ class Lattice:
         return np.stack([g.ravel() for g in grids], axis=1)
 
     def ball_arrays(self, radius: float, budget: int | None = None):
-        """(offsets, keys, dists) inside the closed ball, canonical order."""
+        """(sites, keys, dists) inside the closed ball around the base, in
+        canonical order; keys and dists are measured from the base."""
         b = point_budget(budget)
         offsets = self._box(radius, b)
         keys, dists = self._norm_keys(offsets)
         mask = keys <= self._key_limit(radius)
         offsets, keys, dists = offsets[mask], keys[mask], dists[mask]
         order = _lex_order(keys, offsets)
-        return offsets[order], keys[order], dists[order]
+        sites = offsets[order] + np.asarray(self.base, dtype=np.int64)
+        return sites, keys[order], dists[order]
 
     def ball_points(self, radius: float, budget: int | None = None):
         """Sorted list of ((coords...), distance) pairs, base included."""
-        offsets, _, dists = self.ball_arrays(radius, budget)
-        base = np.asarray(self.base, dtype=np.int64)
-        pts = offsets + base
-        return [(tuple(int(c) for c in pts[i]), float(dists[i]))
-                for i in range(len(pts))]
+        sites, _, dists = self.ball_arrays(radius, budget)
+        return [(tuple(int(c) for c in sites[i]), float(dists[i]))
+                for i in range(len(sites))]
 
     def norms(self, offsets) -> np.ndarray:
         """l_p lengths of the rows of an integer offset array."""
@@ -397,66 +348,44 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], base: int,
-                   coords_by_label: dict | None = None, meta: dict | None = None):
-        """Build the connected component of ``base`` from an undirected edge list."""
-        nodes = {int(base)}
-        cleaned = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            nodes.add(u)
-            nodes.add(v)
-            if u != v:
-                cleaned.append((u, v) if u < v else (v, u))
-        labels = np.array(sorted(nodes), dtype=np.int64)
-        index = {int(l): i for i, l in enumerate(labels)}
-        pairs = sorted(set(cleaned))
-        deg = np.zeros(len(labels), dtype=np.int64)
-        for u, v in pairs:
-            deg[index[u]] += 1
-            deg[index[v]] += 1
-        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        adj = np.zeros(indptr[-1], dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for u, v in pairs:
-            iu, iv = index[u], index[v]
-            adj[fill[iu]] = iv
-            fill[iu] += 1
-            adj[fill[iv]] = iu
-            fill[iv] += 1
-        for i in range(len(labels)):
-            adj[indptr[i]:indptr[i + 1]].sort()
-        full = cls(indptr, adj, index[int(base)], labels)
-        total = full.n_nodes
-        dist = full.bfs_from(full.base_index)
-        keep = np.flatnonzero(dist >= 0)
+                   meta: dict | None = None):
+        """Build the connected component of ``base`` from an undirected edge
+        list; duplicate edges merge and self-loops are dropped."""
+        ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        labels, index = np.unique(np.append(ends, base), return_inverse=True)
+        n = len(labels)
+        u, v = index[:-1].reshape(-1, 2).T
+        loop = u == v
+        u, v = u[~loop], v[~loop]
+        # building CSR from (row, col) pairs merges repeated edges
+        adj = sparse.csr_array(
+            (np.ones(2 * len(u)), (np.concatenate((u, v)), np.concatenate((v, u)))),
+            shape=(n, n))
+        full = cls(adj.indptr, adj.indices, int(index[-1]), labels)
+        keep = np.flatnonzero(full.bfs_from(full.base_index) >= 0)
         comp = full.subgraph(keep)
         comp.meta.update(meta or {})
         comp.meta["component_size"] = int(len(keep))
-        comp.meta["total_nodes"] = int(total)
-        if coords_by_label is not None:
-            comp.coords = np.array(
-                [coords_by_label[int(l)] for l in comp.labels], dtype=np.int64)
+        comp.meta["total_nodes"] = int(n)
         return comp
 
+    def adjacency_matrix(self) -> sparse.csr_array:
+        """The n x n 0/1 adjacency matrix over node indices."""
+        return sparse.csr_array(
+            (np.ones(len(self.indices)), self.indices, self.indptr),
+            shape=(self.n_nodes,) * 2)
+
     def subgraph(self, keep: np.ndarray) -> "Graph":
+        """The induced subgraph on ``keep``; node i of the result is keep[i]."""
         keep = np.asarray(keep, dtype=np.int64)
-        remap = -np.ones(self.n_nodes, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        indptr = [0]
-        indices = []
-        for new_i, old_i in enumerate(keep):
-            nbrs = remap[self.indices[self.indptr[old_i]:self.indptr[old_i + 1]]]
-            nbrs = nbrs[nbrs >= 0]
-            indices.append(np.sort(nbrs))
-            indptr.append(indptr[-1] + len(nbrs))
-        new_base = int(remap[self.base_index])
-        if new_base < 0:
+        new_base = np.flatnonzero(keep == self.base_index)
+        if len(new_base) == 0:
             raise ValueError("base node not in kept set")
+        sub = self.adjacency_matrix()[keep][:, keep]
+        sub.sort_indices()
         coords = self.coords[keep] if self.coords is not None else None
-        return Graph(np.asarray(indptr),
-                     np.concatenate(indices) if indices else np.zeros(0, np.int64),
-                     new_base, self.labels[keep], coords, dict(self.meta))
+        return Graph(sub.indptr, sub.indices, int(new_base[0]),
+                     self.labels[keep], coords, dict(self.meta))
 
     def bfs_from(self, start_index: int) -> np.ndarray:
         dist = np.full(self.n_nodes, -1, dtype=np.int64)

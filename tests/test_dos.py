@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from doslab import dos
 from doslab.dos import (dixmier_estimate_from_series, dixmier_lhs,
                         dos_approximant, ids_histogram, main_theorem_check,
-                        measurability_diagnostic, truncation_fit_window,
-                        weight_dixmier_trace, certify_weight, DixmierEstimate,
-                        IdsHistogram)
+                        truncation_fit_window, weight_dixmier_trace,
+                        certify_weight, IdsHistogram)
 from doslab.errors import NotEstablished, PreconditionFailed
 from doslab.hamiltonians import (adjacency, build_truncated, custom_weight,
                                  default_weight, diagonal_spec, iid_potential,
@@ -201,11 +201,7 @@ def test_measurability_weak_branch():
     fit = SlopeFit(slope=1.0, intercept=0.0, window=(8, 1 << 13),
                    indices=counts, residuals=np.linspace(0.0, 1.0, len(counts)),
                    max_residual=1.0, residual_growth_slope=0.2, scale=1.0)
-    est = DixmierEstimate(series=log_cesaro(np.ones(8)), fit=fit,
-                          lam_counts=counts, lam_values=np.ones(len(counts)),
-                          half_slopes=(1.0, 1.0),
-                          measurability=None)
-    rep = measurability_diagnostic(est)
+    rep = dos._classify(fit, (1.0, 1.0))
     assert rep.verdict == "weak-measurable"
     assert rep.residual_growth > rep.residual_tol
 

@@ -252,6 +252,14 @@ def test_realizations_prefix_property():
     assert short.seeds == long.seeds[:3]
 
 
+def test_folner_windows_are_absolute_sites():
+    # the window [-4, 4] sits outside the ball built around the site 100
+    with pytest.raises(ValueError, match="escapes the built ball"):
+        ergodic_average(Lattice(1, base=(100,)), _iid_spec(),
+                        gaussian(0.3, 0.7), cubes(1, [2, 4]),
+                        realizations=2, seed=5, margin=4.0)
+
+
 def test_degenerate_field_gives_zero_spread():
     # a [c, c] band is a deterministic potential dressed as an iid one;
     # the z-scores must come out zero rather than 0/0

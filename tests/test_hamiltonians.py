@@ -107,6 +107,17 @@ def test_periodic_potential_values():
     assert np.array_equal(op.potential, want)
 
 
+def test_potential_follows_the_lattice_base_point():
+    # ball order is base, base-1, base+1, base-2, base+2
+    spec = diagonal_spec(periodic_potential([0, 1, 2]))
+    moved = build_truncated(Lattice(1, base=(5,)), spec, 2.0)
+    assert moved.points[:, 0].tolist() == [5, 4, 6, 3, 7]
+    assert moved.potential.tolist() == [2, 1, 0, 0, 1]
+    at_origin = build_truncated(Lattice(1, base=(0,)), spec, 2.0)
+    assert at_origin.points[:, 0].tolist() == [0, -1, 1, -2, 2]
+    assert at_origin.potential.tolist() == [0, 2, 1, 1, 2]
+
+
 def test_periodic_potential_2d():
     vals = np.array([[1.0, 2.0], [3.0, 4.0]])
     spec = diagonal_spec(periodic_potential(vals))
@@ -230,6 +241,17 @@ def test_fold_rejects_odd_potential():
     op = build_truncated(Lattice(1), spec, 10.0)
     assert len(op.blocks) == 1
     assert op.blocks[0].matrix is op.H
+
+
+def test_fold_is_decided_around_the_base_point():
+    # [0, 0, 1] is even about the site 2 but not about the origin
+    spec = adjacency(periodic_potential([0, 0, 1]))
+    for base, n_blocks in (((2,), 2), ((0,), 1)):
+        op = build_truncated(Lattice(1, base=base), spec, 3.0)
+        assert len(op.blocks) == n_blocks
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(b.matrix.toarray())
+                                      for b in op.blocks]))
+        assert np.allclose(got, np.linalg.eigvalsh(op.dense()), atol=1e-12)
 
 
 def test_fold_auto_kicks_in_for_large_even_operators():

@@ -1,48 +1,50 @@
 """Bond percolation: counter-based sampling, clusters, chemical growth.
 
-The cross-check oracle for cluster labelling is scipy's sparse
-connected-components, driven by the same open-edge mask.
+The oracle for cluster labelling is a plain-Python union-find over the
+open-edge mask, sharing no code with the library's sparse labelling.
 """
 
 import struct
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from doslab.percolation import (chemical_ball_growth,
                                 largest_cluster, load_sample, percolate_bonds,
                                 sample_digest, save_sample)
 
 
-def scipy_components(sample):
-    """Connected-component ids from the open mask via scipy.csgraph."""
-    d, L = sample.d, sample.L
+def union_find_labels(d, L, open_mask):
+    """Cluster roots by path-halving union-find with union by size."""
     n = L ** d
-    strides = [L ** (d - 1 - a) for a in range(d)]
-    idx = np.flatnonzero(sample.open_mask)
-    tails = idx // d
-    heads = tails + np.array(strides, dtype=np.int64)[idx % d]
-    m = scipy.sparse.coo_matrix(
-        (np.ones(len(idx)), (tails, heads)), shape=(n, n))
-    _, comp = scipy.sparse.csgraph.connected_components(m, directed=False)
-    return comp
+    strides = [L ** (d - 1 - a) for a in range(d)]  # C-order neighbour steps
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in np.flatnonzero(open_mask).tolist():
+        a, b = find(e // d), find(e // d + strides[e % d])
+        if a == b:
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+    return np.array([find(v) for v in range(n)], dtype=np.int64)
 
 
-def partitions_agree(labels, comp):
-    n = len(labels)
-    roots = np.unique(labels)
-    if len(roots) != len(np.unique(comp)):
-        return False
-    seen = {}
-    for r in roots:
-        members = np.flatnonzero(labels == r)
-        cids = np.unique(comp[members])
-        if len(cids) != 1 or int(cids[0]) in seen:
-            return False
-        seen[int(cids[0])] = True
-    return n == 0 or True
+def smallest_member_labels(roots):
+    """Relabel a partition given by arbitrary roots: each vertex gets the
+    smallest vertex of its class."""
+    smallest = {}
+    for v, r in enumerate(roots.tolist()):
+        smallest.setdefault(r, v)
+    return np.array([smallest[r] for r in roots.tolist()], dtype=np.int64)
 
 
 def test_parameter_validation():
@@ -106,7 +108,8 @@ def test_monotone_coupling_in_p():
                                         (2, 40, 0.6, 3), (3, 12, 0.3, 4)])
 def test_union_find_matches_scipy_components(d, L, p, seed):
     s = percolate_bonds(d, L, p, seed)
-    assert partitions_agree(s.labels, scipy_components(s))
+    want = smallest_member_labels(union_find_labels(d, L, s.open_mask))
+    assert np.array_equal(s.labels, want)
 
 
 def test_labels_are_roots_of_their_own_cluster():
@@ -135,6 +138,9 @@ def test_cluster_is_connected_and_open_edged():
         for j in g.indices[g.indptr[i]:g.indptr[i + 1]]:
             diff = np.abs(g.coords[i] - g.coords[j]).sum()
             assert diff == 1
+    # and every open bond out of the cluster is an edge, seen from both ends
+    tails = np.flatnonzero(s.open_mask) // s.d
+    assert g.indices.size == 2 * np.isin(tails, g.labels).sum()
 
 
 def test_growth_guards():

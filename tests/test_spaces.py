@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doslab.errors import BudgetExceeded, GraphParseError
 from doslab.spaces import (CayleyF2, Graph, Lattice, RadiiLadder,
-                           condition_c_report, coordination_sequence,
-                           ingest_graph, path_graph, quasi_poly_fit)
+                           condition_c_report, ingest_graph, path_graph)
 
 
 def brute_ball(d, p, radius):
@@ -79,6 +79,8 @@ def test_closed_form_counts_d2():
     k = np.arange(1, 41)
     assert np.array_equal(lad1.counts, 2 * k * k + 2 * k + 1)
     assert np.array_equal(linf.counts, (2 * k + 1) ** 2)
+    # l_inf shells are square rings of 8k points
+    assert np.array_equal(linf.shells, 8 * k)
 
 
 def test_gauss_circle_ratio():
@@ -144,22 +146,6 @@ def test_ladder_shells_prefix_rows():
     assert rows[1][4] == pytest.approx(5 / 3)
 
 
-def test_coordination_sequence_quasi_poly():
-    """l_inf shell sizes 8k fit a degree-1 quasi-polynomial exactly."""
-    lad = Lattice(2, p=math.inf).radii_ladder(30)
-    shells = coordination_sequence(lad)
-    fit = quasi_poly_fit(shells.astype(float), modulus=1, degree=1)
-    assert fit.max_residual < 1e-8
-    assert fit.coefficients[0][0] == pytest.approx(8.0)
-
-
-def test_quasi_poly_fit_validation():
-    with pytest.raises(ValueError):
-        quasi_poly_fit([1.0, 2.0], modulus=1, degree=1)
-    with pytest.raises(ValueError):
-        quasi_poly_fit([1.0] * 10, modulus=0, degree=1)
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -168,33 +154,48 @@ def cycle_edges(n):
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-def test_graph_bfs_against_dict_oracle():
-    rng = np.random.default_rng(11)
-    edges = {tuple(sorted(e)) for e in rng.integers(0, 30, size=(70, 2))
-             if e[0] != e[1]}
-    g = Graph.from_edges(edges, base=0)
-    # plain dict/queue BFS over the same edge set
-    adj = {}
+def dict_component(edges, base):
+    """Adjacency sets and BFS distances of the component of ``base``, by a
+    plain dict/queue search over the raw edge list."""
+    adj = {base: set()}
     for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    dist = {0: 0}
-    frontier = [0]
+        adj.setdefault(a, set())
+        adj.setdefault(b, set())
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    dist = {base: 0}
+    frontier = [base]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in adj.get(u, ()):
+            for v in adj[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
+    return adj, dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(-20, 40), st.integers(-20, 40)),
+                      max_size=60),
+       base=st.integers(-25, 45))
+def test_graph_bfs_against_dict_oracle(edges, base):
+    # duplicates, both orientations, self-loops, negative and gapped ids,
+    # and a base that may be absent from the list
+    edges = edges + [(b, a) for a, b in edges[::3]]
+    g = Graph.from_edges(edges, base=base)
+    adj, dist = dict_component(edges, base)
+    assert g.base == base
+    assert g.labels.tolist() == sorted(dist)
+    assert g.meta["component_size"] == len(dist) == g.n_nodes
+    assert g.meta["total_nodes"] == len(adj)
     got = g.bfs_from(g.base_index)
-    for i in range(g.n_nodes):
-        lbl = int(g.labels[i])
-        want = dist.get(lbl, -1)
-        assert (got[i] < 0) == (want < 0)
-        if want >= 0:
-            assert got[i] == want
+    for i, lbl in enumerate(g.labels.tolist()):
+        nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
+        assert g.labels[nbrs].tolist() == sorted(adj[lbl])
+        assert got[i] == dist[lbl]
 
 
 def test_path_and_cycle_ladders():
@@ -215,6 +216,18 @@ def test_graph_distance_and_subgraph():
     assert sub.n_nodes == 5
     dd = sub.bfs_from(sub.base_index)
     assert sorted(int(x) for x in dd) == [0, 1, 1, 2, 2]
+    # keep in any order: node i of the subgraph is keep[i]
+    shuffled = g.subgraph(keep[::-1])
+    assert shuffled.labels.tolist() == g.labels[keep[::-1]].tolist()
+    assert shuffled.base == 0
+    kept = set(g.labels[keep].tolist())
+    for i, lbl in enumerate(shuffled.labels.tolist()):
+        nbrs = shuffled.indices[shuffled.indptr[i]:shuffled.indptr[i + 1]]
+        assert np.all(np.diff(nbrs) > 0)
+        assert set(shuffled.labels[nbrs].tolist()) == \
+            {(lbl - 1) % 10, (lbl + 1) % 10} & kept
+    with pytest.raises(ValueError, match="base node"):
+        g.subgraph(keep[keep != g.base_index])
 
 
 def test_graph_ball_points_are_labels():
