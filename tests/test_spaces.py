@@ -83,6 +83,22 @@ def test_closed_form_counts_d2():
     assert np.array_equal(linf.shells, 8 * k)
 
 
+def test_coordination_sequence_quasi_poly():
+    """Z^2 coordination sequences (ladder shells) are exactly linear in k.
+
+    A least-squares line through the shells leaves no residual; the slope
+    is 8 for l_inf (square rings) and 4 for l_1 (diamond rings).
+    """
+    for p, slope in ((math.inf, 8.0), (1.0, 4.0)):
+        shells = Lattice(2, p=p).radii_ladder(30).shells.astype(float)
+        k = np.arange(1, shells.size + 1, dtype=float)
+        design = np.column_stack([k, np.ones_like(k)])
+        coef, *_ = np.linalg.lstsq(design, shells, rcond=None)
+        assert np.max(np.abs(design @ coef - shells)) < 1e-8
+        assert coef[0] == pytest.approx(slope)
+        assert coef[1] == pytest.approx(0.0, abs=1e-8)
+
+
 def test_gauss_circle_ratio():
     # euclidean ball counts approach pi r^2; 2% at r = 80 is comfortable
     lad = Lattice(2).ladder_to_radius(80.0)
