@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable
 
 from .errors import ConfigError
@@ -217,7 +218,6 @@ SCHEMAS = {
         "space": Field(SPACE),
         "hamiltonian": Field(HAMILTONIAN),
         "radius": Field(number(lo=0.0)),
-        "margin": Field(number(lo=0.0), 0.0),
         "out": _OUT,
     },
     "dixmier": {
@@ -282,20 +282,31 @@ SCHEMAS = {
 _OUTPUT_KEYS = ("out", "growth_out", "sample_out", "csv_out")
 
 
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
+def jsonable(x):
+    """``x`` with numpy values, tuples, fractions and non-finite floats
+    turned into plain JSON values."""
+    import numpy as np
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [jsonable(v) for v in x.tolist()]
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(x)
+    return x
 
 
 def config_digest(cfg: dict) -> str:
     """sha256 of the defaulted config, output paths excluded."""
     pruned = {k: v for k, v in cfg.items() if k not in _OUTPUT_KEYS}
-    blob = json.dumps(_canonical(pruned), sort_keys=True,
+    blob = json.dumps(jsonable(pruned), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 

@@ -123,7 +123,6 @@ class IdsHistogram:
     energies: np.ndarray
     fractions: np.ndarray
     radius: float
-    margin: float
 
     @property
     def n(self) -> int:
@@ -153,21 +152,16 @@ class IdsHistogram:
         return worst
 
 
-def ids_histogram(space, spec, radius: float, margin: float = 0.0,
-                  budget: int | None = None,
+def ids_histogram(space, spec, radius: float, budget: int | None = None,
                   operator: TruncatedOperator | None = None) -> IdsHistogram:
-    """Sorted eigenvalues of the truncation at ``radius`` with ECDF fractions.
-
-    ``margin`` is provenance only: the histogram is a spectral object of
-    the plain truncation, so there is no larger build to restrict from.
-    """
+    """Sorted eigenvalues of the truncation at ``radius`` with ECDF fractions."""
     if operator is None:
         operator = build_truncated(space, spec, radius, budget=budget)
     energies = np.sort(symmetric_eigenvalues(operator).values)
     n = len(energies)
     return IdsHistogram(energies=energies,
                         fractions=np.arange(1, n + 1, dtype=np.float64) / n,
-                        radius=float(radius), margin=float(margin))
+                        radius=float(radius))
 
 
 # ---------------------------------------------------------------------------

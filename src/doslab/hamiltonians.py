@@ -230,6 +230,9 @@ def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.nd
     if pot.kind == "periodic":
         if not isinstance(space, Lattice):
             raise ValueError("periodic potential requires a lattice space")
+        if len(pot.period) != space.d:
+            raise ValueError(f"periodic potential has period {pot.period}, "
+                             f"the lattice has d = {space.d}")
         values = np.asarray(pot.values).reshape(pot.period)
         idx = tuple(np.mod(points[:, a], pot.period[a]) for a in range(space.d))
         return values[idx].astype(np.float64)
@@ -268,6 +271,10 @@ def _lattice_hopping(space: Lattice, spec: HamiltonianSpec, points: np.ndarray):
         amps = [2.0 * space.d] + [-1.0] * len(units)
     else:
         offsets, amps = [tuple(o) for o in hop.offsets], list(hop.amplitudes)
+        for off in offsets:
+            if len(off) != space.d:
+                raise ValueError(f"kernel offset {off} has {len(off)} "
+                                 f"components, the lattice has d = {space.d}")
     keys = site_keys(points)
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -371,6 +378,9 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
                 allowed=entry_budget)
         if isinstance(space, Lattice):
             parts.append(_lattice_hopping(space, spec, points))
+        elif spec.hopping.kind == "kernel":
+            raise ValueError("kernel hopping needs a lattice space, not "
+                             f"{space.kind!r}")
         elif isinstance(space, Graph):
             parts.append(_graph_hopping(space, spec, points))
         elif isinstance(space, CayleyF2):

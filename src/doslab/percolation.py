@@ -163,7 +163,7 @@ def chemical_ball_growth(cluster: Graph, t_max: int) -> GrowthTable:
     if t_max > L // 2:
         raise ValueError(f"t_max={t_max} exceeds L/2={L // 2}; "
                          "chemical balls would hit the box boundary")
-    dist = cluster.bfs_from(cluster.base_index)
+    dist = cluster.base_distances()
     dist = dist[dist >= 0]
     t = np.arange(1, t_max + 1, dtype=np.int64)
     counts = np.cumsum(np.bincount(dist, minlength=t_max + 1))[1:t_max + 1]

@@ -409,7 +409,8 @@ class Graph:
             frontier = nbrs
         return dist
 
-    def _base_distances(self) -> np.ndarray:
+    def base_distances(self) -> np.ndarray:
+        """Hop distances from the base node (computed once, then cached)."""
         if self._base_dist is None:
             self._base_dist = self.bfs_from(self.base_index)
         return self._base_dist
@@ -417,7 +418,7 @@ class Graph:
     def ball_arrays(self, radius: float, budget: int | None = None):
         b = point_budget(budget)
         charge(self.n_nodes, b, "graph ball enumeration")
-        dist = self._base_distances()
+        dist = self.base_distances()
         r = int(math.floor(radius + 1e-9))
         keep = np.flatnonzero((dist >= 0) & (dist <= r))
         keys = dist[keep]
@@ -434,7 +435,7 @@ class Graph:
             raise ValueError("k_max must be >= 1")
         b = point_budget(budget)
         charge(self.n_nodes, b, "graph ladder enumeration")
-        dist = self._base_distances()
+        dist = self.base_distances()
         dist = dist[dist >= 0]
         uniq, cnt = np.unique(dist, return_counts=True)
         counts = np.cumsum(cnt)
@@ -446,7 +447,7 @@ class Graph:
         return RadiiLadder(uniq.astype(np.float64), counts, uniq)
 
     def ladder_to_radius(self, radius: float, budget: int | None = None) -> RadiiLadder:
-        dist = self._base_distances()
+        dist = self.base_distances()
         r = int(math.floor(radius + 1e-9))
         reach = int(dist.max())
         return self.radii_ladder(min(r, reach), budget)
@@ -492,30 +493,26 @@ class CayleyF2:
         order = np.argsort(w, kind="stable")
         return w[order], l[order]
 
-    def _levels(self, radius: int, budget: int, keep_points: bool):
+    def _charge_ball(self, radius: int, budget: int) -> None:
+        """Refuse a radius out of range; charge the ball's 2*3^r - 1 points."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius > self.MAX_RADIUS:
             raise ValueError(f"radius {radius} beyond supported maximum "
                              f"{self.MAX_RADIUS}")
-        total = 2 * 3 ** radius - 1 if radius >= 1 else 1
-        charge(total, budget, f"free-group ball of radius {radius}")
-        counts = [1]
-        level_words = [np.array([1], dtype=np.int64)]  # sentinel-only = identity
-        words = np.array([1], dtype=np.int64)
-        last = np.array([-1], dtype=np.int8)
-        for _ in range(radius):
-            words, last = self._frontier_children(words, last)
-            counts.append(len(words))
-            if keep_points:
-                level_words.append(words)
-        return counts, level_words if keep_points else None
+        charge(2 * 3 ** radius - 1, budget, f"free-group ball of radius {radius}")
 
     def ball_arrays(self, radius: float, budget: int | None = None):
         r = int(math.floor(radius + 1e-9))
-        counts, levels = self._levels(r, point_budget(budget), keep_points=True)
+        self._charge_ball(r, point_budget(budget))
+        levels = [np.array([1], dtype=np.int64)]  # sentinel-only = identity
+        last = np.array([-1], dtype=np.int8)
+        for _ in range(r):
+            words, last = self._frontier_children(levels[-1], last)
+            levels.append(words)
         words = np.concatenate(levels)
-        keys = np.repeat(np.arange(r + 1, dtype=np.int64), counts)
+        keys = np.repeat(np.arange(r + 1, dtype=np.int64),
+                         [len(level) for level in levels])
         return words, keys, keys.astype(np.float64)
 
     def ball_points(self, radius: float, budget: int | None = None):
@@ -525,10 +522,9 @@ class CayleyF2:
     def radii_ladder(self, k_max: int, budget: int | None = None) -> RadiiLadder:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        counts, _ = self._levels(k_max, point_budget(budget), keep_points=False)
-        cum = np.cumsum(counts)
-        radii = np.arange(1, k_max + 1, dtype=np.float64)
-        return RadiiLadder(radii, cum[1:], radii.astype(np.int64))
+        self._charge_ball(k_max, point_budget(budget))
+        k = np.arange(1, k_max + 1, dtype=np.int64)
+        return RadiiLadder(k.astype(np.float64), 2 * 3 ** k - 1, k)
 
     def ladder_to_radius(self, radius: float, budget: int | None = None) -> RadiiLadder:
         return self.radii_ladder(int(math.floor(radius + 1e-9)), budget)

@@ -340,6 +340,48 @@ def test_folner_lacunary_table(tmp_path):
     assert meta["c_estimate"] == 1.4375 and meta["shape"] == "lacunary"
 
 
+def test_flags_set_one_key_and_keep_the_rest(tmp_path, capsys):
+    # --schedule sets folner.schedule; the file's folner.shape survives
+    out = tmp_path / "folner.csv"
+    cfg = write_config(tmp_path, {"folner": {"shape": "lacunary",
+                                             "schedule": [9]}}, "fol.json")
+    assert cli.main(["folner", "--config", cfg, "--schedule", "1,2,3,4",
+                     "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+    assert rows[3] == ["4", "16", "0.125", "1.4375"]
+    # --d sets space.d; the file's space.kind f2 survives
+    out = tmp_path / "cc.json"
+    cfg = write_config(tmp_path, {"space": {"kind": "f2"}, "kmax": 12},
+                       "f2.json")
+    assert cli.main(["space", "check-c", "--config", cfg, "--d", "1",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tail_mean_ratio"] == pytest.approx(
+        3.0, abs=0.01)
+    # a flag cannot reach into a value that is not an object
+    cfg = write_config(tmp_path, {"space": "f2", "kmax": 12}, "bad.json")
+    assert cli.main(["space", "check-c", "--config", cfg, "--d", "1"]) == 1
+    assert "space: expected an object" in capsys.readouterr().err
+
+
+def test_config_digest_is_pinned(tmp_path):
+    # flag-only run; space.kind falls back to lattice
+    out = tmp_path / "flags.csv"
+    assert cli.main(["space", "ladder", "--d", "2", "--p", "1", "--kmax", "6",
+                     "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "flags.csv.meta.json").read_text())
+    assert meta["config_sha256"] == (
+        "0e2375128e87a97b771caf4adbbde8cc333f274e55a880fc5be263ae59aa1f69")
+    out = tmp_path / "inf.csv"
+    cfg = write_config(tmp_path, {"space": {"kind": "lattice", "d": 2,
+                                            "p": "inf"}, "kmax": 5})
+    assert cli.main(["space", "ladder", "--config", cfg,
+                     "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "inf.csv.meta.json").read_text())
+    assert meta["config_sha256"] == (
+        "2ca8597c71388d7fe6329485de9f13f18bcf794ee8903ea675abd2476d2dfcef")
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -362,13 +404,18 @@ def test_missing_required_key_exits_one(capsys):
     assert "L: missing required key" in capsys.readouterr().err
 
 
-def test_unknown_command_and_bad_flag_exit_one():
+def test_unknown_command_and_bad_flag_exit_one(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 1
     with pytest.raises(SystemExit) as err:
         cli.main(["percolate", "--L", "abc"])
     assert err.value.code == 1
+    # --seed exists only where the schema has a seed
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dos", "--seed", "1"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_bare_invocations_print_usage(capsys):
@@ -398,6 +445,12 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
      "beyond the 101 terms"),
     ("dos", {"space": {"kind": "f2"}, "radii": [1, 2, 3]},
      "radii: needs a free-group ball of radius 53"),
+    ("dos", {"space": {"kind": "lattice", "d": 2},
+             "hamiltonian": {"hopping": {"kind": "adjacency"},
+                             "potential": {"kind": "periodic",
+                                           "values": [0.0, 1.0]}},
+             "radii": [2, 4], "margin": 1},
+     "periodic potential has period (2,), the lattice has d = 2"),
 ])
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
                                           message):

@@ -148,7 +148,7 @@ def test_ids_free_chain_closed_form():
 def test_ids_evaluate_and_sup_distance():
     h = IdsHistogram(energies=np.array([0.0, 1.0, 2.0]),
                      fractions=np.array([1 / 3, 2 / 3, 1.0]),
-                     radius=1.0, margin=0.0)
+                     radius=1.0)
     assert h.evaluate(0.5) == pytest.approx(1 / 3)
     assert h.evaluate(1.0) == pytest.approx(2 / 3)
     assert h.evaluate(-1.0) == 0.0

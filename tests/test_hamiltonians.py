@@ -77,6 +77,22 @@ def test_kernel_operator_matches_manual_matrix():
     assert np.array_equal(m, want)
 
 
+@pytest.mark.parametrize("space, spec, message", [
+    (Lattice(2), kernel([(1,), (-1,)], [1.0, 1.0]), "has 1 components"),
+    (Lattice(1), kernel([(1, 0), (-1, 0)], [1.0, 1.0]), "has 2 components"),
+    (CayleyF2(), kernel([(1,), (-1,)], [1.0, 1.0]), "needs a lattice"),
+    (Graph.from_edges([(0, 1), (1, 2)], base=0),
+     kernel([(1,), (-1,)], [1.0, 1.0]), "needs a lattice"),
+    (Lattice(2), adjacency(periodic_potential([0.0, 1.0])),
+     "the lattice has d = 2"),
+    (Lattice(1), diagonal_spec(periodic_potential([[0.0, 1.0]])),
+     "the lattice has d = 1"),
+])
+def test_spec_that_does_not_fit_its_space_is_refused(space, spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_truncated(space, spec, 2.0)
+
+
 def test_cycle_graph_adjacency_spectrum():
     n = 12
     g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)], base=0)

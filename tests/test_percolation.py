@@ -12,6 +12,7 @@ import pytest
 from doslab.percolation import (chemical_ball_growth,
                                 largest_cluster, load_sample, percolate_bonds,
                                 sample_digest, save_sample)
+from doslab.spaces import Graph
 
 
 def union_find_labels(d, L, open_mask):
@@ -151,10 +152,16 @@ def test_growth_guards():
         chemical_ball_growth(g, 1)
 
 
-def test_growth_counts_match_cluster_ladder():
+def test_growth_counts_match_cluster_ladder(monkeypatch):
     g = largest_cluster(percolate_bonds(2, 60, 0.6, 5))
+    starts = []
+    bfs = Graph.bfs_from
+    monkeypatch.setattr(Graph, "bfs_from",
+                        lambda self, i: starts.append(i) or bfs(self, i))
     growth = chemical_ball_growth(g, 30)
     lad = g.radii_ladder(30)
+    # both read the cluster's one cached BFS from the base
+    assert starts == [g.base_index]
     assert np.array_equal(lad.counts, growth.ball_counts)
     assert np.all(np.diff(growth.ball_counts) >= 0)
 
