@@ -275,7 +275,8 @@ def _cmd_dos(cfg, budget) -> int:
                extra={"tail_mean": est.tail_mean,
                       "tail_spread": est.tail_spread,
                       "diverged": est.diverged, "margin": est.margin,
-                      "outer_radius": est.outer_radius})
+                      "outer_radius": est.outer_radius,
+                      "solvers": est.solvers})
     return 0
 
 
@@ -287,7 +288,8 @@ def _cmd_ids(cfg, budget) -> int:
           f"{hist.energies[-1]:.4f}]")
     _write_csv(cfg["out"], ("energy", "fraction"),
                zip(hist.energies.tolist(), hist.fractions.tolist()), cfg,
-               extra={"radius": hist.radius, "count": hist.n})
+               extra={"radius": hist.radius, "count": hist.n,
+                      "solvers": hist.solvers})
     return 0
 
 

@@ -50,7 +50,10 @@ MODULATED_SLOPE_TOL = 0.05
 
 @dataclass
 class DosEstimate:
-    """Ball averages of diag g(H) per radius with a tail-limit diagnostic."""
+    """Ball averages of diag g(H) per radius with a tail-limit diagnostic.
+
+    ``solvers`` is the operator's (solver, size) per block.
+    """
 
     radii: np.ndarray
     ball_counts: np.ndarray
@@ -60,6 +63,7 @@ class DosEstimate:
     tail_start: int
     tail_mean: float
     tail_spread: float
+    solvers: tuple
 
     def rows(self):
         for r, c, v in zip(self.radii, self.ball_counts, self.values):
@@ -113,16 +117,21 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
                        margin=float(margin), outer_radius=float(operator.radius),
                        tail_start=len(radii) - q,
                        tail_mean=float(tail.mean()),
-                       tail_spread=float(tail.max() - tail.min()))
+                       tail_spread=float(tail.max() - tail.min()),
+                       solvers=operator.solvers)
 
 
 @dataclass
 class IdsHistogram:
-    """Empirical integrated density of states of a single truncation."""
+    """Empirical integrated density of states of a single truncation.
+
+    ``solvers`` is the operator's (solver, size) per block.
+    """
 
     energies: np.ndarray
     fractions: np.ndarray
     radius: float
+    solvers: tuple = ()
 
     @property
     def n(self) -> int:
@@ -161,7 +170,7 @@ def ids_histogram(space, spec, radius: float, budget: int | None = None,
     n = len(energies)
     return IdsHistogram(energies=energies,
                         fractions=np.arange(1, n + 1, dtype=np.float64) / n,
-                        radius=float(radius))
+                        radius=float(radius), solvers=operator.solvers)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from ._rng import derive_seed, site_keys
 from .budget import charge, point_budget
@@ -230,8 +229,11 @@ def _minkowski(mask_a: np.ndarray, into: np.ndarray) -> np.ndarray:
     """into union-with (A + B) where B is already embedded in ``into``'s grid.
 
     scipy's dilation adds structure offsets without reflection, so the
-    structure mask is used as is.
+    structure mask is used as is.  scipy.ndimage (which loads
+    scipy.special) is imported here, at its one use, so that importing
+    this module stays cheap.
     """
+    from scipy.ndimage import binary_dilation
     return binary_dilation(into, structure=mask_a)
 
 
@@ -317,7 +319,9 @@ def _window_indices(op, window_points: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(keys[order], wanted)
     if np.any(pos >= len(keys)) or np.any(keys[order][np.minimum(pos, len(keys) - 1)] != wanted):
         raise ValueError("folner window escapes the built ball")
-    return order[pos]
+    # ball order, not listing order: the window's mean then sums the same
+    # set in the same order however the Folner sequence lists it
+    return np.sort(order[pos])
 
 
 def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,

@@ -10,9 +10,16 @@ where each basis ``Q_b`` is sparse and orthonormal with at most one nonzero
 per row.  A generic operator is one block with Q = I.  A 1-d lattice
 operator whose potential is even about the ball centre b commutes with the
 reflection x -> 2b - x and splits into its even and odd parity blocks, which
-halves every eigensolve.  A block without off-diagonal entries (no hopping)
-is its own eigenbasis and costs no eigensolve.  Each block caches its
-eigendecomposition, so every spectral quantity of one operator shares it.
+halves every eigensolve; any other 1-d lattice operator with hopping is one
+block whose basis sorts the ball into coordinate order.  Either way a
+nearest-neighbour chain gives tridiagonal blocks.
+
+Each block picks its eigensolver once from its own nonzero pattern (see
+``Block``): a block without off-diagonal entries is its own eigenbasis, a
+tridiagonal block goes to LAPACK's tridiagonal divide and conquer without
+the dense reduction, and any other block to the dense symmetric solver.
+Each block caches its eigendecomposition, so every spectral quantity of
+one operator shares it.
 
 Truncation is plain Dirichlet: matrix elements between ball points are
 kept exactly as in the infinite operator (graph Laplacians keep the full
@@ -162,25 +169,42 @@ class Block:
     ``basis`` (Q_b) is a sparse n x k matrix whose column j is the signed
     indicator of an orbit of c_j points scaled to unit length, so it has
     orthonormal columns, at most one nonzero per row and |Q_ij|^2 = 1/c_j;
-    ``matrix`` (M_b) is the sparse k x k block.
-    ``diagonal`` is diag M_b when the block has no off-diagonal entries (its
-    spectrum is then read off without an eigensolve) and None otherwise.
+    ``matrix`` (M_b) is the sparse k x k block and ``diagonal`` its diagonal.
+    ``solver`` is decided once from M_b's nonzero pattern:
+
+    * ``diagonal``     no off-diagonal entries; the spectrum is read off
+                       without an eigensolve,
+    * ``tridiagonal``  bandwidth 1; LAPACK ``dstevd`` (divide and conquer
+                       on the tridiagonal itself, no reduction),
+    * ``dense``        anything else; ``numpy.linalg.eigh`` (``syevd``).
     """
 
     basis: sparse.csr_array
     matrix: sparse.csr_array
-    diagonal: np.ndarray | None = field(init=False)
+    diagonal: np.ndarray = field(init=False)
+    solver: str = field(init=False)
     _eigh: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = self.matrix.tocoo()
-        off = (m.row != m.col) & (m.data != 0)
-        self.diagonal = None if off.any() else self.matrix.diagonal()
+        band = np.abs(m.row - m.col)[m.data != 0]
+        self.diagonal = self.matrix.diagonal()
+        self.solver = ("diagonal" if not band.any()
+                       else "tridiagonal" if band.max() == 1 else "dense")
 
     def eigh(self) -> tuple:
         """Eigenvalues and eigenvectors of a non-diagonal M_b, computed once."""
         if self._eigh is None:
-            self._eigh = np.linalg.eigh(self.matrix.toarray())
+            if self.solver == "tridiagonal":
+                from scipy.linalg.lapack import dstevd
+                evals, evecs, info = dstevd(self.diagonal,
+                                            self.matrix.diagonal(1))
+                if info != 0:
+                    raise np.linalg.LinAlgError(
+                        f"dstevd failed to converge (info={info})")
+                self._eigh = (evals, evecs)
+            else:
+                self._eigh = np.linalg.eigh(self.matrix.toarray())
         return self._eigh
 
 
@@ -211,6 +235,11 @@ class TruncatedOperator:
     @property
     def n(self) -> int:
         return len(self.dists)
+
+    @property
+    def solvers(self) -> tuple:
+        """(solver, size) of each block, in block order."""
+        return tuple((b.solver, b.matrix.shape[0]) for b in self.blocks)
 
     def dense(self) -> np.ndarray:
         return self.H.toarray()
@@ -355,8 +384,9 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
     """Dirichlet truncation of the operator to the closed ball of ``radius``.
 
     A 1-d lattice operator with hopping and a potential even about the
-    ball centre is split into its two parity blocks; any other operator is a
-    single block.
+    ball centre is split into its two parity blocks, any other 1-d lattice
+    operator with hopping is one block in coordinate order, and everything
+    else is one block in ball order.
     """
     b = point_budget(budget)
     points, keys, dists = space.ball_arrays(radius, b)
@@ -392,14 +422,17 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
     H.eliminate_zeros()
     if (H != H.T).nnz:
         raise AssertionError("truncated matrix lost exact symmetry")
-    identity = sparse.csr_array((np.ones(n), (np.arange(n), np.arange(n))),
-                                shape=(n, n))
-    blocks = (Block(identity, H),)
     if (spec.hopping.kind != "none" and isinstance(space, Lattice)
             and space.d == 1):
         order = np.argsort(points[:, 0])
         if np.array_equal(v[order], v[order[::-1]]):
             blocks = _parity_blocks(H, points)
+        else:
+            blocks = (_orbit_block(H, order, np.arange(n), np.ones(n), n),)
+    else:
+        identity = sparse.csr_array(
+            (np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
+        blocks = (Block(identity, H),)
     return TruncatedOperator(
         space_kind=space.kind, radius=float(radius), points=points,
         dists=dists, levels=levels, level_radii=level_radii,

@@ -214,10 +214,15 @@ class Lattice:
             return int(math.floor(r * r * (1 + 1e-12) + 1e-9))
         return int(round((r + _GENERAL_P_GRID) / _GENERAL_P_GRID))
 
-    def _box(self, radius: float, budget: int) -> np.ndarray:
+    def _box_half(self, radius: float, budget: int) -> int:
+        """Half side of the box around the ball, its points charged."""
         half = int(math.floor(radius + 1e-9))
-        side = 2 * half + 1
-        charge(side ** self.d, budget, f"ball of radius {radius:g} in {self!r}")
+        charge((2 * half + 1) ** self.d, budget,
+               f"ball of radius {radius:g} in {self!r}")
+        return half
+
+    def _box(self, radius: float, budget: int) -> np.ndarray:
+        half = self._box_half(radius, budget)
         axes = (np.arange(-half, half + 1, dtype=np.int64),) * self.d
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
@@ -247,14 +252,37 @@ class Lattice:
             raise ValueError("offset dimension mismatch")
         return self._norm_keys(arr)[1]
 
+    def _closed_form_levels(self, radius: float, budget: int):
+        """Keys and ball counts of the integer radii k = 0..R, for d = 1 or
+        p in {1, inf}, where those are the realised distances: (2k+1)^d
+        points for d = 1 or p = inf, sum_i 2^i C(d,i) C(k,i) for p = 1.
+        The budget is charged as for the enumerated box."""
+        k = np.arange(self._box_half(radius, budget) + 1, dtype=np.int64)
+        axis = np.zeros((len(k), self.d), dtype=np.int64)
+        axis[:, 0] = k
+        keys = self._norm_keys(axis)[0]
+        inside = keys <= self._key_limit(radius)
+        keys, k = keys[inside], k[inside]
+        if self.p != 1.0:
+            return keys, (2 * k + 1) ** self.d
+        counts = np.ones_like(k)
+        choose = np.ones_like(k)  # C(k, i), exact in integers
+        for i in range(1, self.d + 1):
+            choose = choose * (k - i + 1) // i
+            counts += 2 ** i * math.comb(self.d, i) * choose
+        return keys, counts
+
     def _ladder_from_radius(self, radius: float, budget: int) -> RadiiLadder:
-        offsets = self._box(radius, budget)
-        keys, _ = self._norm_keys(offsets)
-        keys = keys[keys <= self._key_limit(radius)]
-        uniq, cnt = np.unique(keys, return_counts=True)
+        if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
+            uniq, counts = self._closed_form_levels(radius, budget)
+        else:
+            offsets = self._box(radius, budget)
+            keys, _ = self._norm_keys(offsets)
+            keys = keys[keys <= self._key_limit(radius)]
+            uniq, cnt = np.unique(keys, return_counts=True)
+            counts = np.cumsum(cnt)
         if uniq[0] != 0:
             raise AssertionError("base point missing from its own ball")
-        counts = np.cumsum(cnt)
         if self.p == 2.0:
             radii = np.sqrt(uniq[1:].astype(np.float64))
         elif self.exact_keys:

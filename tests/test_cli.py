@@ -224,6 +224,8 @@ def test_dos_csv_matches_library(tmp_path):
     meta = json.loads((tmp_path / "dos.csv.meta.json").read_text())
     assert meta["tail_mean"] == pytest.approx(est.tail_mean)
     assert meta["diverged"] is False
+    # the free chain at R = 100 folds into two tridiagonal parity blocks
+    assert meta["solvers"] == [["tridiagonal", 101], ["tridiagonal", 100]]
 
 
 def test_ids_csv(tmp_path):
@@ -238,6 +240,8 @@ def test_ids_csv(tmp_path):
     assert float(rows[-1][1]) == 1.0
     fracs = np.array([float(r[1]) for r in rows])
     assert np.all(np.diff(fracs) > 0)
+    meta = json.loads((tmp_path / "ids.csv.meta.json").read_text())
+    assert meta["solvers"] == [["tridiagonal", 61], ["tridiagonal", 60]]
 
 
 def test_dixmier_json(tmp_path):

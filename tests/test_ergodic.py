@@ -1,10 +1,14 @@
 """Shift decay of weights, equivariance of ball averages, Folner arithmetic
 and disorder averaging."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import doslab
 from doslab.ergodic import (FolnerSequence, cubes, custom_folner,
                             dyadic_intervals, equivariance_check,
                             ergodic_average, folner_tempered_check, l1_balls,
@@ -313,3 +317,16 @@ def test_ergodic_average_guards():
     with pytest.raises(ValueError, match="dimension"):
         ergodic_average(Lattice(2), _iid_spec(), g, fol, realizations=2,
                         seed=0, margin=4.0)
+
+
+def test_library_imports_leave_heavy_scipy_out():
+    """scipy.linalg and scipy.ndimage load only when a solver or the Folner
+    dilation first needs them, not on import."""
+    code = ("import sys, doslab.hamiltonians, doslab.spectral, doslab.ergodic; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.ndimage') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(doslab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -255,8 +255,17 @@ def test_fold_rejects_odd_potential():
     # any period-2 potential is even under x -> -x, so go to period 3
     spec = adjacency(periodic_potential([0.0, 1.0, 2.0]))  # V(-1) != V(1)
     op = build_truncated(Lattice(1), spec, 10.0)
-    assert len(op.blocks) == 1
-    assert op.blocks[0].matrix is op.H
+    (block,) = op.blocks
+    # the one block is H in coordinate order: Q is a permutation matrix
+    q = block.basis.tocoo()
+    assert np.array_equal(q.data, np.ones(op.n))
+    assert np.array_equal(np.sort(q.row), np.arange(op.n))
+    assert np.array_equal(op.points[q.row[np.argsort(q.col)], 0],
+                          np.arange(-10, 11))
+    assert ((block.basis @ block.matrix @ block.basis.T) != op.H).nnz == 0
+    m = block.matrix.toarray()
+    assert np.array_equal(m, np.triu(np.tril(m, 1), -1))
+    assert block.solver == "tridiagonal"
 
 
 def test_fold_is_decided_around_the_base_point():

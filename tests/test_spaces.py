@@ -83,6 +83,28 @@ def test_closed_form_counts_d2():
     assert np.array_equal(linf.shells, 8 * k)
 
 
+@pytest.mark.parametrize("d,p", [(1, 1.0), (1, 2.0), (1, 2.5), (1, math.inf),
+                                 (2, 1.0), (2, math.inf), (3, 1.0),
+                                 (3, math.inf)])
+def test_closed_form_ladders_match_box_enumeration(d, p):
+    """Ladders built from the closed-form counts equal the ones read off the
+    enumerated ball: same keys, radii and counts, and the same budget
+    charge for the (2R+1)^d box."""
+    space = Lattice(d, p=p)
+    for radius in range(1, 13):
+        _, keys, dists = space.ball_arrays(float(radius))
+        uniq, first, cnt = np.unique(keys, return_index=True,
+                                     return_counts=True)
+        lad = space.ladder_to_radius(float(radius))
+        assert np.array_equal(lad.keys, uniq[1:])
+        # a general p keeps its radii on the 1e-9 key grid
+        assert np.allclose(lad.radii, dists[first][1:], rtol=0.0, atol=1e-9)
+        assert np.array_equal(lad.counts, np.cumsum(cnt)[1:])
+        with pytest.raises(BudgetExceeded):
+            space.ladder_to_radius(float(radius),
+                                   budget=(2 * radius + 1) ** d - 1)
+
+
 def test_coordination_sequence_quasi_poly():
     """Z^2 coordination sequences (ladder shells) are exactly linear in k.
 

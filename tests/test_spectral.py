@@ -8,8 +8,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
-                                 diagonal_spec, kernel, laplacian,
-                                 periodic_potential, table_potential)
+                                 diagonal_spec, iid_potential, kernel,
+                                 laplacian, periodic_potential,
+                                 table_potential)
 from doslab.spaces import Lattice
 from doslab.spectral import (bump,
                              constant_one, dyadic_counts,
@@ -443,3 +444,114 @@ def test_modulated_profile_checks_the_weight_length():
     op = build_truncated(Lattice(1), adjacency(), 10.0)
     with pytest.raises(ValueError, match="length"):
         modulated_norm_profile(op, np.ones(op.n - 1), [1.0])
+
+
+# ---------------------------------------------------------------------------
+# per-block solver choice on 1-d operators
+
+
+def _bandwidth(m) -> int:
+    rows, cols = np.nonzero(m.toarray())
+    return int(np.abs(rows - cols).max(initial=0))
+
+
+@st.composite
+def chain_cases(draw):
+    """An iid, a random periodic or an even periodic potential on a 1-d
+    ball of radius 0-300, kernel amplitudes for hops 1-3, radial weights
+    and a profile g."""
+    radius = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(("iid", "periodic", "even")))
+    if kind == "iid":
+        potential = iid_potential(-1.0, 1.0, draw(st.integers(0, 2 ** 32)))
+    else:
+        period = draw(st.integers(1, 5))
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=period,
+                               max_size=period))
+        if kind == "even":
+            values = [values[min(k, period - k)] for k in range(period)]
+        potential = periodic_potential(values)
+    amps = [draw(st.floats(0.1, 1.5)) * draw(st.sampled_from((1, -1)))
+            for _ in range(3)]
+    level_w = np.asarray(draw(st.lists(st.floats(0.05, 2.0),
+                                       min_size=radius + 1,
+                                       max_size=radius + 1)))
+    g = gaussian(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.3, 2.0)))
+    return radius, potential, amps, level_w, g
+
+
+@settings(max_examples=20, deadline=None)
+@given(chain_cases())
+def test_chain_blocks_match_the_dense_reference(case):
+    """Adjacency, Laplacian and kernels of reach 1-3 on one chain: each
+    block's solver follows its band, a chain that does not fold is stored
+    in coordinate order, and whatever route a block takes, the results
+    match the dense reference of H."""
+    radius, potential, amps, level_w, g = case
+    specs = [(1, adjacency(potential)), (1, laplacian(potential))]
+    for reach in (1, 2, 3):
+        hops = range(1, reach + 1)
+        specs.append((reach, kernel([(s * k,) for k in hops for s in (1, -1)],
+                                    [amps[k - 1] for k in hops for _ in (1, -1)],
+                                    potential)))
+    for reach, spec in specs:
+        op = build_truncated(Lattice(1), spec, float(radius))
+        for block in op.blocks:
+            band = _bandwidth(block.matrix)
+            assert block.solver == ("diagonal", "tridiagonal",
+                                    "dense")[min(band, 2)]
+        if reach >= 2 and op.n > 2 * reach:
+            # the hop between 0 and +-reach keeps that band in some block
+            assert "dense" in [solver for solver, _ in op.solvers]
+        if len(op.blocks) == 1:
+            (block,) = op.blocks
+            q = block.basis.tocoo()
+            assert np.array_equal(q.data, np.ones(op.n))
+            assert np.array_equal(op.points[q.row[np.argsort(q.col)], 0],
+                                  np.arange(-radius, radius + 1))
+        h = op.dense()
+        lam, vec = np.linalg.eigh(h)
+        _close(np.sort(symmetric_eigenvalues(op).values), lam)
+        _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+        w = level_w[op.levels]
+        s = np.sqrt(w)
+        g_of_h = (vec * g(lam)) @ vec.T
+        for fn, t_mat in ((None, h), (g, g_of_h)):
+            want = np.linalg.eigvalsh(s[:, None] * t_mat * s[None, :])
+            _close(np.sort(product_eigenvalues(op, w, fn).values), want)
+
+
+def test_tridiagonal_eigenpairs_at_n_4001():
+    op = build_truncated(Lattice(1), adjacency(iid_potential(0.0, 1.0, 7)),
+                         2000.0)
+    (block,) = op.blocks
+    assert op.solvers == (("tridiagonal", 4001),)
+    lam, vec = block.eigh()
+    assert np.all(np.diff(lam) >= 0)
+    residual = block.matrix @ vec - vec * lam
+    assert np.abs(residual).max() < 1e-13 * max(1.0, np.abs(lam).max())
+    gram = vec.T @ vec
+    gram[np.diag_indices_from(gram)] -= 1.0
+    assert np.abs(gram).max() < 1e-13
+
+
+@pytest.mark.parametrize("radius, solvers", [
+    (0, (("diagonal", 1), ("diagonal", 0))),
+    (1, (("tridiagonal", 3),)),
+    (2, (("tridiagonal", 5),)),
+])
+def test_smallest_chains_pick_their_route(radius, solvers):
+    """A 1x1 block stays on the diagonal route (LAPACK's tridiagonal
+    solvers take no empty off-diagonal), the empty odd block of R = 0
+    included."""
+    op = build_truncated(Lattice(1), adjacency(iid_potential(0.0, 1.0, 3)),
+                         float(radius))
+    assert op.solvers == solvers
+    g = gaussian(0.3, 0.7)
+    lam, vec = np.linalg.eigh(op.dense())
+    _close(np.sort(symmetric_eigenvalues(op).values), lam)
+    _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+    w = np.linspace(1.0, 0.5, op.n)
+    _close(np.sort(product_eigenvalues(op, w).values),
+           np.linalg.eigvalsh(np.sqrt(w)[:, None] * op.dense()
+                              * np.sqrt(w)[None, :]))
