@@ -213,8 +213,7 @@ def _half_window_slopes(series: CesaroSeries, fit: SlopeFit) -> tuple:
     halves = []
     for part in (counts[:mid + 1], counts[mid:]):
         x = np.log(2.0 + part)
-        y = series.partial[part - 1]
-        halves.append(float(np.polyfit(x, y, 1)[0]))
+        halves.append(float(np.polyfit(x, series.at(part), 1)[0]))
     return tuple(halves)
 
 
@@ -235,9 +234,8 @@ def _classify(fit: SlopeFit, half_slopes: tuple) -> MeasurabilityReport:
 
 
 def dixmier_estimate_from_series(series: CesaroSeries,
-                                 window: tuple | None = None,
-                                 min_points: int = 8) -> DixmierEstimate:
-    fit = slope_dixmier_estimate(series, window=window, min_points=min_points)
+                                 window: tuple | None = None) -> DixmierEstimate:
+    fit = slope_dixmier_estimate(series, window=window)
     halves = _half_window_slopes(series, fit)
     counts, lam = series.lam_table()
     return DixmierEstimate(series=series, fit=fit, lam_counts=counts,
@@ -290,17 +288,14 @@ def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
     return dixmier_estimate_from_series(series, window=window)
 
 
-def weight_dixmier_trace(w: WeightFunction, ladder: RadiiLadder | None = None,
+def weight_dixmier_trace(w: WeightFunction,
                          window: tuple | None = None) -> SlopeFit:
     """Slope estimate for M_w alone, straight from the level tables.
 
     The eigenvalues of M_w are the level values with shell multiplicities,
-    already in non-increasing order, so no matrix is involved.
+    already in non-increasing order, so no matrix is involved and the
+    series holds one run per level.
     """
-    if ladder is not None:
-        counts = np.concatenate(([1], ladder.counts))
-        if len(counts) != len(w.level_counts) or np.any(counts != w.level_counts):
-            raise ValueError("ladder does not match the weight's level tables")
     mults = np.diff(w.level_counts, prepend=0)
     series = run_length_series(w.level_values, mults)
     if window is None and len(series) < 1024:
@@ -345,9 +340,9 @@ def _modulated_gap(series: CesaroSeries, operator: TruncatedOperator,
     diag = function_diagonal(operator, fn)
     w_sites = w.values_for_levels(operator.levels)
     diag_sums = np.cumsum(diag * w_sites)
-    gap = np.abs(series.partial - diag_sums)
     counts = fit.indices
-    slope = float(np.polyfit(np.log(2.0 + counts), gap[counts - 1], 1)[0])
+    gap = np.abs(series.at(counts) - diag_sums[counts - 1])
+    slope = float(np.polyfit(np.log(2.0 + counts), gap, 1)[0])
     return slope, fit.scale
 
 

@@ -126,23 +126,20 @@ def equivariance_check(space, spec: HamiltonianSpec, shift, fn, radii,
 
 @dataclass
 class FolnerSequence:
-    """Schedule of finite subsets of Z^d: cubes, l1 balls, dyadic
-    intervals [0, 2^n), or explicitly supplied point sets."""
+    """Schedule of finite subsets of Z^d: cubes [-n, n]^d, l1 balls of
+    radius n, or dyadic intervals [0, 2^n) (``lacunary``, d = 1)."""
 
     shape: str
     d: int
     schedule: tuple
-    custom_sets: tuple | None = None
 
     def __post_init__(self):
-        if self.shape not in ("cube", "ball", "lacunary", "custom"):
+        if self.shape not in ("cube", "ball", "lacunary"):
             raise ValueError(f"unknown shape {self.shape!r}")
         if len(self.schedule) == 0:
             raise ValueError("empty schedule")
         if self.shape == "lacunary" and self.d != 1:
             raise ValueError("dyadic intervals are one-dimensional")
-        if self.shape == "custom" and self.custom_sets is None:
-            raise ValueError("custom shape needs explicit sets")
         cards = [self.cardinality(i) for i in range(len(self))]
         if any(b <= a for a, b in zip(cards, cards[1:])):
             raise ValueError("cardinalities must increase along the schedule")
@@ -156,9 +153,7 @@ class FolnerSequence:
             return (2 * n + 1) ** self.d
         if self.shape == "ball":
             return len(self.points(i))
-        if self.shape == "lacunary":
-            return 1 << n
-        return len(self.custom_sets[i])
+        return 1 << n
 
     def points(self, i: int, budget: int | None = None) -> np.ndarray:
         """The i-th set as an (m, d) array of coordinates."""
@@ -171,11 +166,9 @@ class FolnerSequence:
             return np.stack([a.ravel() for a in grid], axis=-1).astype(np.int64)
         if self.shape == "ball":
             return Lattice(self.d, 1.0).ball_arrays(float(n), budget)[0]
-        if self.shape == "lacunary":
-            b = point_budget(budget)
-            charge(1 << n, b, "folner interval")
-            return np.arange(1 << n, dtype=np.int64)[:, None]
-        return np.asarray(self.custom_sets[i], dtype=np.int64)
+        b = point_budget(budget)
+        charge(1 << n, b, "folner interval")
+        return np.arange(1 << n, dtype=np.int64)[:, None]
 
 
 def cubes(d: int, schedule) -> FolnerSequence:
@@ -184,16 +177,6 @@ def cubes(d: int, schedule) -> FolnerSequence:
 
 def l1_balls(d: int, schedule) -> FolnerSequence:
     return FolnerSequence("ball", d, tuple(int(n) for n in schedule))
-
-
-def dyadic_intervals(schedule) -> FolnerSequence:
-    return FolnerSequence("lacunary", 1, tuple(int(n) for n in schedule))
-
-
-def custom_folner(sets) -> FolnerSequence:
-    sets = tuple(np.asarray(s, dtype=np.int64) for s in sets)
-    return FolnerSequence("custom", sets[0].shape[1], tuple(range(len(sets))),
-                          custom_sets=sets)
 
 
 @dataclass

@@ -74,8 +74,8 @@ class Hopping:
 
 @dataclass(frozen=True)
 class Potential:
-    """Diagonal part: ``zero``, ``periodic`` (lattice), ``iid_uniform``
-    (counter-based field over sites) or ``table`` (explicit values).
+    """Diagonal part: ``zero``, ``periodic`` (lattice) or ``iid_uniform``
+    (counter-based field over sites).
 
     ``shift`` translates the field: a nonempty shift makes the potential
     evaluate its rule at x + shift instead of x.  Because the random field
@@ -89,18 +89,15 @@ class Potential:
     low: float = 0.0
     high: float = 1.0
     seed: int = 0
-    table: dict | None = None
     shift: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "periodic", "iid_uniform", "table"):
+        if self.kind not in ("zero", "periodic", "iid_uniform"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "periodic" and not self.values:
             raise ValueError("periodic potential needs values")
         if self.kind == "iid_uniform" and self.high < self.low:
             raise ValueError("iid_uniform needs high >= low")
-        if self.kind == "table" and not self.table:
-            raise ValueError("table potential needs entries")
         if self.shift and not all(isinstance(s, int) for s in self.shift):
             raise ValueError("potential shift must be integer coordinates")
 
@@ -156,10 +153,6 @@ def periodic_potential(values) -> Potential:
 def iid_potential(low: float, high: float, seed: int) -> Potential:
     return Potential("iid_uniform", low=float(low), high=float(high),
                      seed=int(seed))
-
-
-def table_potential(table: dict) -> Potential:
-    return Potential("table", table=dict(table))
 
 
 @dataclass(eq=False)
@@ -247,9 +240,8 @@ class TruncatedOperator:
 
 def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
     pot = spec.potential
-    n = len(points)
     if pot.kind == "zero":
-        return np.zeros(n)
+        return np.zeros(len(points))
     if pot.shift:
         if not isinstance(space, Lattice):
             raise ValueError("shifted potentials need a lattice space")
@@ -265,26 +257,15 @@ def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.nd
         values = np.asarray(pot.values).reshape(pot.period)
         idx = tuple(np.mod(points[:, a], pot.period[a]) for a in range(space.d))
         return values[idx].astype(np.float64)
-    if pot.kind == "iid_uniform":
-        if isinstance(space, Lattice):
-            counters = site_keys(points)
-        elif isinstance(space, Graph):
-            counters = space.labels[points].astype(np.uint64)
-        else:
-            counters = points.astype(np.uint64)
-        u = uniform_stream(pot.seed, counters)
-        return pot.low + (pot.high - pot.low) * u
-    if pot.kind == "table":
-        out = np.empty(n)
-        for i in range(n):
-            key = (tuple(int(c) for c in points[i]) if points.ndim == 2
-                   else int(space.labels[points[i]]) if isinstance(space, Graph)
-                   else int(points[i]))
-            if key not in pot.table:
-                raise ValueError(f"table potential missing value for point {key}")
-            out[i] = pot.table[key]
-        return out
-    raise AssertionError(pot.kind)  # pragma: no cover
+    # iid_uniform, the one kind left
+    if isinstance(space, Lattice):
+        counters = site_keys(points)
+    elif isinstance(space, Graph):
+        counters = space.labels[points].astype(np.uint64)
+    else:
+        counters = points.astype(np.uint64)
+    u = uniform_stream(pot.seed, counters)
+    return pot.low + (pot.high - pot.low) * u
 
 
 def _lattice_hopping(space: Lattice, spec: HamiltonianSpec, points: np.ndarray):
@@ -504,13 +485,6 @@ def lattice_weight(space, ladder: RadiiLadder) -> WeightFunction:
     fn = lambda r: (1.0 + r) ** (-float(d))
     return WeightFunction("lattice_power", fn(radii), radii, counts, radius_fn=fn,
                           descriptor={"d": d, "p": space.p})
-
-
-def custom_weight(ladder: RadiiLadder, fn: Callable, name: str = "custom") -> WeightFunction:
-    radii, counts, _ = ladder.level_arrays()
-    values = np.asarray([fn(r) for r in radii], dtype=np.float64)
-    return WeightFunction("custom", values, radii, counts, radius_fn=None,
-                          descriptor={"name": name})
 
 
 @dataclass

@@ -44,10 +44,6 @@ class PercolationSample:
     open_mask: np.ndarray
     labels: np.ndarray
 
-    @property
-    def n_vertices(self) -> int:
-        return self.L ** self.d
-
     def vertex_coords(self, flat: np.ndarray) -> np.ndarray:
         return np.stack(np.unravel_index(np.asarray(flat, dtype=np.int64),
                                          (self.L,) * self.d), axis=-1)

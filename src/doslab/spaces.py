@@ -621,10 +621,3 @@ def ingest_graph(path, base: int) -> Graph:
     if not seen_base:
         raise ValueError(f"base node {base} does not appear in the edge list")
     return Graph.from_edges(edges, base, meta={"source": str(path)})
-
-
-def path_graph(n_nodes: int, base: int = 0) -> Graph:
-    """Convenience: the path 0-1-...-(n-1), a half-line truncation."""
-    if n_nodes < 2:
-        raise ValueError("path needs at least 2 nodes")
-    return Graph.from_edges(((i, i + 1) for i in range(n_nodes - 1)), base)

@@ -5,21 +5,25 @@ modulus, its partial sums S(n) evaluated against log(2+n), and
 least-squares slope fits over a dyadic index window.  The slope of
 S(n) vs log(2+n) is the trace-at-logarithmic-scale estimate everything
 else reports; the residual trend of the same fit is the measurability
-signal.
+signal.  A series is stored as runs of equal terms (``CesaroSeries``):
+an eigenvalue sequence has one run per term, and the spectrum of a
+radial weight has one run per ladder level, so a weight's series costs
+memory in its levels, not in its ball points.
 
 Operator spectra are computed block by block, with the solver each
-``Block`` chose from its nonzero pattern.  Dense blocks go to LAPACK
-through numpy (``syevd``: tridiagonal reduction, then the divide and
-conquer kernel ``stedc``).  Tridiagonal blocks skip the reduction: their
-eigenpairs come from ``dstevd`` (the same ``stedc`` kernel) and their
-values alone from ``dsterf`` through ``scipy.linalg.eigvalsh_tridiagonal``,
-the kernel ``syevd`` itself uses for values only.  For dimensions up to a
-few thousand the relative residual of the returned pairs is far below
-1e-10, which the test suite pins down.
+``Block`` chose from its nonzero pattern, and each spectral quantity has
+one routine.  ``symmetric_eigenvalues`` reads a diagonal block off, sends
+a tridiagonal block to ``dsterf`` (through
+``scipy.linalg.eigvalsh_tridiagonal``, the kernel LAPACK's dense
+``syevd`` uses for values only) and a dense block to ``eigvalsh``.
+``product_eigenvalues`` and ``function_diagonal`` share each block's
+cached eigendecomposition (``dstevd`` on a tridiagonal block, ``syevd``
+on a dense one).  For dimensions up to a few thousand the relative
+residual of the returned pairs is far below 1e-10, which the test suite
+pins down.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,7 +37,7 @@ from .hamiltonians import Block, TruncatedOperator, WeightFunction
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """Scalar function applied to spectra: gaussian / bump / polynomial / table."""
+    """Scalar function applied to spectra: gaussian / bump / polynomial."""
 
     kind: str
     params: tuple
@@ -54,20 +58,7 @@ class SpectralFunction:
             return out
         if self.kind == "polynomial":
             return np.polynomial.polynomial.polyval(x, np.asarray(self.params))
-        if self.kind == "table":
-            xs, ys = self.params
-            return np.interp(x, np.asarray(xs), np.asarray(ys))
         raise AssertionError(self.kind)  # pragma: no cover
-
-    @property
-    def label(self) -> str:
-        if self.kind == "gaussian":
-            return f"gaussian(center={self.params[0]:g}, sigma={self.params[1]:g})"
-        if self.kind == "bump":
-            return f"bump(center={self.params[0]:g}, halfwidth={self.params[1]:g})"
-        if self.kind == "polynomial":
-            return f"polynomial(degree={len(self.params) - 1})"
-        return "table"
 
 
 def gaussian(center: float, sigma: float) -> SpectralFunction:
@@ -90,22 +81,8 @@ def polynomial(coeffs: Sequence[float]) -> SpectralFunction:
     return SpectralFunction("polynomial", tuple(float(c) for c in coeffs))
 
 
-def table_function(xs: Sequence[float], ys: Sequence[float]) -> SpectralFunction:
-    xs = tuple(float(v) for v in xs)
-    ys = tuple(float(v) for v in ys)
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("table needs matching xs/ys with at least two nodes")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("table xs must be strictly increasing")
-    return SpectralFunction("table", (xs, ys))
-
-
 def constant_one() -> SpectralFunction:
     return polynomial([1.0])
-
-
-def identity_function() -> SpectralFunction:
-    return polynomial([0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +91,10 @@ def identity_function() -> SpectralFunction:
 
 @dataclass
 class EigenSequence:
-    """Eigenvalues ordered by decreasing modulus.
-
-    Ties in |value| put the larger signed value first, then the smaller
-    original index; ``order`` maps back to input positions.
-    """
+    """Eigenvalues ordered by decreasing modulus; ties in |value| put the
+    larger signed value first."""
 
     values: np.ndarray
-    order: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -129,55 +102,25 @@ class EigenSequence:
 
 def eigen_sequence(values) -> EigenSequence:
     v = np.asarray(values, dtype=np.float64)
-    idx = np.arange(len(v))
-    ordering = np.lexsort((idx, -v, -np.abs(v)))
-    return EigenSequence(values=v[ordering], order=ordering)
+    return EigenSequence(values=v[np.lexsort((-v, -np.abs(v)))])
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
+def symmetric_eigenvalues(op: TruncatedOperator) -> EigenSequence:
+    """Eigenvalues of the operator, ordered by decreasing modulus."""
+    return eigen_sequence(np.concatenate([_block_eigvalsh(b)
+                                          for b in op.blocks]))
 
 
-def symmetric_eigenvalues(op) -> EigenSequence:
-    """Eigenvalues of a symmetric operator, ordered by decreasing modulus."""
-    if isinstance(op, TruncatedOperator):
-        return eigen_sequence(np.concatenate([_block_eigvalsh(b)
-                                              for b in op.blocks]))
-    a = np.asarray(op, dtype=np.float64)
-    _check_symmetric(a)
-    return eigen_sequence(np.linalg.eigvalsh(a))
-
-
-def _block_eigvalsh(block: Block, weights=None, fn=None) -> np.ndarray:
-    """Eigenvalues of W^(1/2) T W^(1/2) with W = diag(weights) and T = M_b,
-    or T = fn(M_b) from the block's cached eigendecomposition.  Without
-    weights (W = 1) there is no ``fn``: these are M_b's own eigenvalues.
-    W^(1/2) M_b W^(1/2) keeps M_b's band, so a tridiagonal block stays
-    tridiagonal; W^(1/2) fn(M_b) W^(1/2) is dense."""
+def _block_eigvalsh(block: Block) -> np.ndarray:
+    """Eigenvalues of M_b without eigenvectors: the diagonal of a diagonal
+    block, ``dsterf`` on a tridiagonal block, ``eigvalsh`` on a dense one."""
     if block.solver == "diagonal":
-        d = block.diagonal if fn is None else fn(block.diagonal)
-        d = np.asarray(d, dtype=np.float64)
-        return d if weights is None else d * weights
-    if fn is None and block.solver == "tridiagonal":
+        return block.diagonal
+    if block.solver == "tridiagonal":
         from scipy.linalg import eigvalsh_tridiagonal
         d, e = block.diagonal, block.matrix.diagonal(1)
-        if weights is not None:
-            s = np.sqrt(weights)
-            d, e = d * (s * s), e * (s[:-1] * s[1:])
         return eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-    if fn is None:
-        m = block.matrix.toarray()
-        if weights is not None:
-            s = np.sqrt(weights)
-            m *= np.outer(s, s)  # exactly symmetric by commutativity
-        return np.linalg.eigvalsh(m)
-    evals, evecs = block.eigh()
-    b = np.sqrt(weights)[:, None] * evecs
-    m = (b * fn(evals)) @ b.T
-    return np.linalg.eigvalsh((m + m.T) / 2.0)
+    return np.linalg.eigvalsh(block.matrix.toarray())
 
 
 def function_diagonal(op: TruncatedOperator, fn: Callable) -> np.ndarray:
@@ -226,20 +169,28 @@ def _block_weights(op: TruncatedOperator, w) -> list:
     return out
 
 
-def product_eigenvalues(op: TruncatedOperator, w, fn=None) -> EigenSequence:
-    """Eigenvalues of T * M_w for symmetric T and strictly positive w.
+def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> EigenSequence:
+    """Eigenvalues of fn(H) M_w for strictly positive w.
 
-    T is the operator itself, or fn(H) when ``fn`` is given (sharing the
-    cached eigendecomposition of H instead of materialising fn(H)).
-    Computed through the symmetric similarity M_w^(1/2) T M_w^(1/2),
-    which shares the product's spectrum; the result is real and comes from
-    a symmetric eigensolve per block.
+    Computed per block through the symmetric similarity
+    W^(1/2) fn(M_b) W^(1/2), which shares the product's spectrum: on a
+    diagonal block that is fn(d) * w, on any other block ``eigvalsh`` of
+    B fn(L) B^T with B = W^(1/2) V, from the block's cached
+    eigendecomposition M_b = V diag(L) V^T.
     """
     weights = _block_weights(op, w)
     if any(np.any(wb <= 0) for wb in weights):
         raise ValueError("weights must be strictly positive")
-    return eigen_sequence(np.concatenate(
-        [_block_eigvalsh(b, wb, fn) for b, wb in zip(op.blocks, weights)]))
+    parts = []
+    for block, wb in zip(op.blocks, weights):
+        if block.solver == "diagonal":
+            parts.append(np.asarray(fn(block.diagonal), dtype=np.float64) * wb)
+        else:
+            evals, evecs = block.eigh()
+            b = np.sqrt(wb)[:, None] * evecs
+            m = (b * fn(evals)) @ b.T
+            parts.append(np.linalg.eigvalsh((m + m.T) / 2.0))
+    return eigen_sequence(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +199,37 @@ def product_eigenvalues(op: TruncatedOperator, w, fn=None) -> EigenSequence:
 
 @dataclass
 class CesaroSeries:
-    """Partial sums S(n) of an ordered sequence with log-scale access.
+    """Partial sums S(n) of an ordered sequence, stored as runs of equal
+    terms, with log-scale access.
 
-    ``n`` counts terms, so ``partial[n-1] = S(n)`` and
+    ``ends[j]`` is the number of terms through run j and ``sums[j]`` is
+    S(ends[j]).  S is linear inside a run, so ``at(n)`` interpolates
+    between run ends, and returns ``sums`` exactly at them.
     ``lam(n) = S(n)/log(2+n)`` is the quantity whose limit (when it
     exists) plays the role of the trace at logarithmic scale.
     """
 
-    partial: np.ndarray
+    ends: np.ndarray
+    sums: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.partial)
+        return int(self.ends[-1]) if len(self.ends) else 0
 
-    def lam(self, n=None):
-        if n is None:
-            n = np.arange(1, len(self.partial) + 1)
+    def at(self, n):
+        """S(n) for term counts 1 <= n <= len(self)."""
         n = np.asarray(n)
-        if np.any(n < 1) or np.any(n > len(self.partial)):
+        if np.any(n < 1) or np.any(n > len(self)):
             raise IndexError("term count out of range")
-        return self.partial[n - 1] / np.log(2.0 + n)
+        return np.interp(n, np.concatenate(([0], self.ends)),
+                         np.concatenate(([0.0], self.sums)))
+
+    def lam(self, n):
+        n = np.asarray(n)
+        return self.at(n) / np.log(2.0 + n)
 
     @property
     def dyadic_counts(self) -> np.ndarray:
-        return dyadic_counts(len(self.partial))
+        return dyadic_counts(len(self))
 
     def lam_table(self):
         n = self.dyadic_counts
@@ -293,14 +252,18 @@ def dyadic_counts(n_max: int) -> np.ndarray:
 def log_cesaro(seq) -> CesaroSeries:
     """Partial-sum series of an eigenvalue sequence (or pre-ordered array)."""
     values = seq.values if isinstance(seq, EigenSequence) else np.asarray(seq)
-    return CesaroSeries(partial=np.cumsum(values, dtype=np.float64))
+    return CesaroSeries(ends=np.arange(1, len(values) + 1),
+                        sums=np.cumsum(values, dtype=np.float64))
 
 
 def run_length_series(values: np.ndarray, multiplicities: np.ndarray) -> CesaroSeries:
     """Series of a sequence given as (value, multiplicity) runs."""
-    expanded = np.repeat(np.asarray(values, dtype=np.float64),
-                         np.asarray(multiplicities, dtype=np.int64))
-    return CesaroSeries(partial=np.cumsum(expanded, dtype=np.float64))
+    m = np.asarray(multiplicities, dtype=np.int64)
+    return CesaroSeries(ends=np.cumsum(m),
+                        sums=np.cumsum(np.asarray(values, dtype=np.float64) * m))
+
+
+MIN_FIT_POINTS = 8
 
 
 @dataclass
@@ -321,10 +284,6 @@ class SlopeFit:
     residual_growth_slope: float
     scale: float
 
-    @property
-    def n_points(self) -> int:
-        return len(self.indices)
-
 
 def dyadic_window_counts(n_lo: int, n_hi: int) -> np.ndarray:
     """Term counts n_hi, n_hi/2, ... down to n_lo (1-based, ascending)."""
@@ -338,27 +297,28 @@ def dyadic_window_counts(n_lo: int, n_hi: int) -> np.ndarray:
     return np.array(sorted(out), dtype=np.int64)
 
 
-def slope_dixmier_estimate(series: CesaroSeries, window: tuple | None = None,
-                           min_points: int = 8) -> SlopeFit:
+def slope_dixmier_estimate(series: CesaroSeries,
+                           window: tuple | None = None) -> SlopeFit:
     """Trace-at-log-scale estimate: slope of S(n) vs log(2+n).
 
-    The default window spans the last eight octaves of the term range.
+    The default window spans the last eight octaves of the term range;
+    any window needs ``MIN_FIT_POINTS`` dyadic points.
     """
-    n_hi = len(series.partial)
+    n_hi = len(series)
     if window is None:
         n_lo = max(8, n_hi >> 8)
     else:
         n_lo, n_hi = window
-    if n_hi > len(series.partial):
+    if n_hi > len(series):
         raise ValueError(f"window {n_lo}..{n_hi} reaches beyond the "
-                         f"{len(series.partial)} terms of the series")
+                         f"{len(series)} terms of the series")
     counts = dyadic_window_counts(int(n_lo), int(n_hi))
-    if len(counts) < min_points:
+    if len(counts) < MIN_FIT_POINTS:
         raise ValueError(
             f"window {n_lo}..{n_hi} has only {len(counts)} dyadic points, "
-            f"need {min_points}")
+            f"need {MIN_FIT_POINTS}")
     x = np.log(2.0 + counts)
-    y = series.partial[counts - 1]
+    y = series.at(counts)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     growth = float(np.polyfit(x, np.abs(resid), 1)[0])
@@ -479,34 +439,3 @@ def subsequence_equivalence_check(values, checkpoints) -> SubsequenceReport:
         max_tail_discrepancy=float(disc[tail].max()),
         checkpoint_ratio_tail=tail_ratio,
         indices=grid, discrepancies=disc[grid - 1])
-
-
-# ---------------------------------------------------------------------------
-# modulated Hilbert-Schmidt profile
-
-
-@dataclass
-class ModulatedProfile:
-    """t -> sqrt(t) * ||T (1 + t M_V)^-1||_HS over a t grid.
-
-    A bounded profile as t grows (and as the truncation radius doubles) is
-    the working certificate that T is modulated by the weight V.
-    """
-
-    t_grid: np.ndarray
-    values: np.ndarray
-    sup_value: float
-
-
-def modulated_norm_profile(op: TruncatedOperator, w, t_grid) -> ModulatedProfile:
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if np.any(t_grid <= 0):
-        raise ValueError("t grid must be positive")
-    weights = np.concatenate(_block_weights(op, w))
-    # squared column norms of each M_b: the HS norm is basis invariant
-    col_norms = np.concatenate([(b.matrix * b.matrix).sum(axis=0)
-                                for b in op.blocks])
-    values = np.array([math.sqrt(t * np.sum(col_norms / (1.0 + t * weights) ** 2))
-                       for t in t_grid])
-    return ModulatedProfile(t_grid=t_grid, values=values,
-                            sup_value=float(values.max()))

@@ -7,6 +7,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +177,29 @@ def test_vp_trace_json(tmp_path):
     assert data["ball_volume"] == 2.0
     assert data["relative_error"] < 1e-4
     assert data["terms"] == 40001
+
+
+@pytest.mark.parametrize("d, radius", [(2, 1500), (3, 150)])
+def test_vp_trace_peak_memory(d, radius):
+    """The l_inf weight series (9.0 M terms for d = 2, 27.3 M for d = 3)
+    is held as one run per level.  The child reports the high-water mark
+    of its own address space (VmHWM).  Its RUSAGE_SELF ru_maxrss would not
+    do: exec records the high-water mark of the address space it replaces,
+    which is the spawning test process's own."""
+    code = ("import sys\n"
+            "from doslab import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print([ln.split()[1] for ln in fh if ln.startswith('VmHWM:')][0])\n"
+            "sys.exit(rc)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "vp-trace", "--d", str(d), "--p", "inf",
+         "--radius", str(radius)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    peak_mb = int(out.stdout.split()[-1]) / 1024.0  # VmHWM is in KiB
+    assert peak_mb < 80.0
 
 
 def test_percolate_artifacts(tmp_path):

@@ -2,6 +2,7 @@
 the two-sided identity check."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,13 @@ from doslab.dos import (dixmier_estimate_from_series, dixmier_lhs,
                         truncation_fit_window, weight_dixmier_trace,
                         certify_weight, IdsHistogram)
 from doslab.errors import NotEstablished, PreconditionFailed
-from doslab.hamiltonians import (adjacency, build_truncated, custom_weight,
+from doslab.hamiltonians import (WeightFunction, adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
-                                 lattice_weight, periodic_potential,
-                                 table_potential)
+                                 lattice_weight, periodic_potential)
 from doslab.reference import arcsine_ids, block_indicator, lp_ball_volume
 from doslab.spaces import CayleyF2, Lattice
 from doslab.spectral import (SlopeFit, dyadic_window_counts, gaussian,
-                             log_cesaro, polynomial)
+                             log_cesaro, polynomial, run_length_series)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +118,19 @@ def test_dos_free_chain_tail_equals_arcsine_integral():
     assert not est.diverged
 
 
+def block_potential(reach: int):
+    """The 0/1 block sequence at |x| on [-reach, reach], as one period of a
+    periodic potential (x is read at x mod period)."""
+    period = 2 * reach + 1
+    return periodic_potential(
+        [float(block_indicator(max(abs(x if x <= reach else x - period), 1)))
+         for x in range(period)])
+
+
 def test_dos_divergence_flag_on_block_potential():
     """Ball means of the 0/1 block potential oscillate at dyadic radii."""
     space = Lattice(1)
-    tbl = {(x,): float(block_indicator(max(abs(x), 1)))
-           for x in range(-530, 531)}
-    spec = diagonal_spec(table_potential(tbl))
+    spec = diagonal_spec(block_potential(530))
     radii = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0])
     est = dos_approximant(space, spec, polynomial([0.0, 1.0]), radii,
                           margin=10.0)
@@ -222,12 +229,29 @@ def test_weight_trace_lattice_weight_matches_ball_volume():
     assert abs(fit.slope - vol) / vol < 0.02
 
 
+def test_weight_series_matches_exact_sums():
+    """The l_inf weight series on Z^2 out to R = 1500 (9,006,001 terms)
+    holds one run per level; at the slope fit's counts its partial sums
+    match exact rational running sums of the runs to 1e-14 relative."""
+    space = Lattice(2, p=math.inf)
+    w = lattice_weight(space, space.ladder_to_radius(1500.0))
+    mults = np.diff(w.level_counts, prepend=0)
+    series = run_length_series(w.level_values, mults)
+    assert len(series) == 3001 ** 2 and len(series.ends) == 1501
+    counts = weight_dixmier_trace(w).indices
+    prefix = [Fraction(0)]
+    for v, m in zip(w.level_values.tolist(), mults.tolist()):
+        prefix.append(prefix[-1] + Fraction(v) * m)
+    got = series.at(counts)
+    for c, s in zip(counts.tolist(), got.tolist()):
+        j = int(np.searchsorted(series.ends, c))  # run holding term c
+        start = int(series.ends[j - 1]) if j else 0
+        exact = prefix[j] + Fraction(w.level_values[j]) * (c - start)
+        assert abs(Fraction(s) - exact) <= Fraction(1, 10 ** 14) * exact
+
+
 def test_weight_trace_guards():
     space = Lattice(1)
-    lad = space.radii_ladder(2000)
-    w = default_weight(lad)
-    with pytest.raises(ValueError, match="does not match"):
-        weight_dixmier_trace(w, ladder=space.radii_ladder(1999))
     short = default_weight(space.radii_ladder(100))
     with pytest.raises(ValueError, match="1024"):
         weight_dixmier_trace(short)
@@ -238,7 +262,8 @@ def test_weight_trace_guards():
 def test_certify_weight_rejects_log_decay():
     space = Lattice(1)
     lad = space.radii_ladder(4000)
-    w = custom_weight(lad, lambda r: 1.0 / math.log(math.e + r), name="log")
+    radii, counts, _ = lad.level_arrays()
+    w = WeightFunction("log", 1.0 / np.log(math.e + radii), radii, counts)
     with pytest.raises(PreconditionFailed, match="weak-l1"):
         certify_weight(w)
     certify_weight(default_weight(lad))  # no exception
@@ -274,9 +299,7 @@ def test_main_theorem_check_refuses_exponential_space():
 
 def test_main_theorem_check_refuses_divergent_dos():
     space = Lattice(1)
-    tbl = {(x,): float(block_indicator(max(abs(x), 1)))
-           for x in range(-1100, 1101)}
-    spec = diagonal_spec(table_potential(tbl))
+    spec = diagonal_spec(block_potential(1100))
     w = default_weight(space.ladder_to_radius(1024.0))
     radii = 2.0 ** np.arange(2, 10)
     with pytest.raises(NotEstablished, match="tail spread"):

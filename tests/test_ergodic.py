@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import doslab
-from doslab.ergodic import (FolnerSequence, cubes, custom_folner,
-                            dyadic_intervals, equivariance_check,
-                            ergodic_average, folner_tempered_check, l1_balls,
-                            shift_weight_gap)
+from doslab.ergodic import (FolnerSequence, _minkowski, cubes,
+                            equivariance_check, ergodic_average,
+                            folner_tempered_check, l1_balls, shift_weight_gap)
 from doslab.errors import PreconditionFailed
 from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
                                  iid_potential, lattice_weight,
@@ -137,7 +136,7 @@ def test_cube_and_ball_schedules():
                                     for b in (-1, 0, 1)}
     ba = l1_balls(2, [1, 2, 3])
     assert [ba.cardinality(i) for i in range(3)] == [5, 13, 25]
-    dy = dyadic_intervals([1, 2, 3])
+    dy = FolnerSequence("lacunary", 1, (1, 2, 3))
     assert [dy.cardinality(i) for i in range(3)] == [2, 4, 8]
     assert np.array_equal(dy.points(2), np.arange(8)[:, None])
 
@@ -149,7 +148,7 @@ def test_folner_validation():
         cubes(1, [])
     with pytest.raises(ValueError, match="one-dimensional"):
         FolnerSequence("lacunary", 2, (1, 2, 3))
-    with pytest.raises(ValueError, match="explicit sets"):
+    with pytest.raises(ValueError, match="unknown shape"):
         FolnerSequence("custom", 1, (0, 1))
     with pytest.raises(ValueError, match="must increase"):
         cubes(1, [2, 2, 3])
@@ -175,15 +174,12 @@ def test_ball_temperedness_exact_ratios():
 
 
 def test_custom_family_matches_brute_force():
-    # an asymmetric family would expose any unintended reflection in the
-    # grid Minkowski sums, so every quantity is rechecked with raw sets
-    sets = [
-        np.array([[0, 0], [1, 0], [2, 0], [0, 1]]),
-        np.array([[0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [0, 2], [1, 1]]),
-        np.array([[x, y] for x in range(-1, 4) for y in range(-1, 3)]),
-    ]
-    rep = folner_tempered_check(custom_folner(sets))
-    raw = [set(map(tuple, s)) for s in sets]
+    """Deviations and temperedness ratios of a Folner family against raw
+    set arithmetic, and the grid Minkowski sum against an asymmetric pair,
+    where an unintended reflection would show."""
+    seq = l1_balls(2, [1, 2, 4])
+    rep = folner_tempered_check(seq)
+    raw = [set(map(tuple, seq.points(i).tolist())) for i in range(3)]
     for i, pts in enumerate(raw):
         for j, e in enumerate(((1, 0), (0, 1))):
             moved = {(a + e[0], b + e[1]) for a, b in pts}
@@ -194,10 +190,18 @@ def test_custom_family_matches_brute_force():
                   for k in range(i + 1) for a0, a1 in raw[k]
                   for b0, b1 in raw[i + 1]}
         assert rep.tempered_ratios[i] == len(summed) / len(raw[i + 1])
+    a = {(0, 0), (1, 0), (2, 0), (0, 1)}
+    b = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1)}
+    mask_a = np.zeros((5, 5), dtype=bool)
+    mask_a[tuple((np.array(sorted(a)) + 2).T)] = True
+    into = np.zeros((13, 13), dtype=bool)
+    into[tuple((np.array(sorted(b)) + 6).T)] = True
+    got = {(x - 6, y - 6) for x, y in zip(*np.nonzero(_minkowski(mask_a, into)))}
+    assert got == {(a0 + b0, a1 + b1) for a0, a1 in a for b0, b1 in b}
 
 
 def test_lacunary_closed_forms():
-    rep = folner_tempered_check(dyadic_intervals([1, 2, 3, 4]))
+    rep = folner_tempered_check(FolnerSequence("lacunary", 1, (1, 2, 3, 4)))
     assert np.array_equal(rep.cardinalities, [2, 4, 8, 16])
     assert np.array_equal(rep.deviations[:, 0], [1.0, 0.5, 0.25, 0.125])
     # [0, 2^n) is Folner but not tempered: -F_n + F_(n+1) wastes a fixed

@@ -8,11 +8,10 @@ import scipy.linalg
 
 from doslab.errors import BudgetExceeded
 from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
-                                 adjacency, build_truncated, custom_weight,
+                                 WeightFunction, adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
                                  kernel, laplacian, lattice_weight,
-                                 periodic_potential, table_potential,
-                                 weak_l1_bound)
+                                 periodic_potential, weak_l1_bound)
 from doslab.spaces import CayleyF2, Graph, Lattice
 
 
@@ -163,20 +162,12 @@ def test_iid_values_are_functions_of_the_site():
         assert v == lookup[int(x)]
 
 
-def test_table_potential_and_missing_key():
-    tbl = {(0,): 5.0, (1,): 6.0, (-1,): 7.0}
-    op = build_truncated(Lattice(1), diagonal_spec(table_potential(tbl)), 1.0)
-    assert sorted(op.potential) == [5.0, 6.0, 7.0]
-    with pytest.raises(ValueError, match="missing value"):
-        build_truncated(Lattice(1), diagonal_spec(table_potential(tbl)), 2.0)
-
-
 def test_potential_validation():
     with pytest.raises(ValueError):
         Potential("periodic")
     with pytest.raises(ValueError):
         Potential("iid_uniform", low=1.0, high=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown potential kind"):
         Potential("table")
     with pytest.raises(ValueError):
         Potential("smooth")
@@ -343,13 +334,19 @@ def test_weight_level_guard():
     assert w.values_for_levels([0, 1, 2])[0] == 0.5
 
 
+def radial_weight(ladder, values_of_radius, kind="custom"):
+    """A WeightFunction from level values only, without a closed form."""
+    radii, counts, _ = ladder.level_arrays()
+    return WeightFunction(kind, values_of_radius(radii), radii, counts)
+
+
 def test_weight_monotonicity_enforced():
     lad = Lattice(1).radii_ladder(8)
     with pytest.raises(ValueError):
-        custom_weight(lad, lambda r: 1.0)  # constant is not decreasing
+        radial_weight(lad, lambda r: np.ones_like(r))  # not decreasing
     with pytest.raises(ValueError):
-        custom_weight(lad, lambda r: -1.0 / (1.0 + r))
-    w = custom_weight(lad, lambda r: 1.0 / (1.0 + r) ** 2, name="sq")
+        radial_weight(lad, lambda r: -1.0 / (1.0 + r))
+    w = radial_weight(lad, lambda r: 1.0 / (1.0 + r) ** 2)
     with pytest.raises(ValueError, match="no closed form"):
         w.value_at_radius(1.0)
 
@@ -361,7 +358,6 @@ def test_weak_l1_certificates():
     # products (2k+1)/(1+k) climb toward 2 but stay bounded
     assert good.c_estimate < 2.0
     assert not good.divergent_trend
-    slow = weak_l1_bound(custom_weight(lad, lambda r: 1.0 / np.log(
-        math.e + r), name="log"))
+    slow = weak_l1_bound(radial_weight(lad, lambda r: 1.0 / np.log(math.e + r)))
     assert slow.divergent_trend
     assert slow.c_estimate > 100.0

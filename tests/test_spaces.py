@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from doslab.errors import BudgetExceeded, GraphParseError
 from doslab.spaces import (CayleyF2, Graph, Lattice, RadiiLadder,
-                           condition_c_report, ingest_graph, path_graph)
+                           condition_c_report, ingest_graph)
 
 
 def brute_ball(d, p, radius):
@@ -237,7 +237,7 @@ def test_graph_bfs_against_dict_oracle(edges, base):
 
 
 def test_path_and_cycle_ladders():
-    pg = path_graph(11, base=5)
+    pg = Graph.from_edges([(i, i + 1) for i in range(10)], base=5)
     lad = pg.radii_ladder(5)
     assert np.array_equal(lad.counts, [3, 5, 7, 9, 11])
     cg = Graph.from_edges(cycle_edges(12), base=0)

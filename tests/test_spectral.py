@@ -9,18 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
                                  diagonal_spec, iid_potential, kernel,
-                                 laplacian, periodic_potential,
-                                 table_potential)
+                                 laplacian, periodic_potential)
 from doslab.spaces import Lattice
 from doslab.spectral import (bump,
                              constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
-                             function_diagonal, gaussian, identity_function,
-                             log_cesaro, modulated_norm_profile, polynomial,
+                             function_diagonal, gaussian,
+                             log_cesaro, polynomial,
                              product_eigenvalues, run_length_series,
                              slope_dixmier_estimate,
                              subsequence_equivalence_check,
-                             symmetric_eigenvalues, table_function,
+                             symmetric_eigenvalues,
                              weighted_cesaro, weighted_cesaro_bounded)
 
 
@@ -47,11 +46,10 @@ def test_polynomial_and_table_and_one():
     p = polynomial([2.0, -1.0, 0.5])  # 2 - x + 0.5 x^2
     x = np.linspace(-2, 2, 9)
     assert np.allclose(p(x), 2.0 - x + 0.5 * x * x)
-    t = table_function([0.0, 1.0, 2.0], [0.0, 10.0, 0.0])
-    assert t(np.array([0.5]))[0] == pytest.approx(5.0)
-    assert t(np.array([5.0]))[0] == 0.0  # clamped outside the table
+    assert np.allclose(polynomial([0.0, 1.0])(x), x)
     assert np.all(constant_one()(x) == 1.0)
-    assert np.allclose(identity_function()(x), x)
+    with pytest.raises(ValueError):
+        polynomial([])
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +57,6 @@ def test_polynomial_and_table_and_one():
 
 
 def test_symmetric_eigenvalues_against_scipy():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(40, 40))
-    a = a + a.T
-    want = np.sort(np.abs(scipy.linalg.eigvalsh(a)))[::-1]
-    assert np.allclose(np.abs(symmetric_eigenvalues(a).values), want,
-                       atol=1e-10)
     op = build_truncated(Lattice(2), laplacian(), 4.0)
     want = np.sort(np.abs(scipy.linalg.eigvalsh(op.dense())))[::-1]
     assert np.allclose(np.abs(symmetric_eigenvalues(op).values), want,
@@ -89,15 +81,6 @@ def test_product_eigenvalues_diagonal_case():
     want = np.sort(np.abs(direct))[::-1]
     assert np.allclose(np.abs(seq.values), want,
                        atol=1e-14)
-
-
-def test_product_eigenvalues_none_means_raw_operator():
-    space = Lattice(1)
-    op = build_truncated(space, adjacency(), 400.0)
-    w = default_weight(space.radii_ladder(405))
-    a = product_eigenvalues(op, w, None).values
-    b = product_eigenvalues(op, w, identity_function()).values
-    assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-12
 
 
 def test_product_eigenvalues_constant_one_gives_weight_spectrum():
@@ -157,10 +140,14 @@ def test_dyadic_window_counts_literal():
 def test_log_cesaro_partial_sums():
     seq = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
     series = log_cesaro(seq)
-    assert np.allclose(series.partial, np.cumsum(seq))
+    assert np.array_equal(series.at(np.arange(1, 6)), np.cumsum(seq))
     counts, lam = series.lam_table()
     assert np.array_equal(counts, [1, 2, 4, 5])
     assert lam[0] == pytest.approx(3.0 / math.log(3.0))
+    # one run per term: ``at`` returns the running sums bit for bit
+    x = np.random.default_rng(11).normal(size=200_000)
+    assert np.array_equal(log_cesaro(x).at(np.arange(1, len(x) + 1)),
+                          np.cumsum(x))
 
 
 def test_run_length_series_equals_expanded():
@@ -168,7 +155,10 @@ def test_run_length_series_equals_expanded():
     mults = np.array([2, 3, 4])
     a = run_length_series(values, mults)
     b = log_cesaro(np.repeat(values, mults))
-    assert np.allclose(a.partial, b.partial)
+    assert len(a) == len(b) == 9
+    assert np.array_equal(a.ends, [2, 5, 9])
+    n = np.arange(1, 10)
+    assert np.allclose(a.at(n), b.at(n), rtol=0.0, atol=1e-15)
 
 
 def test_slope_fit_recovers_exact_log_slope():
@@ -206,7 +196,9 @@ def test_cesaro_series_lam_bounds():
     with pytest.raises(IndexError):
         series.lam(0)
     assert series.lam(2) == pytest.approx(3.0 / math.log(4.0))
-    assert np.allclose(series.lam(), series.partial / np.log([3.0, 4.0]))
+    assert np.allclose(series.lam([1, 2]), [1.0, 3.0] / np.log([3.0, 4.0]))
+    with pytest.raises(IndexError):
+        series.at(np.array([1, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,41 +313,6 @@ def test_subsequence_equivalence_sparse_checkpoints_drift():
 
 
 # ---------------------------------------------------------------------------
-# modulated profile
-
-
-def test_modulated_profile_diagonal_closed_form():
-    space = Lattice(1)
-    op = build_truncated(space, diagonal_spec(table_potential(
-        {(x,): 1.0 for x in range(-20, 21)})), 20.0)
-    w = default_weight(space.radii_ladder(25))
-    t = np.array([0.5, 1.0, 2.0])
-    prof = modulated_norm_profile(op, w, t)
-    wv = w.values_for_levels(op.levels)
-    for i, tv in enumerate(t):
-        want = math.sqrt(tv * np.sum(1.0 / (1.0 + tv * wv) ** 2))
-        assert prof.values[i] == pytest.approx(want, rel=1e-12)
-    assert prof.sup_value == prof.values.max()
-    with pytest.raises(ValueError):
-        modulated_norm_profile(op, w, [0.0, 1.0])
-
-
-def test_modulated_profile_folded_matches_dense():
-    spec = adjacency(periodic_potential([1.0, -1.0]))
-    space = Lattice(1)
-    w = default_weight(space.radii_ladder(70))
-    op = build_truncated(space, spec, 64.0)
-    assert len(op.blocks) == 2
-    t = np.array([1.0, 4.0, 16.0])
-    h = op.dense()
-    cn2 = (h * h).sum(axis=0)
-    wv = w.values_for_levels(op.levels)
-    want = [math.sqrt(tv * np.sum(cn2 / (1.0 + tv * wv) ** 2)) for tv in t]
-    got = modulated_norm_profile(op, w, t)
-    assert np.allclose(got.values, want, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
 # parity blocks against the dense reference
 
 
@@ -412,14 +369,8 @@ def test_parity_blocks_match_the_dense_reference(case):
     _close(np.sort(symmetric_eigenvalues(op).values), lam)
     _close(function_diagonal(op, g), (vec * vec) @ g(lam))
     s = np.sqrt(w)
-    g_of_h = (vec * g(lam)) @ vec.T
-    for fn, t_mat in ((None, h), (g, g_of_h)):
-        want = np.linalg.eigvalsh(s[:, None] * t_mat * s[None, :])
-        _close(np.sort(product_eigenvalues(op, w, fn).values), want)
-    t = np.array([0.5, 3.0, 40.0])
-    cn2 = (h * h).sum(axis=0)
-    want = [math.sqrt(tv * np.sum(cn2 / (1.0 + tv * w) ** 2)) for tv in t]
-    _close(modulated_norm_profile(op, w, t).values, np.array(want))
+    want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
+    _close(np.sort(product_eigenvalues(op, w, g).values), want)
 
 
 def test_weights_must_be_constant_on_parity_orbits():
@@ -428,11 +379,8 @@ def test_weights_must_be_constant_on_parity_orbits():
     op = build_truncated(Lattice(1), adjacency(), 64.0)
     g = gaussian(0.0, 1.0)
     w = np.random.default_rng(0).uniform(0.5, 1.5, op.n)
-    for call in (lambda: product_eigenvalues(op, w),
-                 lambda: product_eigenvalues(op, w, g),
-                 lambda: modulated_norm_profile(op, w, [1.0, 10.0])):
-        with pytest.raises(ValueError, match="symmetry orbits"):
-            call()
+    with pytest.raises(ValueError, match="symmetry orbits"):
+        product_eigenvalues(op, w, g)
     even = (w + w[_mirror(op)]) / 2.0
     lam, vec = np.linalg.eigh(op.dense())
     s = np.sqrt(even)
@@ -441,9 +389,14 @@ def test_weights_must_be_constant_on_parity_orbits():
 
 
 def test_modulated_profile_checks_the_weight_length():
+    """The spectrum of g(H) M_w refuses a weight vector of the wrong length
+    and a weight that is not strictly positive."""
     op = build_truncated(Lattice(1), adjacency(), 10.0)
+    g = gaussian(0.0, 1.0)
     with pytest.raises(ValueError, match="length"):
-        modulated_norm_profile(op, np.ones(op.n - 1), [1.0])
+        product_eigenvalues(op, np.ones(op.n - 1), g)
+    with pytest.raises(ValueError, match="strictly positive"):
+        product_eigenvalues(op, np.zeros(op.n), g)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +468,8 @@ def test_chain_blocks_match_the_dense_reference(case):
         _close(function_diagonal(op, g), (vec * vec) @ g(lam))
         w = level_w[op.levels]
         s = np.sqrt(w)
-        g_of_h = (vec * g(lam)) @ vec.T
-        for fn, t_mat in ((None, h), (g, g_of_h)):
-            want = np.linalg.eigvalsh(s[:, None] * t_mat * s[None, :])
-            _close(np.sort(product_eigenvalues(op, w, fn).values), want)
+        want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
+        _close(np.sort(product_eigenvalues(op, w, g).values), want)
 
 
 def test_tridiagonal_eigenpairs_at_n_4001():
@@ -552,6 +503,6 @@ def test_smallest_chains_pick_their_route(radius, solvers):
     _close(np.sort(symmetric_eigenvalues(op).values), lam)
     _close(function_diagonal(op, g), (vec * vec) @ g(lam))
     w = np.linspace(1.0, 0.5, op.n)
-    _close(np.sort(product_eigenvalues(op, w).values),
-           np.linalg.eigvalsh(np.sqrt(w)[:, None] * op.dense()
-                              * np.sqrt(w)[None, :]))
+    s = np.sqrt(w)
+    _close(np.sort(product_eigenvalues(op, w, g).values),
+           np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s))
