@@ -1,9 +1,9 @@
-"""Point-budget plumbing for enumeration-heavy operations.
+"""The process-wide point budget for enumeration-heavy operations.
 
 Every operation that materialises lattice points, graph nodes or group
-elements checks its total against a budget before allocating.  The default
-can be overridden per call or globally through the ``DOSLAB_BUDGET``
-environment variable.
+elements charges its total before allocating.  The limit is one number
+for the whole process: ``DOSLAB_BUDGET`` when set (the CLI's ``--budget``
+writes it), 50 M points otherwise.
 """
 from __future__ import annotations
 
@@ -20,27 +20,23 @@ ENV_VAR = "DOSLAB_BUDGET"
 DEFAULT_ENTRY_BUDGET = 250_000_000
 
 
-def point_budget(override: int | None = None) -> int:
-    """Resolve the active point budget (override > env var > default)."""
-    if override is not None:
-        value = int(override)
-        if value <= 0:
-            raise ConfigError("budget must be positive", "budget")
-        return value
+def point_budget() -> int:
+    """The active point budget: ``DOSLAB_BUDGET`` if set, else the default."""
     raw = os.environ.get(ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"not an integer: {raw!r}", ENV_VAR) from None
-        if value <= 0:
-            raise ConfigError("budget must be positive", ENV_VAR)
-        return value
-    return DEFAULT_POINT_BUDGET
+    if raw is None:
+        return DEFAULT_POINT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"not an integer: {raw!r}", ENV_VAR) from None
+    if value <= 0:
+        raise ConfigError("budget must be positive", ENV_VAR)
+    return value
 
 
-def charge(count: int, budget: int, what: str) -> None:
-    """Raise ``BudgetExceeded`` if ``count`` points would overrun ``budget``."""
+def charge(count: int, what: str) -> None:
+    """Raise ``BudgetExceeded`` if ``count`` points would overrun the budget."""
+    budget = point_budget()
     if count > budget:
         raise BudgetExceeded(
             f"{what} needs {count} points, budget is {budget}",

@@ -1,11 +1,12 @@
 """Command-line surface: configs in, CSV/JSON artifacts out.
 
 Each command validates one config schema.  ``--config FILE`` supplies the
-config as a JSON object, and ``--threads`` and ``--budget`` are
-process-wide.  Every other flag is one row of the command's table in
-``_COMMANDS`` and sets one dotted config key on top of the file (``--d`` on
-``folner`` sets ``folner.d`` and keeps the rest of the file's ``folner``
-object).
+config as a JSON object.  ``--threads`` and ``--budget`` are process-wide:
+``main`` writes them into the environment (the BLAS thread variables and
+``DOSLAB_BUDGET``) before any handler runs.  Every other flag is one row of
+the command's table in ``_COMMANDS`` and sets one dotted config key on top
+of the file (``--d`` on ``folner`` sets ``folner.d`` and keeps the rest of
+the file's ``folner`` object).
 
 Exit codes: 0 success (verdicts of any kind count as success), 2 a
 theorem-check ran fine but missed its tolerance, 1 anything that stopped
@@ -13,7 +14,8 @@ the run (bad config, budget, failed precondition).
 
 Thread caps have to land in the environment before numpy loads its BLAS,
 so nothing numerical is imported at module level; handlers import what
-they need after ``main`` has applied ``--threads``.
+they need after ``main`` has applied ``--threads``.  The point budget is
+read where points are charged, so handlers take the config alone.
 
 Artifacts are deterministic for a fixed config and seed: JSON is written
 with sorted keys, CSVs are RFC 4180 (CRLF, header row) with shortest
@@ -31,14 +33,17 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .budget import ENV_VAR
 from .config import (SCHEMAS, config_digest, fn_from, folner_from,
                      hamiltonian_from, jsonable, space_from, validate,
                      weight_from)
 from .errors import (BudgetExceeded, ConfigError, NotEstablished,
                      PreconditionFailed)
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
+_PROCESS_FLAGS = (
+    ("threads", ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS")),
+    ("budget", (ENV_VAR,)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,13 +73,17 @@ def _int_list(text: str):
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _apply_threads(n) -> None:
-    if n is None:
-        return
-    if n < 1:
-        raise ConfigError("must be >= 1", "threads")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+def _apply_process_flags(args) -> None:
+    """Write ``--threads`` and ``--budget`` into the environment, where the
+    BLAS and :func:`doslab.budget.point_budget` read them."""
+    for flag, env_vars in _PROCESS_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if value < 1:
+            raise ConfigError("must be >= 1", flag)
+        for var in env_vars:
+            os.environ[var] = str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +178,11 @@ def _operator(cfg: dict, radius: float, path: str):
     return space, hamiltonian_from(cfg["hamiltonian"]), g
 
 
-def _weighted(cfg: dict, budget):
+def _weighted(cfg: dict):
     """Operator arguments (space, spec, g, w, r_outer), the ladder and the
     fit window of the weighted-trace commands."""
     space, spec, g = _operator(cfg, cfg["r_outer"], "r_outer")
-    ladder = space.ladder_to_radius(cfg["r_outer"], budget=budget)
+    ladder = space.ladder_to_radius(cfg["r_outer"])
     w = weight_from(cfg["weight"], space, ladder)
     window = tuple(cfg["window"]) if cfg["window"] else None
     return (space, spec, g, w, cfg["r_outer"]), ladder, window
@@ -188,17 +197,19 @@ def _measurability_dict(est) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# handlers: validated config and point budget in, exit code out
+# handlers: validated config in, exit code out
 
 
-def _cmd_space_ladder(cfg, budget) -> int:
+def _cmd_space_ladder(cfg) -> int:
     space = space_from(cfg["space"])
     if cfg["kmax"] is None and cfg["radius"] is None:
         raise ConfigError("either kmax or radius is required", "kmax")
+    if cfg["kmax"] is not None and cfg["radius"] is not None:
+        raise ConfigError("kmax and radius are exclusive; set one", "radius")
     if cfg["kmax"] is not None:
-        ladder = space.radii_ladder(cfg["kmax"], budget=budget)
+        ladder = space.radii_ladder(cfg["kmax"])
     else:
-        ladder = space.ladder_to_radius(cfg["radius"], budget=budget)
+        ladder = space.ladder_to_radius(cfg["radius"])
     print(f"{len(ladder)} levels, {int(ladder.counts[-1])} points within "
           f"r={ladder.radii[-1]:g}")
     _write_csv(cfg["out"], ("k", "r_k", "ball_count", "shell_count", "ratio"),
@@ -206,9 +217,9 @@ def _cmd_space_ladder(cfg, budget) -> int:
     return 0
 
 
-def _cmd_space_check_c(cfg, budget) -> int:
+def _cmd_space_check_c(cfg) -> int:
     from .spaces import condition_c_report
-    ladder = space_from(cfg["space"]).radii_ladder(cfg["kmax"], budget=budget)
+    ladder = space_from(cfg["space"]).radii_ladder(cfg["kmax"])
     report = condition_c_report(ladder, threshold=cfg["threshold"],
                                 tail_fraction=cfg["tail_fraction"])
     print(f"verdict: {report.verdict} (tail mean ratio "
@@ -224,11 +235,11 @@ def _cmd_space_check_c(cfg, budget) -> int:
     return 0
 
 
-def _cmd_percolate(cfg, budget) -> int:
+def _cmd_percolate(cfg) -> int:
     from . import percolation
     from .spaces import condition_c_report
     sample = percolation.percolate_bonds(cfg["d"], cfg["L"], cfg["p"],
-                                         cfg["seed"], budget=budget)
+                                         cfg["seed"])
     cluster = percolation.largest_cluster(sample)
     report = {
         "d": cfg["d"], "L": cfg["L"], "p": cfg["p"], "seed": cfg["seed"],
@@ -242,7 +253,7 @@ def _cmd_percolate(cfg, budget) -> int:
         growth = percolation.chemical_ball_growth(cluster, cfg["tmax"])
         report["plateau_stat"] = growth.plateau_stat
         report["plateau_window"] = growth.plateau_window
-        ladder = cluster.radii_ladder(cfg["tmax"], budget=budget)
+        ladder = cluster.radii_ladder(cfg["tmax"])
         c_rep = condition_c_report(ladder, threshold=cfg["threshold"])
         report["condition_c"] = {
             "verdict": c_rep.verdict, "threshold": c_rep.threshold,
@@ -264,11 +275,10 @@ def _cmd_percolate(cfg, budget) -> int:
     return 0
 
 
-def _cmd_dos(cfg, budget) -> int:
+def _cmd_dos(cfg) -> int:
     from .dos import dos_approximant
     space, spec, g = _operator(cfg, cfg["radii"][-1] + cfg["margin"], "radii")
-    est = dos_approximant(space, spec, g, cfg["radii"], margin=cfg["margin"],
-                          budget=budget)
+    est = dos_approximant(space, spec, g, cfg["radii"], margin=cfg["margin"])
     print(f"tail mean {est.tail_mean:.6f}, tail spread {est.tail_spread:.2e}"
           f"{' (diverged)' if est.diverged else ''}")
     _write_csv(cfg["out"], ("r", "ball_count", "average"), est.rows(), cfg,
@@ -280,10 +290,10 @@ def _cmd_dos(cfg, budget) -> int:
     return 0
 
 
-def _cmd_ids(cfg, budget) -> int:
+def _cmd_ids(cfg) -> int:
     from .dos import ids_histogram
     space, spec, _ = _operator(cfg, cfg["radius"], "radius")
-    hist = ids_histogram(space, spec, cfg["radius"], budget=budget)
+    hist = ids_histogram(space, spec, cfg["radius"])
     print(f"{hist.n} eigenvalues in [{hist.energies[0]:.4f}, "
           f"{hist.energies[-1]:.4f}]")
     _write_csv(cfg["out"], ("energy", "fraction"),
@@ -293,10 +303,10 @@ def _cmd_ids(cfg, budget) -> int:
     return 0
 
 
-def _cmd_dixmier(cfg, budget) -> int:
+def _cmd_dixmier(cfg) -> int:
     from .dos import dixmier_lhs
-    operator, _, window = _weighted(cfg, budget)
-    est = dixmier_lhs(*operator, budget=budget, window=window)
+    operator, _, window = _weighted(cfg)
+    est = dixmier_lhs(*operator, window=window)
     print(f"slope {est.value:.6f} ({est.measurability.verdict})")
     _write_json(cfg["out"], cfg, {
         "slope": est.value, "window": list(est.fit.window),
@@ -305,11 +315,11 @@ def _cmd_dixmier(cfg, budget) -> int:
     return 0
 
 
-def _cmd_theorem_check(cfg, budget) -> int:
+def _cmd_theorem_check(cfg) -> int:
     from .dos import main_theorem_check
-    operator, ladder, window = _weighted(cfg, budget)
+    operator, ladder, window = _weighted(cfg)
     check = main_theorem_check(
-        *operator, margin=cfg["margin"], ladder=ladder, budget=budget,
+        *operator, margin=cfg["margin"], ladder=ladder,
         c_threshold=cfg["tolerance"]["condition_c"], window=window)
     tol = cfg["tolerance"]["relative_gap"]
     ok = check.passed(tol)
@@ -336,7 +346,7 @@ def _cmd_theorem_check(cfg, budget) -> int:
     return 0 if ok else 2
 
 
-def _cmd_counterexample(cfg, budget) -> int:
+def _cmd_counterexample(cfg) -> int:
     from .reference import block_means_report
     report = block_means_report(cfg["mmax"])
     last = report.rows[-1]
@@ -348,13 +358,13 @@ def _cmd_counterexample(cfg, budget) -> int:
     return 0
 
 
-def _cmd_vp_trace(cfg, budget) -> int:
+def _cmd_vp_trace(cfg) -> int:
     from .dos import weight_dixmier_trace
     from .hamiltonians import lattice_weight
     from .reference import lp_ball_volume
     from .spaces import Lattice
     space = Lattice(cfg["d"], cfg["p"])
-    ladder = space.ladder_to_radius(cfg["radius"], budget=budget)
+    ladder = space.ladder_to_radius(cfg["radius"])
     fit = weight_dixmier_trace(lattice_weight(space, ladder))
     target = lp_ball_volume(cfg["d"], cfg["p"])
     rel = abs(fit.slope - target) / target
@@ -367,11 +377,11 @@ def _cmd_vp_trace(cfg, budget) -> int:
     return 0
 
 
-def _cmd_equivariance(cfg, budget) -> int:
+def _cmd_equivariance(cfg) -> int:
     from .ergodic import equivariance_check
     space, spec, g = _operator(cfg, cfg["radii"][-1] + cfg["margin"], "radii")
     rep = equivariance_check(space, spec, cfg["shift"], g, cfg["radii"],
-                             margin=cfg["margin"], budget=budget)
+                             margin=cfg["margin"])
     print(f"max diff {rep.max_diff:.3e}, tail diff {rep.tail_diff:.3e}, "
           f"nonincreasing {rep.nonincreasing}")
     _write_csv(cfg["out"], ("r", "average", "shifted_average", "abs_diff"),
@@ -383,14 +393,13 @@ def _cmd_equivariance(cfg, budget) -> int:
     return 0
 
 
-def _cmd_ergodic(cfg, budget) -> int:
+def _cmd_ergodic(cfg) -> int:
     from .ergodic import ergodic_average
     rep = ergodic_average(space_from(cfg["space"]),
                           hamiltonian_from(cfg["hamiltonian"]),
                           fn_from(cfg["g"]), folner_from(cfg["folner"]),
                           cfg["realizations"], cfg["seed"],
-                          margin=cfg["margin"], index=cfg["index"],
-                          budget=budget)
+                          margin=cfg["margin"], index=cfg["index"])
     print(f"mean {rep.mean:.6f}, std {rep.std:.3e}, sem {rep.sem:.3e}, "
           f"{rep.n_within_3std}/{rep.n_realizations} within 3 std")
     _write_csv(cfg["csv_out"], ("realization", "seed", "average", "z_score"),
@@ -405,10 +414,9 @@ def _cmd_ergodic(cfg, budget) -> int:
     return 0
 
 
-def _cmd_folner(cfg, budget) -> int:
+def _cmd_folner(cfg) -> int:
     from .ergodic import folner_tempered_check
-    rep = folner_tempered_check(folner_from(cfg["folner"]), n_max=cfg["nmax"],
-                                budget=budget)
+    rep = folner_tempered_check(folner_from(cfg["folner"]), n_max=cfg["nmax"])
     print(f"{rep.shape} schedule of {len(rep.cardinalities)}: "
           f"temperedness C = {rep.c_estimate:.4f}, last deviation "
           f"{rep.deviations[-1].max():.4g}")
@@ -471,7 +479,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--threads", type=int,
                         help="cap BLAS/worker threads (default: leave as is)")
     common.add_argument("--budget", type=int,
-                        help="point budget override (also: DOSLAB_BUDGET)")
+                        help="point budget; sets DOSLAB_BUDGET for the run")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     space = sub.add_parser("space", help="metric-space tables")
     ssub = space.add_subparsers(metavar="SUBCOMMAND")
@@ -499,8 +507,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     try:
-        _apply_threads(args.threads)
-        return args.handler(_load_config(args), args.budget)
+        _apply_process_flags(args)
+        return args.handler(_load_config(args))
     except (ValueError, BudgetExceeded, PreconditionFailed, NotEstablished,
             OSError) as exc:
         # ValueError covers ConfigError, GraphParseError and the domain

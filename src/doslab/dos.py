@@ -83,7 +83,6 @@ def _ball_prefix_counts(op: TruncatedOperator, radii: np.ndarray) -> np.ndarray:
 
 
 def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
-                    budget: int | None = None,
                     operator: TruncatedOperator | None = None) -> DosEstimate:
     """Tr(g(H) chi_B)/|B| along the given radii.
 
@@ -103,7 +102,7 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
                       "and pick up edge contamination", stacklevel=2)
     outer = float(radii[-1]) + float(margin)
     if operator is None:
-        operator = build_truncated(space, spec, outer, budget=budget)
+        operator = build_truncated(space, spec, outer)
     elif operator.radius + 1e-9 < outer:
         raise ValueError(
             f"supplied operator truncated at {operator.radius}, need >= {outer}")
@@ -161,11 +160,11 @@ class IdsHistogram:
         return worst
 
 
-def ids_histogram(space, spec, radius: float, budget: int | None = None,
+def ids_histogram(space, spec, radius: float,
                   operator: TruncatedOperator | None = None) -> IdsHistogram:
     """Sorted eigenvalues of the truncation at ``radius`` with ECDF fractions."""
     if operator is None:
-        operator = build_truncated(space, spec, radius, budget=budget)
+        operator = build_truncated(space, spec, radius)
     energies = np.sort(symmetric_eigenvalues(operator).values)
     n = len(energies)
     return IdsHistogram(energies=energies,
@@ -269,7 +268,6 @@ def truncation_fit_window(n: int) -> tuple:
 
 
 def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
-                budget: int | None = None,
                 operator: TruncatedOperator | None = None,
                 window: tuple | None = None) -> DixmierEstimate:
     """Slope estimate for g(H) M_w on the truncation at ``R_outer``.
@@ -280,7 +278,7 @@ def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
     """
     certify_weight(w)
     if operator is None:
-        operator = build_truncated(space, spec, R_outer, budget=budget)
+        operator = build_truncated(space, spec, R_outer)
     prods = product_eigenvalues(operator, w, fn=fn)
     series = log_cesaro(prods)
     if window is None:
@@ -352,7 +350,6 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
                        radii=None,
                        operator: TruncatedOperator | None = None,
                        dos_operator: TruncatedOperator | None = None,
-                       budget: int | None = None,
                        c_threshold: float = 0.01,
                        window: tuple | None = None) -> TheoremCheck:
     """Compare slope(g(H) M_w) with slope(M_w) x DOS tail value.
@@ -362,7 +359,7 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
     reusing truncations at R_outer and R_outer+margin across calls.
     """
     if ladder is None:
-        ladder = space.ladder_to_radius(R_outer, budget)
+        ladder = space.ladder_to_radius(R_outer)
     c_report = condition_c_report(ladder, threshold=c_threshold)
     if c_report.verdict == "fail":
         raise PreconditionFailed(
@@ -374,7 +371,7 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
 
     if radii is None:
         radii = ladder.radii
-    dos = dos_approximant(space, spec, fn, radii, margin=margin, budget=budget,
+    dos = dos_approximant(space, spec, fn, radii, margin=margin,
                           operator=dos_operator)
     if dos.diverged:
         raise NotEstablished(
@@ -382,7 +379,7 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
             f"{dos.tail_spread:.4g} against tail mean {dos.tail_mean:.4g}")
 
     if operator is None:
-        operator = build_truncated(space, spec, R_outer, budget=budget)
+        operator = build_truncated(space, spec, R_outer)
     lhs = dixmier_lhs(space, spec, fn, w, R_outer, operator=operator,
                       window=window)
     weight_fit = weight_dixmier_trace(w, window=window)

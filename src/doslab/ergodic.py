@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import derive_seed, site_keys
-from .budget import charge, point_budget
+from .budget import charge
 from .dos import DEFAULT_MARGIN, dos_approximant
 from .errors import PreconditionFailed
 from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated)
@@ -52,8 +52,8 @@ class ShiftGapReport:
     radius: float
 
 
-def shift_weight_gap(w: WeightFunction, shift, radius: float,
-                     budget: int | None = None) -> ShiftGapReport:
+def shift_weight_gap(w: WeightFunction, shift,
+                     radius: float) -> ShiftGapReport:
     if w.radius_fn is None or "d" not in w.descriptor:
         raise ValueError("shift gap needs a lattice power weight "
                          "(closed form in the distance)")
@@ -63,7 +63,7 @@ def shift_weight_gap(w: WeightFunction, shift, radius: float,
     if len(shift) != d:
         raise ValueError(f"shift has {len(shift)} components, lattice is {d}-d")
     space = Lattice(d, p)
-    offsets, _, dists = space.ball_arrays(radius, budget)
+    offsets, _, dists = space.ball_arrays(radius)
     here = w.radius_fn(dists)
     there = w.radius_fn(space.norms(offsets - np.asarray(shift, dtype=np.int64)))
     gaps = np.sort(np.abs(here - there))[::-1]
@@ -99,8 +99,7 @@ class EquivarianceReport:
 
 
 def equivariance_check(space, spec: HamiltonianSpec, shift, fn, radii,
-                       margin: float = DEFAULT_MARGIN,
-                       budget: int | None = None) -> EquivarianceReport:
+                       margin: float = DEFAULT_MARGIN) -> EquivarianceReport:
     """Ball averages of diag g(H) against those of the shifted operator.
 
     The shifted operator evaluates the same potential field at shifted
@@ -110,9 +109,9 @@ def equivariance_check(space, spec: HamiltonianSpec, shift, fn, radii,
     if not isinstance(space, Lattice):
         raise ValueError("equivariance check needs a lattice space")
     shift = tuple(int(s) for s in np.atleast_1d(shift))
-    est = dos_approximant(space, spec, fn, radii, margin=margin, budget=budget)
+    est = dos_approximant(space, spec, fn, radii, margin=margin)
     est_shifted = dos_approximant(space, spec.shifted(shift), fn, radii,
-                                  margin=margin, budget=budget)
+                                  margin=margin)
     diffs = np.abs(est.values - est_shifted.values)
     return EquivarianceReport(radii=np.asarray(radii, dtype=np.float64),
                               values=est.values,
@@ -155,19 +154,14 @@ class FolnerSequence:
             return len(self.points(i))
         return 1 << n
 
-    def points(self, i: int, budget: int | None = None) -> np.ndarray:
+    def points(self, i: int) -> np.ndarray:
         """The i-th set as an (m, d) array of coordinates."""
         n = self.schedule[i]
-        if self.shape == "cube":
-            b = point_budget(budget)
-            charge((2 * n + 1) ** self.d, b, "folner cube")
-            axes = [np.arange(-n, n + 1)] * self.d
-            grid = np.meshgrid(*axes, indexing="ij")
-            return np.stack([a.ravel() for a in grid], axis=-1).astype(np.int64)
-        if self.shape == "ball":
-            return Lattice(self.d, 1.0).ball_arrays(float(n), budget)[0]
-        b = point_budget(budget)
-        charge(1 << n, b, "folner interval")
+        if self.shape in ("cube", "ball"):
+            # [-n, n]^d is the l_inf ball of radius n
+            p = math.inf if self.shape == "cube" else 1.0
+            return Lattice(self.d, p).ball_arrays(float(n))[0]
+        charge(1 << n, "folner interval")
         return np.arange(1 << n, dtype=np.int64)[:, None]
 
 
@@ -220,8 +214,8 @@ def _minkowski(mask_a: np.ndarray, into: np.ndarray) -> np.ndarray:
     return binary_dilation(into, structure=mask_a)
 
 
-def folner_tempered_check(seq: FolnerSequence, n_max: int | None = None,
-                          budget: int | None = None) -> FolnerReport:
+def folner_tempered_check(seq: FolnerSequence,
+                          n_max: int | None = None) -> FolnerReport:
     """Exact deviation fractions per generator and temperedness ratios."""
     if n_max is None:
         n_max = len(seq)
@@ -231,7 +225,7 @@ def folner_tempered_check(seq: FolnerSequence, n_max: int | None = None,
         raise ValueError(f"schedule has only {len(seq)} sets")
     if seq.shape == "lacunary":
         return _lacunary_report(seq, n_max)
-    pts = [seq.points(i, budget) for i in range(n_max)]
+    pts = [seq.points(i) for i in range(n_max)]
     cards = np.array([len(p) for p in pts], dtype=np.int64)
     d = seq.d
     deviations = np.empty((n_max, d))
@@ -309,8 +303,8 @@ def _window_indices(op, window_points: np.ndarray) -> np.ndarray:
 
 def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
                     folner: FolnerSequence, realizations: int, seed: int,
-                    margin: float = DEFAULT_MARGIN, index: int = -1,
-                    budget: int | None = None) -> ErgodicReport:
+                    margin: float = DEFAULT_MARGIN,
+                    index: int = -1) -> ErgodicReport:
     """Folner-window averages of diag g(H) across disorder realizations.
 
     Realization j rebuilds the operator with the potential's field reseeded
@@ -328,8 +322,10 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
         raise ValueError(
             "margin too small: the truncation must strictly contain the "
             "folner window")
-    window = folner.points(index if index >= 0 else len(folner) + index,
-                           budget)
+    if not -len(folner) <= index < len(folner):
+        raise ValueError(f"index {index} outside the folner schedule of "
+                         f"{len(folner)} sets")
+    window = folner.points(index)
     if window.shape[1] != space.d:
         raise ValueError("folner sets and lattice have different dimension")
     radius = float(np.max(space.norms(window))) + float(margin)
@@ -339,7 +335,7 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
     for j, child in enumerate(seeds):
         spec_j = HamiltonianSpec(
             spec.hopping, replace(spec.potential, seed=child))
-        op = build_truncated(space, spec_j, radius, budget=budget)
+        op = build_truncated(space, spec_j, radius)
         if idx is None:
             idx = _window_indices(op, window)
         averages[j] = float(np.mean(function_diagonal(op, fn)[idx]))

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration or allocation would exceed the configured budget.
+    """An enumeration or allocation would exceed its budget.
 
-    Raised before any oversized work starts; nothing is silently truncated.
+    The point budget is the process-wide ``DOSLAB_BUDGET`` (see
+    :mod:`doslab.budget`); dense truncations also have an entry ceiling.
+    Raised before any oversized work starts; nothing is silently truncated,
+    and no partial result is carried.
     """
 
     def __init__(self, message: str, requested: int | None = None,
@@ -13,19 +16,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.requested = requested
         self.allowed = allowed
-
-
-class LadderTruncated(BudgetExceeded):
-    """Budget ran out while extending a radii ladder.
-
-    The ``ladder`` attribute carries the longest complete prefix that fit
-    inside the budget, so callers can degrade gracefully.
-    """
-
-    def __init__(self, message: str, ladder, requested: int | None = None,
-                 allowed: int | None = None):
-        super().__init__(message, requested, allowed)
-        self.ladder = ladder
 
 
 class GraphParseError(ValueError):

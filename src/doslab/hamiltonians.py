@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import site_keys, uniform_stream
-from .budget import DEFAULT_ENTRY_BUDGET, point_budget
+from .budget import DEFAULT_ENTRY_BUDGET
 from .errors import BudgetExceeded
 from .spaces import CayleyF2, Graph, Lattice, RadiiLadder
 
@@ -359,9 +359,8 @@ def _orbit_block(H: sparse.csr_array, rows: np.ndarray, cols: np.ndarray,
     return Block(basis, sparse.csr_array((m + m.T) / 2.0))
 
 
-def build_truncated(space, spec: HamiltonianSpec, radius: float,
-                    budget: int | None = None,
-                    entry_budget: int = DEFAULT_ENTRY_BUDGET) -> TruncatedOperator:
+def build_truncated(space, spec: HamiltonianSpec,
+                    radius: float) -> TruncatedOperator:
     """Dirichlet truncation of the operator to the closed ball of ``radius``.
 
     A 1-d lattice operator with hopping and a potential even about the
@@ -369,8 +368,7 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
     operator with hopping is one block in coordinate order, and everything
     else is one block in ball order.
     """
-    b = point_budget(budget)
-    points, keys, dists = space.ball_arrays(radius, b)
+    points, keys, dists = space.ball_arrays(radius)
     uniq = np.unique(keys)
     levels = np.searchsorted(uniq, keys).astype(np.int64)
     # canonical order sorts by distance first, so levels is non-decreasing
@@ -382,11 +380,11 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
     n = len(points)
     parts = [(np.arange(n), np.arange(n), v)]
     if spec.hopping.kind != "none":
-        if n * n > entry_budget:
+        if n * n > DEFAULT_ENTRY_BUDGET:
             raise BudgetExceeded(
                 f"dense truncation at radius {radius:g} needs {n * n} entries, "
-                f"entry budget is {entry_budget}", requested=n * n,
-                allowed=entry_budget)
+                f"entry budget is {DEFAULT_ENTRY_BUDGET}", requested=n * n,
+                allowed=DEFAULT_ENTRY_BUDGET)
         if isinstance(space, Lattice):
             parts.append(_lattice_hopping(space, spec, points))
         elif spec.hopping.kind == "kernel":
@@ -426,14 +424,14 @@ def build_truncated(space, spec: HamiltonianSpec, radius: float,
 class WeightFunction:
     """Strictly decreasing radial weight evaluated through ladder levels.
 
-    ``level_values[l]`` is the weight on the shell at ``level_radii[l]``
-    (level 0 is the base point).  ``radius_fn`` is set when the weight has
-    a closed form in the distance and can be evaluated off-ladder.
+    ``level_values[l]`` is the weight on the shell of ladder level ``l``
+    (level 0 is the base point) and ``level_counts[l]`` the ball count
+    through it.  ``radius_fn`` is set when the weight has a closed form in
+    the distance and can be evaluated off-ladder.
     """
 
     kind: str
     level_values: np.ndarray
-    level_radii: np.ndarray
     level_counts: np.ndarray
     radius_fn: Callable[[np.ndarray], np.ndarray] | None = None
     descriptor: dict = field(default_factory=dict)
@@ -470,9 +468,9 @@ def default_weight(ladder: RadiiLadder) -> WeightFunction:
     The base point gets 1/(1+N_0) = 1/2.  Superlevel sets of this weight
     are exactly the balls of the ladder.
     """
-    radii, counts, _ = ladder.level_arrays()
+    _, counts = ladder.level_arrays()
     values = 1.0 / (1.0 + counts.astype(np.float64))
-    return WeightFunction("default", values, radii, counts,
+    return WeightFunction("default", values, counts,
                           descriptor={"rule": "1/(1+ball_count)"})
 
 
@@ -481,9 +479,9 @@ def lattice_weight(space, ladder: RadiiLadder) -> WeightFunction:
     if not isinstance(space, Lattice):
         raise ValueError("lattice weight requires a lattice space")
     d = space.d
-    radii, counts, _ = ladder.level_arrays()
+    radii, counts = ladder.level_arrays()
     fn = lambda r: (1.0 + r) ** (-float(d))
-    return WeightFunction("lattice_power", fn(radii), radii, counts, radius_fn=fn,
+    return WeightFunction("lattice_power", fn(radii), counts, radius_fn=fn,
                           descriptor={"d": d, "p": space.p})
 
 

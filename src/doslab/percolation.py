@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import uniform_stream
-from .budget import charge, point_budget
+from .budget import charge
 from .spaces import Graph
 
 _MAGIC = b"DLPC"
@@ -64,16 +64,14 @@ def _valid_edge_mask(d: int, L: int) -> np.ndarray:
     return mask
 
 
-def percolate_bonds(d: int, L: int, p: float, seed: int,
-                    budget: int | None = None) -> PercolationSample:
+def percolate_bonds(d: int, L: int, p: float, seed: int) -> PercolationSample:
     """Sample open edges and label clusters on [0, L)^d."""
     if d < 1 or L < 2:
         raise ValueError("need d >= 1 and L >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    b = point_budget(budget)
     n = L ** d
-    charge(n + n * d, b, f"percolation sample d={d} L={L}")
+    charge(n + n * d, f"percolation sample d={d} L={L}")
     edge_ids = np.arange(n * d, dtype=np.uint64)
     u = uniform_stream(seed, edge_ids)
     open_mask = (u < p) & _valid_edge_mask(d, L)

@@ -20,14 +20,14 @@ Enumeration conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .budget import charge, point_budget
-from .errors import BudgetExceeded, GraphParseError, LadderTruncated
+from .budget import charge
+from .errors import GraphParseError
 
 _GENERAL_P_GRID = 1e-9
 
@@ -37,14 +37,11 @@ class RadiiLadder:
     """Realised distances from the base point with cumulative ball counts.
 
     ``radii[k]`` is the (k+1)-th positive distance, ``counts[k]`` the number
-    of points within it.  ``keys`` holds the exact dedupe keys used during
-    enumeration so callers can match point distances to ladder levels
-    without float comparisons.
+    of points within it.
     """
 
     radii: np.ndarray
     counts: np.ndarray
-    keys: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=np.float64)
@@ -72,16 +69,15 @@ class RadiiLadder:
         return self.counts[1:] / self.counts[:-1]
 
     def level_arrays(self):
-        """(radii, counts, keys) including the level-0 base entry."""
+        """(radii, counts) including the level-0 base entry."""
         r = np.concatenate(([0.0], self.radii))
         n = np.concatenate(([1], self.counts)).astype(np.int64)
-        k = np.concatenate(([0], np.asarray(self.keys)))
-        return r, n, k
+        return r, n
 
     def prefix(self, k: int) -> "RadiiLadder":
         if not 1 <= k <= len(self):
             raise ValueError(f"prefix length {k} out of range 1..{len(self)}")
-        return RadiiLadder(self.radii[:k], self.counts[:k], self.keys[:k])
+        return RadiiLadder(self.radii[:k], self.counts[:k])
 
     def to_rows(self):
         """Rows (k, r_k, ball_count, shell_count, ratio) with ratio = N_k/N_{k-1}."""
@@ -214,24 +210,23 @@ class Lattice:
             return int(math.floor(r * r * (1 + 1e-12) + 1e-9))
         return int(round((r + _GENERAL_P_GRID) / _GENERAL_P_GRID))
 
-    def _box_half(self, radius: float, budget: int) -> int:
+    def _box_half(self, radius: float) -> int:
         """Half side of the box around the ball, its points charged."""
         half = int(math.floor(radius + 1e-9))
-        charge((2 * half + 1) ** self.d, budget,
+        charge((2 * half + 1) ** self.d,
                f"ball of radius {radius:g} in {self!r}")
         return half
 
-    def _box(self, radius: float, budget: int) -> np.ndarray:
-        half = self._box_half(radius, budget)
+    def _box(self, radius: float) -> np.ndarray:
+        half = self._box_half(radius)
         axes = (np.arange(-half, half + 1, dtype=np.int64),) * self.d
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def ball_arrays(self, radius: float, budget: int | None = None):
+    def ball_arrays(self, radius: float):
         """(sites, keys, dists) inside the closed ball around the base, in
         canonical order; keys and dists are measured from the base."""
-        b = point_budget(budget)
-        offsets = self._box(radius, b)
+        offsets = self._box(radius)
         keys, dists = self._norm_keys(offsets)
         mask = keys <= self._key_limit(radius)
         offsets, keys, dists = offsets[mask], keys[mask], dists[mask]
@@ -239,9 +234,9 @@ class Lattice:
         sites = offsets[order] + np.asarray(self.base, dtype=np.int64)
         return sites, keys[order], dists[order]
 
-    def ball_points(self, radius: float, budget: int | None = None):
+    def ball_points(self, radius: float):
         """Sorted list of ((coords...), distance) pairs, base included."""
-        sites, _, dists = self.ball_arrays(radius, budget)
+        sites, _, dists = self.ball_arrays(radius)
         return [(tuple(int(c) for c in sites[i]), float(dists[i]))
                 for i in range(len(sites))]
 
@@ -252,12 +247,12 @@ class Lattice:
             raise ValueError("offset dimension mismatch")
         return self._norm_keys(arr)[1]
 
-    def _closed_form_levels(self, radius: float, budget: int):
+    def _closed_form_levels(self, radius: float):
         """Keys and ball counts of the integer radii k = 0..R, for d = 1 or
         p in {1, inf}, where those are the realised distances: (2k+1)^d
         points for d = 1 or p = inf, sum_i 2^i C(d,i) C(k,i) for p = 1.
         The budget is charged as for the enumerated box."""
-        k = np.arange(self._box_half(radius, budget) + 1, dtype=np.int64)
+        k = np.arange(self._box_half(radius) + 1, dtype=np.int64)
         axis = np.zeros((len(k), self.d), dtype=np.int64)
         axis[:, 0] = k
         keys = self._norm_keys(axis)[0]
@@ -272,11 +267,11 @@ class Lattice:
             counts += 2 ** i * math.comb(self.d, i) * choose
         return keys, counts
 
-    def _ladder_from_radius(self, radius: float, budget: int) -> RadiiLadder:
+    def _ladder_from_radius(self, radius: float) -> RadiiLadder:
         if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
-            uniq, counts = self._closed_form_levels(radius, budget)
+            uniq, counts = self._closed_form_levels(radius)
         else:
-            offsets = self._box(radius, budget)
+            offsets = self._box(radius)
             keys, _ = self._norm_keys(offsets)
             keys = keys[keys <= self._key_limit(radius)]
             uniq, cnt = np.unique(keys, return_counts=True)
@@ -289,49 +284,24 @@ class Lattice:
             radii = uniq[1:].astype(np.float64)
         else:
             radii = uniq[1:].astype(np.float64) * _GENERAL_P_GRID
-        return RadiiLadder(radii, counts[1:], uniq[1:])
+        return RadiiLadder(radii, counts[1:])
 
-    def ladder_to_radius(self, radius: float, budget: int | None = None) -> RadiiLadder:
-        return self._ladder_from_radius(radius, point_budget(budget))
+    def ladder_to_radius(self, radius: float) -> RadiiLadder:
+        return self._ladder_from_radius(radius)
 
-    def radii_ladder(self, k_max: int, budget: int | None = None) -> RadiiLadder:
+    def radii_ladder(self, k_max: int) -> RadiiLadder:
         """First ``k_max`` positive realised radii with their ball counts."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        b = point_budget(budget)
         if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
             # realised distances are exactly the integers 0..R
-            radius = float(k_max)
-            side = 2 * k_max + 1
-            if side ** self.d > b:
-                best = self._largest_affordable(b)
-                if best < 1:
-                    charge(side ** self.d, b, f"ladder k_max={k_max} in {self!r}")
-                prefix = self._ladder_from_radius(float(best), b)
-                raise LadderTruncated(
-                    f"ladder k_max={k_max} exceeds budget {b}; longest prefix "
-                    f"has {len(prefix)} entries", prefix,
-                    requested=side ** self.d, allowed=b)
-            return self._ladder_from_radius(radius, b)
+            return self._ladder_from_radius(float(k_max))
         radius = max(4.0, math.ceil(1.2 * k_max ** (1.0 / self.d)))
-        last_good = None
         while True:
-            side = 2 * int(math.floor(radius)) + 1
-            if side ** self.d > b:
-                if last_good is not None:
-                    raise LadderTruncated(
-                        f"ladder k_max={k_max} exceeds budget {b}; longest "
-                        f"prefix has {len(last_good)} entries", last_good,
-                        requested=side ** self.d, allowed=b)
-                charge(side ** self.d, b, f"ladder k_max={k_max} in {self!r}")
-            ladder = self._ladder_from_radius(radius, b)
+            ladder = self._ladder_from_radius(radius)
             if len(ladder) >= k_max:
                 return ladder.prefix(k_max)
-            last_good = ladder
             radius = math.ceil(radius * 1.5)
-
-    def _largest_affordable(self, budget: int) -> int:
-        return max(0, (int(round(budget ** (1.0 / self.d))) - 1) // 2)
 
     def distance(self, x: Sequence[int], y: Sequence[int]) -> float:
         a = np.abs(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64))
@@ -443,9 +413,8 @@ class Graph:
             self._base_dist = self.bfs_from(self.base_index)
         return self._base_dist
 
-    def ball_arrays(self, radius: float, budget: int | None = None):
-        b = point_budget(budget)
-        charge(self.n_nodes, b, "graph ball enumeration")
+    def ball_arrays(self, radius: float):
+        charge(self.n_nodes, "graph ball enumeration")
         dist = self.base_distances()
         r = int(math.floor(radius + 1e-9))
         keep = np.flatnonzero((dist >= 0) & (dist <= r))
@@ -454,15 +423,14 @@ class Graph:
         keep = keep[order]
         return keep, dist[keep], dist[keep].astype(np.float64)
 
-    def ball_points(self, radius: float, budget: int | None = None):
-        idx, _, dists = self.ball_arrays(radius, budget)
+    def ball_points(self, radius: float):
+        idx, _, dists = self.ball_arrays(radius)
         return [(int(self.labels[i]), float(d)) for i, d in zip(idx, dists)]
 
-    def radii_ladder(self, k_max: int, budget: int | None = None) -> RadiiLadder:
+    def radii_ladder(self, k_max: int) -> RadiiLadder:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        b = point_budget(budget)
-        charge(self.n_nodes, b, "graph ladder enumeration")
+        charge(self.n_nodes, "graph ladder enumeration")
         dist = self.base_distances()
         dist = dist[dist >= 0]
         uniq, cnt = np.unique(dist, return_counts=True)
@@ -472,13 +440,13 @@ class Graph:
                 f"graph eccentricity from base is {int(uniq[-1])}; "
                 f"cannot build k_max={k_max} ladder")
         uniq, counts = uniq[1:k_max + 1], counts[1:k_max + 1]
-        return RadiiLadder(uniq.astype(np.float64), counts, uniq)
+        return RadiiLadder(uniq.astype(np.float64), counts)
 
-    def ladder_to_radius(self, radius: float, budget: int | None = None) -> RadiiLadder:
+    def ladder_to_radius(self, radius: float) -> RadiiLadder:
         dist = self.base_distances()
         r = int(math.floor(radius + 1e-9))
         reach = int(dist.max())
-        return self.radii_ladder(min(r, reach), budget)
+        return self.radii_ladder(min(r, reach))
 
     def distance(self, x: int, y: int) -> float:
         index = {int(l): i for i, l in enumerate(self.labels)}
@@ -521,18 +489,18 @@ class CayleyF2:
         order = np.argsort(w, kind="stable")
         return w[order], l[order]
 
-    def _charge_ball(self, radius: int, budget: int) -> None:
+    def _charge_ball(self, radius: int) -> None:
         """Refuse a radius out of range; charge the ball's 2*3^r - 1 points."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius > self.MAX_RADIUS:
             raise ValueError(f"radius {radius} beyond supported maximum "
                              f"{self.MAX_RADIUS}")
-        charge(2 * 3 ** radius - 1, budget, f"free-group ball of radius {radius}")
+        charge(2 * 3 ** radius - 1, f"free-group ball of radius {radius}")
 
-    def ball_arrays(self, radius: float, budget: int | None = None):
+    def ball_arrays(self, radius: float):
         r = int(math.floor(radius + 1e-9))
-        self._charge_ball(r, point_budget(budget))
+        self._charge_ball(r)
         levels = [np.array([1], dtype=np.int64)]  # sentinel-only = identity
         last = np.array([-1], dtype=np.int8)
         for _ in range(r):
@@ -543,19 +511,19 @@ class CayleyF2:
                          [len(level) for level in levels])
         return words, keys, keys.astype(np.float64)
 
-    def ball_points(self, radius: float, budget: int | None = None):
-        words, _, dists = self.ball_arrays(radius, budget)
+    def ball_points(self, radius: float):
+        words, _, dists = self.ball_arrays(radius)
         return [(self.decode(int(w)), float(d)) for w, d in zip(words, dists)]
 
-    def radii_ladder(self, k_max: int, budget: int | None = None) -> RadiiLadder:
+    def radii_ladder(self, k_max: int) -> RadiiLadder:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        self._charge_ball(k_max, point_budget(budget))
+        self._charge_ball(k_max)
         k = np.arange(1, k_max + 1, dtype=np.int64)
-        return RadiiLadder(k.astype(np.float64), 2 * 3 ** k - 1, k)
+        return RadiiLadder(k.astype(np.float64), 2 * 3 ** k - 1)
 
-    def ladder_to_radius(self, radius: float, budget: int | None = None) -> RadiiLadder:
-        return self.radii_ladder(int(math.floor(radius + 1e-9)), budget)
+    def ladder_to_radius(self, radius: float) -> RadiiLadder:
+        return self.radii_ladder(int(math.floor(radius + 1e-9)))
 
     @staticmethod
     def decode(packed: int) -> str:

@@ -4,9 +4,12 @@ CLI tests call ``cli.main`` in process with artifact paths under tmp_path
 and then parse what was written back in.
 """
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -480,6 +483,12 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
                                            "values": [0.0, 1.0]}},
              "radii": [2, 4], "margin": 1},
      "periodic potential has period (2,), the lattice has d = 2"),
+    ("ergodic", {"space": {"kind": "lattice", "d": 1},
+                 "hamiltonian": {"hopping": {"kind": "adjacency"},
+                                 "potential": {"kind": "iid_uniform"}},
+                 "folner": {"shape": "cube", "d": 1, "schedule": [2, 4]},
+                 "realizations": 2, "index": 5},
+     "index 5 outside the folner schedule of 2 sets"),
 ])
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
                                           message):
@@ -489,6 +498,56 @@ def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
     err = capsys.readouterr().err
     assert err.startswith("doslab: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_space_ladder_refuses_kmax_with_radius(capsys):
+    assert cli.main(["space", "ladder", "--d", "1", "--kmax", "5",
+                     "--radius", "100"]) == 1
+    assert capsys.readouterr().err == (
+        "doslab: error: radius: kmax and radius are exclusive; set one\n")
+
+
+@pytest.mark.parametrize("flags, env", [(["--budget", "10"], "50000000"),
+                                        ([], "10")])
+def test_over_budget_run_ends_in_one_error_line(monkeypatch, capsys, flags,
+                                                env):
+    # registered first, so the value main writes is undone after the test
+    monkeypatch.setenv("DOSLAB_BUDGET", env)
+    assert cli.main(["vp-trace", "--radius", "100", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("doslab: error: ") and err.count("\n") == 1
+    assert "needs 201 points, budget is 10" in err
+
+
+def test_budget_flag_lands_in_environment(monkeypatch, capsys):
+    monkeypatch.setenv("DOSLAB_BUDGET", "sentinel")
+    assert cli.main(["counterexample", "--mmax", "2", "--budget", "1000"]) == 0
+    assert os.environ["DOSLAB_BUDGET"] == "1000"
+    assert cli.main(["counterexample", "--mmax", "2", "--budget", "0"]) == 1
+    assert "budget: must be >= 1" in capsys.readouterr().err
+
+
+def test_no_public_function_takes_a_budget():
+    """The point budget is process-wide (DOSLAB_BUDGET), never an argument."""
+    import doslab
+    found = []
+    for info in pkgutil.iter_modules(doslab.__path__):
+        module = importlib.import_module(f"doslab.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", member)
+                           for attr, member in vars(obj).items()
+                           if not attr.startswith("_")]
+            for qual, fn in members:
+                fn = getattr(fn, "__func__", fn)  # staticmethod, classmethod
+                if inspect.isfunction(fn) and {"budget", "entry_budget"} & set(
+                        inspect.signature(fn).parameters):
+                    found.append(f"{module.__name__}.{qual}")
+    assert found == []
 
 
 def test_version_flag(capsys):

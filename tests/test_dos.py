@@ -262,8 +262,8 @@ def test_weight_trace_guards():
 def test_certify_weight_rejects_log_decay():
     space = Lattice(1)
     lad = space.radii_ladder(4000)
-    radii, counts, _ = lad.level_arrays()
-    w = WeightFunction("log", 1.0 / np.log(math.e + radii), radii, counts)
+    radii, counts = lad.level_arrays()
+    w = WeightFunction("log", 1.0 / np.log(math.e + radii), counts)
     with pytest.raises(PreconditionFailed, match="weak-l1"):
         certify_weight(w)
     certify_weight(default_weight(lad))  # no exception

@@ -303,6 +303,18 @@ def test_window_index_selects_the_set():
     assert last.window_size == 33
 
 
+def test_window_index_outside_schedule_is_refused():
+    g = gaussian(0.3, 0.7)
+    fol = cubes(1, [4, 8, 16])
+    for index in (3, -4):
+        with pytest.raises(ValueError, match="schedule of 3 sets"):
+            ergodic_average(Lattice(1), _iid_spec(), g, fol, realizations=2,
+                            seed=1, margin=4.0, index=index)
+    first = ergodic_average(Lattice(1), _iid_spec(), g, fol, realizations=2,
+                            seed=1, margin=4.0, index=-3)
+    assert first.window_size == 9
+
+
 def test_ergodic_average_guards():
     g = gaussian(0.3, 0.7)
     fol = cubes(1, [2, 4, 8])

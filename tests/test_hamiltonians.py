@@ -294,11 +294,12 @@ def test_levels_and_counts_are_consistent():
 
 
 def test_entry_budget_guard():
+    # radius 90 holds ~25k points, so n^2 > 2.5e8 entries
     with pytest.raises(BudgetExceeded):
-        build_truncated(Lattice(2), adjacency(), 40.0, entry_budget=10_000)
+        build_truncated(Lattice(2), adjacency(), 90.0)
     # diagonal operators skip the dense allocation entirely
     op = build_truncated(Lattice(2), diagonal_spec(iid_potential(0, 1, 1)),
-                         40.0, entry_budget=10_000)
+                         90.0)
     (block,) = op.blocks
     assert np.array_equal(block.diagonal, op.potential)
 
@@ -336,8 +337,8 @@ def test_weight_level_guard():
 
 def radial_weight(ladder, values_of_radius, kind="custom"):
     """A WeightFunction from level values only, without a closed form."""
-    radii, counts, _ = ladder.level_arrays()
-    return WeightFunction(kind, values_of_radius(radii), radii, counts)
+    radii, counts = ladder.level_arrays()
+    return WeightFunction(kind, values_of_radius(radii), counts)
 
 
 def test_weight_monotonicity_enforced():
