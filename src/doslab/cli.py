@@ -161,8 +161,10 @@ def _load_config(args) -> dict:
     for key in args.keys:
         if getattr(args, key) is not None:
             _set_key(raw, key, getattr(args, key))
-    if args.schema.startswith("space-") and isinstance(raw.get("space"), dict):
-        raw["space"].setdefault("kind", "lattice")
+    if args.schema.startswith("space-"):
+        space = raw.setdefault("space", {})
+        if isinstance(space, dict):
+            space.setdefault("kind", "lattice")
     return validate(raw, SCHEMAS[args.schema])
 
 
@@ -311,7 +313,8 @@ def _cmd_dixmier(cfg) -> int:
     _write_json(cfg["out"], cfg, {
         "slope": est.value, "window": list(est.fit.window),
         "lam_counts": est.lam_counts, "lam_values": est.lam_values,
-        "measurability": _measurability_dict(est)})
+        "measurability": _measurability_dict(est),
+        "solvers": est.solvers, "product_rank": est.product_rank})
     return 0
 
 
@@ -342,6 +345,8 @@ def _cmd_theorem_check(cfg) -> int:
         "modulated_ok": check.modulated_ok,
         "condition_c_verdict": check.condition_c.verdict,
         "measurability": _measurability_dict(check.lhs),
+        "solvers": check.lhs.solvers,
+        "product_rank": check.lhs.product_rank,
         "r_outer": check.R_outer, "margin": check.margin})
     return 0 if ok else 2
 

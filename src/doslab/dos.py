@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,7 +192,13 @@ class MeasurabilityReport:
 
 @dataclass
 class DixmierEstimate:
-    """Slope estimate of a log-Cesaro series plus measurability evidence."""
+    """Slope estimate of a log-Cesaro series plus measurability evidence.
+
+    From ``dixmier_lhs``, ``solvers`` is the operator's (solver, size) per
+    block and ``product_rank`` the number of nonzero eigenvalues of
+    g(H) M_w, the sum over blocks of the count of g(lambda) != 0; a bare
+    series leaves them ``()`` and ``None``.
+    """
 
     series: CesaroSeries
     fit: SlopeFit
@@ -200,6 +206,8 @@ class DixmierEstimate:
     lam_values: np.ndarray
     half_slopes: tuple
     measurability: MeasurabilityReport
+    solvers: tuple = ()
+    product_rank: int | None = None
 
     @property
     def value(self) -> float:
@@ -283,7 +291,9 @@ def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
     series = log_cesaro(prods)
     if window is None:
         window = truncation_fit_window(len(series))
-    return dixmier_estimate_from_series(series, window=window)
+    return replace(dixmier_estimate_from_series(series, window=window),
+                   solvers=operator.solvers,
+                   product_rank=int(np.count_nonzero(prods.values)))
 
 
 def weight_dixmier_trace(w: WeightFunction,

@@ -20,7 +20,11 @@ a tridiagonal block to ``dsterf`` (through
 cached eigendecomposition (``dstevd`` on a tridiagonal block, ``syevd``
 on a dense one).  For dimensions up to a few thousand the relative
 residual of the returned pairs is far below 1e-10, which the test suite
-pins down.
+pins down.  ``product_eigenvalues`` is rank-factored: it keeps the k
+eigenvectors with g(lambda) != 0, an exact cut with no threshold, solves
+one k x k problem built from their weighted Gram matrix, and returns the
+other n - k eigenvalues as exact zeros, so a compactly supported g costs
+an n k^2 product instead of an n^3 one.
 """
 from __future__ import annotations
 
@@ -172,11 +176,17 @@ def _block_weights(op: TruncatedOperator, w) -> list:
 def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> EigenSequence:
     """Eigenvalues of fn(H) M_w for strictly positive w.
 
-    Computed per block through the symmetric similarity
-    W^(1/2) fn(M_b) W^(1/2), which shares the product's spectrum: on a
-    diagonal block that is fn(d) * w, on any other block ``eigvalsh`` of
-    B fn(L) B^T with B = W^(1/2) V, from the block's cached
-    eigendecomposition M_b = V diag(L) V^T.
+    The product shares its spectrum with W^(1/2) fn(M_b) W^(1/2) on each
+    block.  On a diagonal block that is fn(d) * w.  On any other block,
+    with the cached eigendecomposition M_b = V diag(lam) V^T, it is
+    X G X^T with X = W^(1/2) V_k and G = diag(fn(lam_k)), where the k
+    kept columns are those with fn(lam) != 0: an exact cut, since the
+    others contribute nothing.  X G X^T and G X^T X have the same nonzero
+    eigenvalues, so only the k x k Gram matrix C = X^T X (SPD, as w > 0)
+    is formed, an n k^2 product in place of an n^3 one.  The nonzero
+    spectrum is ``eigvalsh`` of G^(1/2) C G^(1/2) when G > 0, and of
+    L^T G L with C = L L^T (Cholesky) when fn changes sign; the other
+    n - k eigenvalues are exact zeros.
     """
     weights = _block_weights(op, w)
     if any(np.any(wb <= 0) for wb in weights):
@@ -185,11 +195,22 @@ def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> EigenSequence
     for block, wb in zip(op.blocks, weights):
         if block.solver == "diagonal":
             parts.append(np.asarray(fn(block.diagonal), dtype=np.float64) * wb)
+            continue
+        evals, evecs = block.eigh()
+        g = np.asarray(fn(evals), dtype=np.float64)
+        keep = np.flatnonzero(g)
+        g = g[keep]
+        x = evecs[:, keep]  # a copy: the cached vectors stay intact
+        x *= np.sqrt(wb)[:, None]
+        c = x.T @ x
+        if np.all(g > 0):
+            s = np.sqrt(g)
+            m = s[:, None] * c * s
         else:
-            evals, evecs = block.eigh()
-            b = np.sqrt(wb)[:, None] * evecs
-            m = (b * fn(evals)) @ b.T
-            parts.append(np.linalg.eigvalsh((m + m.T) / 2.0))
+            chol = np.linalg.cholesky(c)
+            m = (chol.T * g) @ chol
+        parts.append(np.linalg.eigvalsh((m + m.T) / 2.0))
+        parts.append(np.zeros(len(evals) - len(keep)))
     return eigen_sequence(np.concatenate(parts))
 
 

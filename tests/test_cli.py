@@ -171,6 +171,18 @@ def test_space_check_c_verdict(tmp_path, capsys):
     assert 2.5 < data["tail_mean_ratio"] < 3.5
 
 
+@pytest.mark.parametrize("command", [["space", "ladder", "--kmax", "5"],
+                                     ["space", "check-c"]])
+def test_space_kind_defaults_to_lattice(tmp_path, command):
+    """Without ``space`` in the file or on the command line, both space
+    commands run on the default lattice, as with ``--space lattice``."""
+    out = tmp_path / "bare"
+    assert cli.main(command + ["--out", str(out)]) == 0
+    named = tmp_path / "named"
+    assert cli.main(command + ["--space", "lattice", "--out", str(named)]) == 0
+    assert out.read_bytes() == named.read_bytes()
+
+
 def test_vp_trace_json(tmp_path):
     out = tmp_path / "vp.json"
     rc = cli.main(["vp-trace", "--d", "1", "--radius", "20000",
@@ -284,6 +296,9 @@ def test_dixmier_json(tmp_path):
     assert data["slope"] == pytest.approx(0.465259, abs=1e-4)
     assert data["window"] == [4, 512]
     assert data["measurability"]["verdict"] == "strong-measurable"
+    # a gaussian is nonzero on the whole spectrum of both parity blocks
+    assert data["solvers"] == [["tridiagonal", 1025], ["tridiagonal", 1024]]
+    assert data["product_rank"] == 2049
 
 
 def test_theorem_check_exit_codes(tmp_path):
@@ -302,6 +317,8 @@ def test_theorem_check_exit_codes(tmp_path):
     assert data["relative_gap"] < 0.01
     assert data["condition_c_verdict"] == "pass"
     assert data["modulated_ok"] is True
+    assert data["solvers"] == [["tridiagonal", 1025], ["tridiagonal", 1024]]
+    assert data["product_rank"] == 2049
     tight = write_config(tmp_path, {
         **base, "tolerance": {"relative_gap": 1e-8}}, "tight.json")
     assert cli.main(["theorem-check", "--config", tight]) == 2

@@ -19,7 +19,7 @@ from doslab.hamiltonians import (WeightFunction, adjacency, build_truncated,
                                  lattice_weight, periodic_potential)
 from doslab.reference import arcsine_ids, block_indicator, lp_ball_volume
 from doslab.spaces import CayleyF2, Lattice
-from doslab.spectral import (SlopeFit, dyadic_window_counts, gaussian,
+from doslab.spectral import (SlopeFit, bump, dyadic_window_counts, gaussian,
                              log_cesaro, polynomial, run_length_series)
 
 
@@ -317,3 +317,21 @@ def test_dixmier_lhs_reuses_supplied_operator():
                     operator=op)  # radius argument loses against the operator
     assert a.fit.slope == b.fit.slope
     assert a.fit.window == b.fit.window
+
+
+def test_dixmier_lhs_reports_solvers_and_product_rank():
+    """The product rank is the count of g(lambda) != 0 over the blocks'
+    eigenvalues: a bump inside the band keeps part of each parity block."""
+    space = Lattice(1)
+    op = build_truncated(space, adjacency(), 1100.0)
+    w = lattice_weight(space, space.ladder_to_radius(1100.0))
+    g = bump(0.5, 1.0)
+    est = dixmier_lhs(space, adjacency(), g, w, 1100.0, operator=op)
+    assert est.solvers == op.solvers == (("tridiagonal", 1101),
+                                         ("tridiagonal", 1100))
+    rank = sum(int(np.count_nonzero(g(b.eigh()[0]))) for b in op.blocks)
+    assert 0 < rank < op.n
+    assert est.product_rank == rank
+    bare = dixmier_estimate_from_series(est.series, window=est.fit.window)
+    assert bare.solvers == () and bare.product_rank is None
+    assert bare.fit.slope == est.fit.slope

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
                                  diagonal_spec, iid_potential, kernel,
                                  laplacian, periodic_potential)
-from doslab.spaces import Lattice
+from doslab.spaces import Graph, Lattice
 from doslab.spectral import (bump,
                              constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
@@ -330,6 +330,19 @@ def _close(got, want):
 
 
 @st.composite
+def profiles(draw):
+    """A gaussian, a bump or a bump times (x - center), which changes sign
+    and is exactly zero off its support."""
+    center, width = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.3, 2.0))
+    kind = draw(st.sampled_from(("gaussian", "bump", "signed")))
+    if kind == "gaussian":
+        return gaussian(center, width)
+    if kind == "bump":
+        return bump(center, width)
+    return lambda x: (x - center) * bump(center, width)(x)
+
+
+@st.composite
 def even_chain_operators(draw):
     """A 1-d operator that commutes with x -> -x: nearest-neighbour or
     random symmetric kernel hopping plus a random even periodic potential."""
@@ -355,7 +368,7 @@ def even_chain_operators(draw):
     level_w = np.asarray(draw(st.lists(st.floats(0.05, 2.0),
                                        min_size=radius + 1,
                                        max_size=radius + 1)))
-    g = gaussian(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.3, 2.0)))
+    g = draw(profiles())
     return op, level_w[op.levels], g
 
 
@@ -429,7 +442,7 @@ def chain_cases(draw):
     level_w = np.asarray(draw(st.lists(st.floats(0.05, 2.0),
                                        min_size=radius + 1,
                                        max_size=radius + 1)))
-    g = gaussian(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.3, 2.0)))
+    g = draw(profiles())
     return radius, potential, amps, level_w, g
 
 
@@ -506,3 +519,65 @@ def test_smallest_chains_pick_their_route(radius, solvers):
     s = np.sqrt(w)
     _close(np.sort(product_eigenvalues(op, w, g).values),
            np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s))
+
+
+# ---------------------------------------------------------------------------
+# rank-factored product spectra against the dense reference
+
+
+def _product_operator(kind):
+    """Free, period-2 and iid chains (parity and tridiagonal blocks) and a
+    random graph whose one block takes the dense route."""
+    if kind == "graph":
+        rng = np.random.default_rng(5)
+        edges = [(i, (i + 1) % 90) for i in range(90)]
+        edges += [tuple(e) for e in rng.integers(0, 90, size=(60, 2))]
+        op = build_truncated(Graph.from_edges(edges, base=0),
+                             laplacian(iid_potential(-1.0, 1.0, 2)), 100.0)
+        assert op.solvers == (("dense", 90),)
+        return op
+    potential = {"free": None, "period-2": periodic_potential([1.0, -1.0]),
+                 "iid": iid_potential(-1.0, 1.0, 4)}[kind]
+    op = build_truncated(Lattice(1), adjacency(potential), 150.0)
+    assert {s for s, _ in op.solvers} == {"tridiagonal"}
+    assert len(op.blocks) == (1 if kind == "iid" else 2)
+    return op
+
+
+def _profile(case, lam):
+    """A profile of the given kind, placed on the spectrum ``lam`` with its
+    center between two eigenvalues."""
+    center = float(lam[len(lam) // 2] + lam[len(lam) // 2 + 1]) / 2.0
+    width = float(lam[-1] - lam[0]) / 4.0
+    if case == "bump":
+        return bump(center, width)
+    if case == "signed":
+        return lambda x: (x - center) * bump(center, width)(x)
+    if case == "outside":
+        return bump(float(lam[-1]) + 10.0, 0.5)
+    return gaussian(center, 1.0)
+
+
+@pytest.mark.parametrize("case", ["bump", "signed", "outside", "gaussian"])
+@pytest.mark.parametrize("kind", ["free", "period-2", "iid", "graph"])
+def test_factored_products_match_the_dense_reference(kind, case):
+    """Only the k eigenvectors with g(lam) != 0 enter the product; the
+    other n - k eigenvalues come out as exact zeros.  A bump has 0 < k < n,
+    a signed bump takes the Cholesky route, a bump off the spectrum has
+    k = 0 and a gaussian k = n.  The values are compared sorted: a signed
+    g on a spectrum symmetric under lam -> -lam gives +-a pairs whose
+    moduli differ in the last bit, so their order by modulus is rounding."""
+    op = _product_operator(kind)
+    lam, vec = np.linalg.eigh(op.dense())
+    g = _profile(case, lam)
+    k = int(np.count_nonzero(g(lam)))
+    assert {"bump": 0 < k < op.n, "signed": 0 < k < op.n,
+            "outside": k == 0, "gaussian": k == op.n}[case]
+    if case == "signed":
+        assert np.any(g(lam) < 0) and np.any(g(lam) > 0)
+    w = np.random.default_rng(1).uniform(0.05, 2.0, op.levels.max() + 1)
+    s = np.sqrt(w[op.levels])
+    want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
+    got = product_eigenvalues(op, w[op.levels], g).values
+    _close(np.sort(got), want)
+    assert np.count_nonzero(got == 0.0) == op.n - k
