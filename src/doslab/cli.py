@@ -288,7 +288,8 @@ def _cmd_dos(cfg) -> int:
                       "tail_spread": est.tail_spread,
                       "diverged": est.diverged, "margin": est.margin,
                       "outer_radius": est.outer_radius,
-                      "solvers": est.solvers})
+                      "solvers": est.solvers,
+                      "diagonal_routes": est.diagonal_routes})
     return 0
 
 
@@ -415,7 +416,8 @@ def _cmd_ergodic(cfg) -> int:
         "mean": rep.mean, "std": rep.std, "sem": rep.sem,
         "realizations": rep.n_realizations,
         "n_within_3std": rep.n_within_3std,
-        "window_size": rep.window_size, "seeds": list(rep.seeds)})
+        "window_size": rep.window_size, "seeds": list(rep.seeds),
+        "solvers": rep.solvers, "diagonal_routes": rep.diagonal_routes})
     return 0
 
 

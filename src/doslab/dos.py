@@ -27,9 +27,10 @@ from .errors import NotEstablished, PreconditionFailed
 from .hamiltonians import (TruncatedOperator, WeightFunction, build_truncated,
                            weak_l1_bound)
 from .spaces import CRatioReport, RadiiLadder, condition_c_report
-from .spectral import (CesaroSeries, SlopeFit, function_diagonal, log_cesaro,
-                       product_eigenvalues, run_length_series,
-                       slope_dixmier_estimate, symmetric_eigenvalues)
+from .spectral import (CesaroSeries, SlopeFit, diagonal_routes,
+                       function_diagonal, log_cesaro, product_eigenvalues,
+                       run_length_series, slope_dixmier_estimate,
+                       symmetric_eigenvalues)
 
 DEFAULT_MARGIN = 50.0
 
@@ -52,7 +53,9 @@ MODULATED_SLOPE_TOL = 0.05
 class DosEstimate:
     """Ball averages of diag g(H) per radius with a tail-limit diagnostic.
 
-    ``solvers`` is the operator's (solver, size) per block.
+    ``solvers`` is the operator's (solver, size) per block and
+    ``diagonal_routes`` the route diag g(H) took on each block
+    (``spectral.diagonal_routes``).
     """
 
     radii: np.ndarray
@@ -64,6 +67,7 @@ class DosEstimate:
     tail_mean: float
     tail_spread: float
     solvers: tuple
+    diagonal_routes: tuple
 
     def rows(self):
         for r, c, v in zip(self.radii, self.ball_counts, self.values):
@@ -117,7 +121,8 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
                        tail_start=len(radii) - q,
                        tail_mean=float(tail.mean()),
                        tail_spread=float(tail.max() - tail.min()),
-                       solvers=operator.solvers)
+                       solvers=operator.solvers,
+                       diagonal_routes=diagonal_routes(operator, fn))
 
 
 @dataclass

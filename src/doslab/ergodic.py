@@ -28,7 +28,7 @@ from .dos import DEFAULT_MARGIN, dos_approximant
 from .errors import PreconditionFailed
 from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated)
 from .spaces import Lattice
-from .spectral import function_diagonal
+from .spectral import diagonal_routes, function_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,13 @@ def _lacunary_report(seq: FolnerSequence, n_max: int) -> FolnerReport:
 
 @dataclass
 class ErgodicReport:
+    """Window averages per realization and their spread.
+
+    ``solvers`` is the (solver, size) per block of the realizations'
+    operators, which share one sparsity pattern, and ``diagonal_routes``
+    holds, per realization, the route diag g(H) took on each block.
+    """
+
     averages: np.ndarray
     seeds: tuple
     mean: float
@@ -283,6 +290,8 @@ class ErgodicReport:
     z_scores: np.ndarray
     n_within_3std: int
     window_size: int
+    solvers: tuple
+    diagonal_routes: tuple
 
     @property
     def n_realizations(self) -> int:
@@ -331,6 +340,7 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
     radius = float(np.max(space.norms(window))) + float(margin)
     seeds = tuple(derive_seed(seed, j) for j in range(realizations))
     averages = np.empty(realizations)
+    routes = []
     idx = None
     for j, child in enumerate(seeds):
         spec_j = HamiltonianSpec(
@@ -339,6 +349,7 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
         if idx is None:
             idx = _window_indices(op, window)
         averages[j] = float(np.mean(function_diagonal(op, fn)[idx]))
+        routes.append(diagonal_routes(op, fn))
     mean = float(averages.mean())
     std = float(averages.std(ddof=1))
     sem = std / math.sqrt(realizations)
@@ -346,4 +357,5 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
     return ErgodicReport(averages=averages, seeds=seeds, mean=mean, std=std,
                          sem=sem, z_scores=z,
                          n_within_3std=int(np.sum(np.abs(z) <= 3.0)),
-                         window_size=len(window))
+                         window_size=len(window), solvers=op.solvers,
+                         diagonal_routes=tuple(routes))

@@ -25,9 +25,22 @@ eigenvectors with g(lambda) != 0, an exact cut with no threshold, solves
 one k x k problem built from their weighted Gram matrix, and returns the
 other n - k eigenvalues as exact zeros, so a compactly supported g costs
 an n k^2 product instead of an n^3 one.
+
+``function_diagonal`` has one more route, for tridiagonal blocks: the
+kernel polynomial method with probing vectors (Weisse et al., Rev. Mod.
+Phys. 78, 275 (2006); Tang & Saad, Numer. Linear Algebra Appl. 19
+(2012)).  g is expanded in K Chebyshev terms on the block's Gershgorin
+interval, and the coefficient tail beyond K of its interpolant bounds
+the error of every diagonal entry.  T_k of a tridiagonal block has
+bandwidth k, so K probes of sites equal mod K recover the diagonal
+exactly, in n K^2 work and without eigenvectors.  A block takes this
+route only when the tail is at most 1e-14 max|g| with K^2 <= n, below
+the n^2 cost of its eigenvectors; otherwise it keeps the eigen route.
+``diagonal_routes`` reports the choice, which depends on (M_b, g) alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -127,17 +140,122 @@ def _block_eigvalsh(block: Block) -> np.ndarray:
     return np.linalg.eigvalsh(block.matrix.toarray())
 
 
+# the Chebyshev route's tail must stay within this fraction of max|g|
+CHEBYSHEV_TOL = 1e-14
+
+
+def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
+    """(c_0..c_{K-1}, lo, hi, tail) for the Chebyshev route on a
+    tridiagonal block, or None when the route rule sends it to ``eigh``.
+
+    [lo, hi] is the Gershgorin interval of M_b, so it holds the spectrum.
+    The c_k interpolate fn at N = 4 floor(sqrt(n)) Chebyshev points of
+    [lo, hi]; they come from a DCT-II through ``numpy.fft``, whose rounding
+    stays near 1e-17 a coefficient where an N x N cosine product leaves a
+    floor above the tolerance.  K is the smallest count of terms whose tail
+    sum_{k>=K} |c_k| is at most CHEBYSHEV_TOL max|g| on the points; as
+    |T_k| <= 1 on the interval, the tail bounds ||p_N(M_b) - p_K(M_b)||_2
+    for the N-point interpolant p_N, and so every diagonal entry.  p_N
+    stands for g because the tail includes its last coefficients, which
+    must be at rounding level; a g with features narrower than the point
+    spacing can still alias.  The route is taken only when K^2 <= n, where
+    its n K^2 work stays below the n^2 entries of the eigenvectors.
+    """
+    n = block.matrix.shape[0]
+    d, e = block.diagonal, np.abs(block.matrix.diagonal(1))
+    radius = np.concatenate((e, [0.0])) + np.concatenate(([0.0], e))
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    points = 4 * math.isqrt(n)
+    k = np.arange(points)
+    x = np.cos(np.pi * (k + 0.5) / points)
+    f = np.asarray(fn((hi + lo) / 2.0 + (hi - lo) / 2.0 * x), dtype=np.float64)
+    spectrum = np.fft.fft(np.concatenate((f[::2], f[1::2][::-1])))
+    c = (np.exp(-0.5j * np.pi * k / points) * spectrum).real * (2.0 / points)
+    c[0] /= 2.0
+    # tails[K] = sum_{k>=K} |c_k| for K = 0..N
+    tails = np.append(np.cumsum(np.abs(c)[::-1])[::-1], 0.0)
+    terms = max(1, int(np.argmax(tails <= CHEBYSHEV_TOL * np.abs(f).max())))
+    if terms * terms > n:
+        return None
+    return c[:terms], lo, hi, float(tails[terms])
+
+
+def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
+                        hi: float) -> np.ndarray:
+    """diag p(M_b) for p = sum_k c_k T_k on [lo, hi], by probing.
+
+    T_k of the rescaled block has bandwidth k < K, so the K probes
+    z_j = sum_{i = j mod K} e_i never overlap in a band: entry (i, i mod K)
+    of T_k Z is T_k[i, i].  The three-term recurrence runs on the n x K
+    block Z with the band product done by slicing.
+    """
+    n, terms = block.matrix.shape[0], len(c)
+    half = (hi - lo) / 2.0
+    d = ((block.diagonal - (hi + lo) / 2.0) / half)[:, None]
+    e = (block.matrix.diagonal(1) / half)[:, None]
+
+    def band(t):
+        out = d * t
+        out[:-1] += e * t[1:]
+        out[1:] += e * t[:-1]
+        return out
+
+    sites = np.arange(n)
+    own = sites * terms + sites % terms  # flat index of (i, i mod K)
+    prev = np.zeros((n, terms))
+    prev.flat[own] = 1.0
+    diag = np.full(n, c[0])
+    if terms == 1:
+        return diag
+    cur = band(prev)
+    diag += c[1] * cur.ravel()[own]
+    for ck in c[2:]:
+        prev = 2.0 * band(cur) - prev
+        prev, cur = cur, prev
+        diag += ck * cur.ravel()[own]
+    return diag
+
+
+def _diagonal_route(block: Block, fn: Callable) -> tuple:
+    """(route, Chebyshev plan or None) of diag fn(M_b): ``("diagonal",
+    size)``, ``("chebyshev", K, tail bound)`` or ``("eigh", size)``.
+
+    The choice reads only M_b and fn, never whether ``eigh`` is cached, so
+    one input gives the same bytes in any call order.
+    """
+    size = block.matrix.shape[0]
+    if block.solver == "diagonal":
+        return ("diagonal", size), None
+    if block.solver == "tridiagonal":
+        plan = _chebyshev_plan(block, fn)
+        if plan is not None:
+            return ("chebyshev", len(plan[0]), plan[3]), plan
+    return ("eigh", size), None
+
+
+def diagonal_routes(op: TruncatedOperator, fn: Callable) -> tuple:
+    """The route ``function_diagonal`` takes on each block, in block order."""
+    return tuple(_diagonal_route(b, fn)[0] for b in op.blocks)
+
+
 def function_diagonal(op: TruncatedOperator, fn: Callable) -> np.ndarray:
     """Diagonal of g(H) in the ball basis, without materialising g(H).
 
-    Per block, diag g(M_b) = (V*V) fn(w) from one cached eigendecomposition
-    M_b = V diag(w) V^T; the blocks scatter back as (Q_b*Q_b) diag g(M_b),
-    where Q_b*Q_b is 1/c_j on the c_j points of orbit j.
+    Per block, a diagonal block gives fn(diag M_b) directly.  A tridiagonal
+    block whose Chebyshev tail meets CHEBYSHEV_TOL with K^2 <= n takes the
+    probed Chebyshev route (``_chebyshev_plan``); every other block gives
+    diag g(M_b) = (V*V) fn(w) from its cached eigendecomposition
+    M_b = V diag(w) V^T, the route the tests hold the other to.  The blocks
+    scatter back as (Q_b*Q_b) diag g(M_b), where Q_b*Q_b is 1/c_j on the
+    c_j points of orbit j.  ``diagonal_routes`` reports each block's route.
     """
     out = np.zeros(op.n)
     for block in op.blocks:
-        if block.solver == "diagonal":
+        route, plan = _diagonal_route(block, fn)
+        if route[0] == "diagonal":
             diag = np.asarray(fn(block.diagonal), dtype=np.float64)
+        elif plan is not None:
+            diag = _chebyshev_diagonal(block, *plan[:3])
         else:
             evals, evecs = block.eigh()
             diag = (evecs * evecs) @ fn(evals)

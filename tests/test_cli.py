@@ -264,8 +264,10 @@ def test_dos_csv_matches_library(tmp_path):
     meta = json.loads((tmp_path / "dos.csv.meta.json").read_text())
     assert meta["tail_mean"] == pytest.approx(est.tail_mean)
     assert meta["diverged"] is False
-    # the free chain at R = 100 folds into two tridiagonal parity blocks
+    # the free chain at R = 100 folds into two tridiagonal parity blocks,
+    # too small for the Chebyshev route of gaussian(0.3, 0.7)
     assert meta["solvers"] == [["tridiagonal", 101], ["tridiagonal", 100]]
+    assert meta["diagonal_routes"] == [["eigh", 101], ["eigh", 100]]
 
 
 def test_ids_csv(tmp_path):
@@ -370,6 +372,8 @@ def test_ergodic_artifacts_and_seed_override(tmp_path):
     assert data["mean"] == pytest.approx(want.mean, rel=1e-15)
     assert data["seeds"] == list(want.seeds)
     assert data["window_size"] == 17
+    assert data["solvers"] == [["tridiagonal", 25]]
+    assert data["diagonal_routes"] == [[["eigh", 25]]] * 3
     header, rows = read_csv(table)
     assert header == ["realization", "seed", "average", "z_score"]
     assert len(rows) == 3

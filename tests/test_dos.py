@@ -335,3 +335,19 @@ def test_dixmier_lhs_reports_solvers_and_product_rank():
     bare = dixmier_estimate_from_series(est.series, window=est.fit.window)
     assert bare.solvers == () and bare.product_rank is None
     assert bare.fit.slope == est.fit.slope
+
+
+def test_dos_approximant_reports_diagonal_routes():
+    """A wide gaussian takes the Chebyshev route on both parity blocks of
+    the free chain at R = 300 (K = 17 and 16), a bump the eigen route."""
+    space = Lattice(1)
+    op = build_truncated(space, adjacency(), 300.0)
+    wide = dos_approximant(space, adjacency(), gaussian(0.3, 3.0),
+                           [100.0, 250.0], operator=op)
+    assert wide.solvers == (("tridiagonal", 301), ("tridiagonal", 300))
+    assert [r[:2] for r in wide.diagonal_routes] == [("chebyshev", 17),
+                                                     ("chebyshev", 16)]
+    assert all(0.0 <= r[2] <= 1e-14 for r in wide.diagonal_routes)
+    narrow = dos_approximant(space, adjacency(), bump(0.3, 1.0),
+                             [100.0, 250.0], operator=op)
+    assert narrow.diagonal_routes == (("eigh", 301), ("eigh", 300))

@@ -246,6 +246,24 @@ def test_ergodic_average_deterministic_and_seed_sensitive():
     assert a.n_realizations == 5
 
 
+def test_ergodic_average_reports_routes_and_matches_the_eigen_route():
+    """Each realization records its per-block route; on the Chebyshev route
+    (a wide gaussian on n = 401) the window means match those of the dense
+    eigen route to 1e-12."""
+    space = Lattice(1)
+    g = gaussian(0.3, 3.0)
+    rep = ergodic_average(space, _iid_spec(), g, cubes(1, [10, 100, 150]),
+                          realizations=2, seed=3, margin=50.0)
+    assert rep.solvers == (("tridiagonal", 401),)
+    assert [[r[:2] for r in routes] for routes in rep.diagonal_routes] == [
+        [("chebyshev", 17)]] * 2
+    for child, average in zip(rep.seeds, rep.averages):
+        op = build_truncated(space, _iid_spec(seed=child), 200.0)
+        lam, vec = np.linalg.eigh(op.dense())
+        window = np.abs(op.points[:, 0]) <= 150
+        assert abs(average - ((vec * vec) @ g(lam))[window].mean()) < 1e-12
+
+
 def test_realizations_prefix_property():
     """Realization j is seeded by child j of the master seed, so asking
     for more realizations extends the sample instead of reshuffling it."""
@@ -337,12 +355,25 @@ def test_ergodic_average_guards():
 
 def test_library_imports_leave_heavy_scipy_out():
     """scipy.linalg and scipy.ndimage load only when a solver or the Folner
-    dilation first needs them, not on import."""
-    code = ("import sys, doslab.hamiltonians, doslab.spectral, doslab.ergodic; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.ndimage') "
-            "if m in sys.modules))")
+    dilation first needs them, not on import; the Chebyshev route of
+    diag g(H) (on an n = 2101 iid chain) loads neither scipy.linalg nor
+    scipy.fft."""
+    heavy = "('scipy.linalg', 'scipy.ndimage', 'scipy.fft')"
+    imports = ("import sys, doslab.hamiltonians, doslab.spectral, "
+               "doslab.ergodic; ")
+    route = (
+        "from doslab.hamiltonians import adjacency, build_truncated, "
+        "iid_potential; from doslab.spaces import Lattice; "
+        "from doslab.spectral import diagonal_routes, function_diagonal, "
+        "gaussian; op = build_truncated(Lattice(1), "
+        "adjacency(iid_potential(0.0, 1.0, 0)), 1050.0); "
+        "g = gaussian(0.3, 0.7); function_diagonal(op, g); "
+        "print(diagonal_routes(op, g)[0][0]); ")
     src = os.path.dirname(os.path.dirname(doslab.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    for code, want in ((imports, "[]"), (imports + route, "chebyshev\n[]")):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             code + f"print(sorted(m for m in {heavy} if m in sys.modules))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == want

@@ -12,7 +12,7 @@ from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
                                  laplacian, periodic_potential)
 from doslab.spaces import Graph, Lattice
 from doslab.spectral import (bump,
-                             constant_one, dyadic_counts,
+                             constant_one, diagonal_routes, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
                              function_diagonal, gaussian,
                              log_cesaro, polynomial,
@@ -581,3 +581,64 @@ def test_factored_products_match_the_dense_reference(kind, case):
     got = product_eigenvalues(op, w[op.levels], g).values
     _close(np.sort(got), want)
     assert np.count_nonzero(got == 0.0) == op.n - k
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev route of diag g(H) against the eigen route
+
+
+_CHAINS = {"iid": iid_potential(0.0, 1.0, 5),
+           "period-2": periodic_potential([0.0, 1.0]), "free": None}
+_NARROW, _WIDE = gaussian(0.3, 0.7), gaussian(0.3, 3.0)
+_CUBIC = polynomial([0.5, -1.0, 0.25, 0.1])
+
+
+@pytest.mark.parametrize("chain, radius, g, routes", [
+    # gaussian(0.3, 0.7) needs K = 38 terms: the route needs n >= 1444
+    ("iid", 750, _NARROW, (("chebyshev", 38),)),
+    ("iid", 700, _NARROW, (("eigh", 1401),)),
+    # a wide gaussian needs K = 16-18, so n of a few hundred straddle K^2
+    ("iid", 150, _WIDE, (("chebyshev", 17),)),
+    ("iid", 100, _WIDE, (("eigh", 201),)),
+    ("period-2", 700, _WIDE, (("chebyshev", 18), ("chebyshev", 17))),
+    ("period-2", 300, _WIDE, (("eigh", 301), ("chebyshev", 17))),
+    ("period-2", 250, _WIDE, (("eigh", 251), ("eigh", 250))),
+    ("free", 300, _WIDE, (("chebyshev", 17), ("chebyshev", 16))),
+    ("free", 250, _WIDE, (("eigh", 251), ("eigh", 250))),
+    # a polynomial of degree m is exact at K = m + 1, a constant at K = 1
+    ("iid", 100, _CUBIC, (("chebyshev", 4),)),
+    ("period-2", 60, _CUBIC, (("chebyshev", 4), ("chebyshev", 4))),
+    ("free", 60, constant_one(), (("chebyshev", 1), ("chebyshev", 1))),
+    ("iid", 100, constant_one(), (("chebyshev", 1),)),
+    # a bump's coefficients decay too slowly for any K with K^2 <= n
+    ("iid", 750, bump(0.3, 1.0), (("eigh", 1501),)),
+    ("free", 300, bump(0.3, 1.0), (("eigh", 301), ("eigh", 300))),
+])
+def test_chebyshev_route_matches_the_eigen_route(chain, radius, g, routes):
+    """Each tridiagonal block takes the probed Chebyshev route exactly when
+    the coefficient tail meets the tolerance with K^2 <= n, and either
+    route matches (V*V) g(lam) of the dense H to 1e-12."""
+    op = build_truncated(Lattice(1), adjacency(_CHAINS[chain]), float(radius))
+    got = diagonal_routes(op, g)
+    assert tuple(r[:2] for r in got) == routes
+    # every Gershgorin interval here lies inside [-3, 4]
+    scale = np.abs(g(np.linspace(-3.0, 4.0, 7001))).max()
+    for route, block in zip(got, op.blocks):
+        if route[0] == "chebyshev":
+            assert route[1] ** 2 <= block.matrix.shape[0]
+            assert 0.0 <= route[2] <= 1e-14 * scale
+    lam, vec = np.linalg.eigh(op.dense())
+    _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+
+
+def test_function_diagonal_ignores_the_eigh_cache():
+    """The route reads only M_b and g: a cached eigendecomposition changes
+    neither the route nor a byte of the diagonal."""
+    op = build_truncated(Lattice(1), adjacency(_CHAINS["iid"]), 750.0)
+    routes = diagonal_routes(op, _NARROW)
+    assert routes[0][0] == "chebyshev"
+    first = function_diagonal(op, _NARROW).tobytes()
+    for block in op.blocks:
+        block.eigh()
+    assert diagonal_routes(op, _NARROW) == routes
+    assert function_diagonal(op, _NARROW).tobytes() == first
