@@ -27,10 +27,9 @@ from .errors import NotEstablished, PreconditionFailed
 from .hamiltonians import (TruncatedOperator, WeightFunction, build_truncated,
                            weak_l1_bound)
 from .spaces import CRatioReport, RadiiLadder, condition_c_report
-from .spectral import (CesaroSeries, SlopeFit, diagonal_routes,
-                       function_diagonal, log_cesaro, product_eigenvalues,
-                       run_length_series, slope_dixmier_estimate,
-                       symmetric_eigenvalues)
+from .spectral import (CesaroSeries, SlopeFit, function_diagonal,
+                       log_cesaro, product_eigenvalues, run_length_series,
+                       slope_dixmier_estimate, symmetric_eigenvalues)
 
 DEFAULT_MARGIN = 50.0
 
@@ -55,7 +54,7 @@ class DosEstimate:
 
     ``solvers`` is the operator's (solver, size) per block and
     ``diagonal_routes`` the route diag g(H) took on each block
-    (``spectral.diagonal_routes``).
+    (``spectral.FunctionDiagonal.routes``).
     """
 
     radii: np.ndarray
@@ -111,7 +110,7 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
         raise ValueError(
             f"supplied operator truncated at {operator.radius}, need >= {outer}")
     diag = function_diagonal(operator, fn)
-    csum = np.cumsum(diag)
+    csum = np.cumsum(diag.values)
     counts = _ball_prefix_counts(operator, radii)
     values = csum[counts - 1] / counts
     q = max(1, int(len(radii) * DOS_TAIL_FRACTION))
@@ -122,7 +121,7 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
                        tail_mean=float(tail.mean()),
                        tail_spread=float(tail.max() - tail.min()),
                        solvers=operator.solvers,
-                       diagonal_routes=diagonal_routes(operator, fn))
+                       diagonal_routes=diag.routes)
 
 
 @dataclass
@@ -350,7 +349,7 @@ class TheoremCheck:
 
 def _modulated_gap(series: CesaroSeries, operator: TruncatedOperator,
                    fn, w: WeightFunction, fit: SlopeFit) -> tuple:
-    diag = function_diagonal(operator, fn)
+    diag = function_diagonal(operator, fn).values
     w_sites = w.values_for_levels(operator.levels)
     diag_sums = np.cumsum(diag * w_sites)
     counts = fit.indices

@@ -28,7 +28,7 @@ from .dos import DEFAULT_MARGIN, dos_approximant
 from .errors import PreconditionFailed
 from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated)
 from .spaces import Lattice
-from .spectral import diagonal_routes, function_diagonal
+from .spectral import function_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +348,9 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
         op = build_truncated(space, spec_j, radius)
         if idx is None:
             idx = _window_indices(op, window)
-        averages[j] = float(np.mean(function_diagonal(op, fn)[idx]))
-        routes.append(diagonal_routes(op, fn))
+        diag = function_diagonal(op, fn)
+        averages[j] = float(np.mean(diag.values[idx]))
+        routes.append(diag.routes)
     mean = float(averages.mean())
     std = float(averages.std(ddof=1))
     sem = std / math.sqrt(realizations)

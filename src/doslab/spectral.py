@@ -35,8 +35,12 @@ the error of every diagonal entry.  T_k of a tridiagonal block has
 bandwidth k, so K probes of sites equal mod K recover the diagonal
 exactly, in n K^2 work and without eigenvectors.  A block takes this
 route only when the tail is at most 1e-14 max|g| with K^2 <= n, below
-the n^2 cost of its eigenvectors; otherwise it keeps the eigen route.
-``diagonal_routes`` reports the choice, which depends on (M_b, g) alone.
+the n^2 cost of its eigenvectors, and p_K also matches g at the points
+between the interpolation points; a g that vanishes at every sample has
+no relative bound and is refused too, so a bump narrower than the point
+spacing cannot alias to zero.  Every other block keeps the eigen route.
+The choice depends on (M_b, g) alone, and the result carries it per
+block.
 """
 from __future__ import annotations
 
@@ -152,32 +156,46 @@ def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
     The c_k interpolate fn at N = 4 floor(sqrt(n)) Chebyshev points of
     [lo, hi]; they come from a DCT-II through ``numpy.fft``, whose rounding
     stays near 1e-17 a coefficient where an N x N cosine product leaves a
-    floor above the tolerance.  K is the smallest count of terms whose tail
-    sum_{k>=K} |c_k| is at most CHEBYSHEV_TOL max|g| on the points; as
-    |T_k| <= 1 on the interval, the tail bounds ||p_N(M_b) - p_K(M_b)||_2
-    for the N-point interpolant p_N, and so every diagonal entry.  p_N
-    stands for g because the tail includes its last coefficients, which
-    must be at rounding level; a g with features narrower than the point
-    spacing can still alias.  The route is taken only when K^2 <= n, where
-    its n K^2 work stays below the n^2 entries of the eigenvectors.
+    floor above the tolerance.  With scale the largest |g| sampled, K is
+    the smallest count of terms whose tail sum_{k>=K} |c_k| is at most
+    CHEBYSHEV_TOL scale; as |T_k| <= 1 on the interval, the tail bounds
+    ||p_N(M_b) - p_K(M_b)||_2 for the N-point interpolant p_N, and so
+    every diagonal entry.  The points alone cannot tell g from p_N: a g
+    narrower than their spacing can vanish on all of them and alias to
+    p_K = 0.  So g is also sampled at the N + 1 points cos(pi j / N)
+    between them, the interval's ends included, and p_K must match it
+    there to CHEBYSHEV_TOL scale as well; a g that is zero at every
+    sample gives no relative bound at all.  The route is taken only when
+    both checks pass with K^2 <= n, where its n K^2 work stays below the
+    n^2 entries of the eigenvectors.
     """
     n = block.matrix.shape[0]
     d, e = block.diagonal, np.abs(block.matrix.diagonal(1))
     radius = np.concatenate((e, [0.0])) + np.concatenate(([0.0], e))
     lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     points = 4 * math.isqrt(n)
     k = np.arange(points)
     x = np.cos(np.pi * (k + 0.5) / points)
-    f = np.asarray(fn((hi + lo) / 2.0 + (hi - lo) / 2.0 * x), dtype=np.float64)
+    f = np.asarray(fn(centre + half * x), dtype=np.float64)
+    between = np.cos(np.pi * np.arange(points + 1) / points)
+    g_between = np.asarray(fn(centre + half * between), dtype=np.float64)
+    scale = max(np.abs(f).max(), np.abs(g_between).max())
+    if scale == 0.0:
+        return None
     spectrum = np.fft.fft(np.concatenate((f[::2], f[1::2][::-1])))
     c = (np.exp(-0.5j * np.pi * k / points) * spectrum).real * (2.0 / points)
     c[0] /= 2.0
     # tails[K] = sum_{k>=K} |c_k| for K = 0..N
     tails = np.append(np.cumsum(np.abs(c)[::-1])[::-1], 0.0)
-    terms = max(1, int(np.argmax(tails <= CHEBYSHEV_TOL * np.abs(f).max())))
+    terms = max(1, int(np.argmax(tails <= CHEBYSHEV_TOL * scale)))
     if terms * terms > n:
         return None
-    return c[:terms], lo, hi, float(tails[terms])
+    c = c[:terms]
+    miss = np.abs(np.polynomial.chebyshev.chebval(between, c) - g_between)
+    if miss.max() > CHEBYSHEV_TOL * scale:
+        return None
+    return c, lo, hi, float(tails[terms])
 
 
 def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
@@ -216,53 +234,50 @@ def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
     return diag
 
 
-def _diagonal_route(block: Block, fn: Callable) -> tuple:
-    """(route, Chebyshev plan or None) of diag fn(M_b): ``("diagonal",
-    size)``, ``("chebyshev", K, tail bound)`` or ``("eigh", size)``.
+@dataclass
+class FunctionDiagonal:
+    """diag g(H) in the ball basis and the route it took on each block, in
+    block order: ``("diagonal", size)``, ``("chebyshev", K, tail)`` or
+    ``("eigh", size)``."""
 
-    The choice reads only M_b and fn, never whether ``eigh`` is cached, so
-    one input gives the same bytes in any call order.
-    """
-    size = block.matrix.shape[0]
-    if block.solver == "diagonal":
-        return ("diagonal", size), None
-    if block.solver == "tridiagonal":
-        plan = _chebyshev_plan(block, fn)
-        if plan is not None:
-            return ("chebyshev", len(plan[0]), plan[3]), plan
-    return ("eigh", size), None
+    values: np.ndarray
+    routes: tuple
 
 
-def diagonal_routes(op: TruncatedOperator, fn: Callable) -> tuple:
-    """The route ``function_diagonal`` takes on each block, in block order."""
-    return tuple(_diagonal_route(b, fn)[0] for b in op.blocks)
-
-
-def function_diagonal(op: TruncatedOperator, fn: Callable) -> np.ndarray:
+def function_diagonal(op: TruncatedOperator, fn: Callable) -> FunctionDiagonal:
     """Diagonal of g(H) in the ball basis, without materialising g(H).
 
     Per block, a diagonal block gives fn(diag M_b) directly.  A tridiagonal
-    block whose Chebyshev tail meets CHEBYSHEV_TOL with K^2 <= n takes the
-    probed Chebyshev route (``_chebyshev_plan``); every other block gives
-    diag g(M_b) = (V*V) fn(w) from its cached eigendecomposition
-    M_b = V diag(w) V^T, the route the tests hold the other to.  The blocks
-    scatter back as (Q_b*Q_b) diag g(M_b), where Q_b*Q_b is 1/c_j on the
-    c_j points of orbit j.  ``diagonal_routes`` reports each block's route.
+    block that passes the route rule of ``_chebyshev_plan`` takes the
+    probed Chebyshev route; every other block gives diag g(M_b) =
+    (V*V) fn(w) from its cached eigendecomposition M_b = V diag(w) V^T,
+    the route the tests hold the other to.  The rule reads only M_b and
+    fn, never whether ``eigh`` is cached, so one input gives the same
+    bytes in any call order.  The blocks scatter back as
+    (Q_b*Q_b) diag g(M_b), where Q_b*Q_b is 1/c_j on the c_j points of
+    orbit j.
     """
     out = np.zeros(op.n)
+    routes = []
     for block in op.blocks:
-        route, plan = _diagonal_route(block, fn)
-        if route[0] == "diagonal":
+        dim = block.matrix.shape[0]
+        plan = (_chebyshev_plan(block, fn) if block.solver == "tridiagonal"
+                else None)
+        if block.solver == "diagonal":
             diag = np.asarray(fn(block.diagonal), dtype=np.float64)
+            routes.append(("diagonal", dim))
         elif plan is not None:
-            diag = _chebyshev_diagonal(block, *plan[:3])
+            c, lo, hi, tail = plan
+            diag = _chebyshev_diagonal(block, c, lo, hi)
+            routes.append(("chebyshev", len(c), tail))
         else:
             evals, evecs = block.eigh()
             diag = (evecs * evecs) @ fn(evals)
+            routes.append(("eigh", dim))
         q = block.basis.tocoo()
         size = np.bincount(q.col, minlength=q.shape[1])
         out[q.row] += diag[q.col] / size[q.col]
-    return out
+    return FunctionDiagonal(values=out, routes=tuple(routes))
 
 
 def _block_weights(op: TruncatedOperator, w) -> list:

@@ -104,8 +104,8 @@ def test_shift_relabels_the_diagonal():
     space = Lattice(1)
     op = build_truncated(space, spec, 300.0)
     shifted = build_truncated(space, spec.shifted((1,)), 300.0)
-    diag = function_diagonal(op, g)
-    diag_shifted = function_diagonal(shifted, g)
+    diag = function_diagonal(op, g).values
+    diag_shifted = function_diagonal(shifted, g).values
     pos = {int(x): i for i, x in enumerate(op.points[:, 0])}
     pos_shifted = {int(x): i for i, x in enumerate(shifted.points[:, 0])}
     interior = max(abs(diag_shifted[pos_shifted[x]] - diag[pos[x + 1]])
@@ -364,11 +364,10 @@ def test_library_imports_leave_heavy_scipy_out():
     route = (
         "from doslab.hamiltonians import adjacency, build_truncated, "
         "iid_potential; from doslab.spaces import Lattice; "
-        "from doslab.spectral import diagonal_routes, function_diagonal, "
-        "gaussian; op = build_truncated(Lattice(1), "
+        "from doslab.spectral import function_diagonal, gaussian; "
+        "op = build_truncated(Lattice(1), "
         "adjacency(iid_potential(0.0, 1.0, 0)), 1050.0); "
-        "g = gaussian(0.3, 0.7); function_diagonal(op, g); "
-        "print(diagonal_routes(op, g)[0][0]); ")
+        "print(function_diagonal(op, gaussian(0.3, 0.7)).routes[0][0]); ")
     src = os.path.dirname(os.path.dirname(doslab.__file__))
     for code, want in ((imports, "[]"), (imports + route, "chebyshev\n[]")):
         out = subprocess.run(

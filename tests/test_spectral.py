@@ -12,7 +12,7 @@ from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
                                  laplacian, periodic_potential)
 from doslab.spaces import Graph, Lattice
 from doslab.spectral import (bump,
-                             constant_one, diagonal_routes, dyadic_counts,
+                             constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
                              function_diagonal, gaussian,
                              log_cesaro, polynomial,
@@ -118,7 +118,7 @@ def test_function_diagonal_matches_dense_route():
     g = gaussian(0.3, 0.7)
     lam, vec = np.linalg.eigh(op.dense())
     want = np.diag((vec * g(lam)) @ vec.T)
-    assert np.allclose(function_diagonal(op, g), want, atol=1e-11)
+    assert np.allclose(function_diagonal(op, g).values, want, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def test_parity_blocks_match_the_dense_reference(case):
     h = op.dense()
     lam, vec = np.linalg.eigh(h)
     _close(np.sort(symmetric_eigenvalues(op).values), lam)
-    _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+    _close(function_diagonal(op, g).values, (vec * vec) @ g(lam))
     s = np.sqrt(w)
     want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
     _close(np.sort(product_eigenvalues(op, w, g).values), want)
@@ -478,7 +478,7 @@ def test_chain_blocks_match_the_dense_reference(case):
         h = op.dense()
         lam, vec = np.linalg.eigh(h)
         _close(np.sort(symmetric_eigenvalues(op).values), lam)
-        _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+        _close(function_diagonal(op, g).values, (vec * vec) @ g(lam))
         w = level_w[op.levels]
         s = np.sqrt(w)
         want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
@@ -514,7 +514,7 @@ def test_smallest_chains_pick_their_route(radius, solvers):
     g = gaussian(0.3, 0.7)
     lam, vec = np.linalg.eigh(op.dense())
     _close(np.sort(symmetric_eigenvalues(op).values), lam)
-    _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+    _close(function_diagonal(op, g).values, (vec * vec) @ g(lam))
     w = np.linspace(1.0, 0.5, op.n)
     s = np.sqrt(w)
     _close(np.sort(product_eigenvalues(op, w, g).values),
@@ -619,7 +619,8 @@ def test_chebyshev_route_matches_the_eigen_route(chain, radius, g, routes):
     the coefficient tail meets the tolerance with K^2 <= n, and either
     route matches (V*V) g(lam) of the dense H to 1e-12."""
     op = build_truncated(Lattice(1), adjacency(_CHAINS[chain]), float(radius))
-    got = diagonal_routes(op, g)
+    result = function_diagonal(op, g)
+    got = result.routes
     assert tuple(r[:2] for r in got) == routes
     # every Gershgorin interval here lies inside [-3, 4]
     scale = np.abs(g(np.linspace(-3.0, 4.0, 7001))).max()
@@ -628,17 +629,33 @@ def test_chebyshev_route_matches_the_eigen_route(chain, radius, g, routes):
             assert route[1] ** 2 <= block.matrix.shape[0]
             assert 0.0 <= route[2] <= 1e-14 * scale
     lam, vec = np.linalg.eigh(op.dense())
-    _close(function_diagonal(op, g), (vec * vec) @ g(lam))
+    _close(result.values, (vec * vec) @ g(lam))
+
+
+def test_narrow_bumps_between_the_points_keep_the_eigen_route():
+    """On the n = 2101 iid chain the coefficients come from N = 180
+    Chebyshev points about 0.043 apart near 0.3.  bump(0.3, 0.02) covers
+    one of them, bump(0.282, 0.01) sits between two of them and covers
+    only the check point between, and bump(0.3, 0.002) misses both grids;
+    each holds eigenvalues, and none may alias to a zero diagonal."""
+    op = build_truncated(Lattice(1), adjacency(_CHAINS["iid"]), 1050.0)
+    lam, vec = np.linalg.eigh(op.dense())
+    for g in (bump(0.3, 0.02), bump(0.282, 0.01), bump(0.3, 0.002)):
+        want = (vec * vec) @ g(lam)
+        assert want.max() > 1e-3
+        result = function_diagonal(op, g)
+        assert result.routes == (("eigh", 2101),)
+        _close(result.values, want)
 
 
 def test_function_diagonal_ignores_the_eigh_cache():
     """The route reads only M_b and g: a cached eigendecomposition changes
     neither the route nor a byte of the diagonal."""
     op = build_truncated(Lattice(1), adjacency(_CHAINS["iid"]), 750.0)
-    routes = diagonal_routes(op, _NARROW)
-    assert routes[0][0] == "chebyshev"
-    first = function_diagonal(op, _NARROW).tobytes()
+    first = function_diagonal(op, _NARROW)
+    assert first.routes[0][0] == "chebyshev"
     for block in op.blocks:
         block.eigh()
-    assert diagonal_routes(op, _NARROW) == routes
-    assert function_diagonal(op, _NARROW).tobytes() == first
+    again = function_diagonal(op, _NARROW)
+    assert again.routes == first.routes
+    assert again.values.tobytes() == first.values.tobytes()
