@@ -466,7 +466,7 @@ _COMMANDS = {
     "vp-trace": ("weight trace slope vs the ball-volume constant",
                  _cmd_vp_trace, (("--d", "d", int), ("--p", "p", _p_norm),
                                  ("--radius", "radius", float))),
-    "equivariance": ("ball averages against the shifted operator",
+    "equivariance": ("ball averages around two base points",
                      _cmd_equivariance, ()),
     "ergodic": ("disorder-averaged window means", _cmd_ergodic,
                 (("--seed", "seed", int),)),

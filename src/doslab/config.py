@@ -147,13 +147,12 @@ POTENTIAL = table({
     "low": Field(number(), 0.0),
     "high": Field(number(), 1.0),
     "seed": Field(integer(lo=0), 0),
-    "shift": Field(array(integer(), min_len=1), None),
 })
 
 HAMILTONIAN = table({
     "hopping": Field(HOPPING),
     "potential": Field(POTENTIAL, {"kind": "zero", "values": None, "low": 0.0,
-                                   "high": 1.0, "seed": 0, "shift": None}),
+                                   "high": 1.0, "seed": 0}),
 })
 
 FN = table({
@@ -342,8 +341,7 @@ def hamiltonian_from(cfg: dict, path: str = "hamiltonian"):
         pot_cfg["kind"],
         values=tuple(pot_cfg["values"] or ()),
         period=(len(pot_cfg["values"]),) if pot_cfg["values"] else (),
-        low=pot_cfg["low"], high=pot_cfg["high"], seed=pot_cfg["seed"],
-        shift=tuple(pot_cfg["shift"] or ())))
+        low=pot_cfg["low"], high=pot_cfg["high"], seed=pot_cfg["seed"]))
     return HamiltonianSpec(hop, pot)
 
 

@@ -28,8 +28,8 @@ degree on the diagonal), everything else is dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -77,10 +77,8 @@ class Potential:
     """Diagonal part: ``zero``, ``periodic`` (lattice) or ``iid_uniform``
     (counter-based field over sites).
 
-    ``shift`` translates the field: a nonempty shift makes the potential
-    evaluate its rule at x + shift instead of x.  Because the random field
-    is a pure function of (seed, site), this is how conjugation by a
-    lattice translation acts on the diagonal part.
+    Both rules are evaluated at absolute sites, so a lattice with another
+    base point sees the same field translated.
     """
 
     kind: str
@@ -89,7 +87,6 @@ class Potential:
     low: float = 0.0
     high: float = 1.0
     seed: int = 0
-    shift: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("zero", "periodic", "iid_uniform"):
@@ -98,32 +95,12 @@ class Potential:
             raise ValueError("periodic potential needs values")
         if self.kind == "iid_uniform" and self.high < self.low:
             raise ValueError("iid_uniform needs high >= low")
-        if self.shift and not all(isinstance(s, int) for s in self.shift):
-            raise ValueError("potential shift must be integer coordinates")
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     hopping: Hopping
     potential: Potential
-
-    def shifted(self, shift: Sequence[int]) -> "HamiltonianSpec":
-        """Spec of the translated operator: fields evaluated at x + shift.
-
-        Hopping kernels are translation invariant and stay untouched, so
-        only the potential picks up the shift (shifts compose additively).
-        """
-        shift = tuple(int(s) for s in np.atleast_1d(shift))
-        pot = self.potential
-        if pot.kind == "zero":
-            return self
-        current = pot.shift if pot.shift else (0,) * len(shift)
-        if len(current) != len(shift):
-            raise ValueError(
-                f"shift has {len(shift)} components, potential shift has "
-                f"{len(current)}")
-        total = tuple(a + b for a, b in zip(current, shift))
-        return HamiltonianSpec(self.hopping, replace(pot, shift=total))
 
 
 def adjacency(potential: Potential | None = None) -> HamiltonianSpec:
@@ -212,7 +189,6 @@ class TruncatedOperator:
     evaluated without float comparisons.
     """
 
-    space_kind: str
     radius: float
     points: np.ndarray
     dists: np.ndarray
@@ -223,7 +199,6 @@ class TruncatedOperator:
     spec: HamiltonianSpec
     H: sparse.csr_array
     blocks: tuple
-    labels: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -242,12 +217,6 @@ def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.nd
     pot = spec.potential
     if pot.kind == "zero":
         return np.zeros(len(points))
-    if pot.shift:
-        if not isinstance(space, Lattice):
-            raise ValueError("shifted potentials need a lattice space")
-        if len(pot.shift) != space.d:
-            raise ValueError("potential shift dimension mismatch")
-        points = points + np.asarray(pot.shift, dtype=np.int64)
     if pot.kind == "periodic":
         if not isinstance(space, Lattice):
             raise ValueError("periodic potential requires a lattice space")
@@ -413,11 +382,9 @@ def build_truncated(space, spec: HamiltonianSpec,
             (np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
         blocks = (Block(identity, H),)
     return TruncatedOperator(
-        space_kind=space.kind, radius=float(radius), points=points,
-        dists=dists, levels=levels, level_radii=level_radii,
-        level_counts=level_counts.astype(np.int64), potential=v, spec=spec,
-        H=H, blocks=blocks,
-        labels=space.labels[points] if isinstance(space, Graph) else None)
+        radius=float(radius), points=points, dists=dists, levels=levels,
+        level_radii=level_radii, level_counts=level_counts.astype(np.int64),
+        potential=v, spec=spec, H=H, blocks=blocks)
 
 
 @dataclass

@@ -267,7 +267,8 @@ class Lattice:
             counts += 2 ** i * math.comb(self.d, i) * choose
         return keys, counts
 
-    def _ladder_from_radius(self, radius: float) -> RadiiLadder:
+    def ladder_to_radius(self, radius: float) -> RadiiLadder:
+        """Realised radii up to ``radius`` with their ball counts."""
         if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
             uniq, counts = self._closed_form_levels(radius)
         else:
@@ -286,32 +287,22 @@ class Lattice:
             radii = uniq[1:].astype(np.float64) * _GENERAL_P_GRID
         return RadiiLadder(radii, counts[1:])
 
-    def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        return self._ladder_from_radius(radius)
-
     def radii_ladder(self, k_max: int) -> RadiiLadder:
         """First ``k_max`` positive realised radii with their ball counts."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
             # realised distances are exactly the integers 0..R
-            return self._ladder_from_radius(float(k_max))
+            return self.ladder_to_radius(float(k_max))
         radius = max(4.0, math.ceil(1.2 * k_max ** (1.0 / self.d)))
         while True:
-            ladder = self._ladder_from_radius(radius)
+            ladder = self.ladder_to_radius(radius)
             if len(ladder) >= k_max:
                 return ladder.prefix(k_max)
             radius = math.ceil(radius * 1.5)
 
     def distance(self, x: Sequence[int], y: Sequence[int]) -> float:
-        a = np.abs(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64))
-        if self.p == 1.0:
-            return float(a.sum())
-        if math.isinf(self.p):
-            return float(a.max())
-        if self.p == 2.0:
-            return float(math.sqrt(int((a.astype(np.int64) ** 2).sum())))
-        return float((a.astype(np.float64) ** self.p).sum() ** (1.0 / self.p))
+        return float(self.norms(np.subtract(x, y))[0])
 
 
 class Graph:
@@ -386,26 +377,12 @@ class Graph:
                      self.labels[keep], coords, dict(self.meta))
 
     def bfs_from(self, start_index: int) -> np.ndarray:
-        dist = np.full(self.n_nodes, -1, dtype=np.int64)
-        dist[start_index] = 0
-        frontier = np.array([start_index], dtype=np.int64)
-        level = 0
-        while len(frontier):
-            level += 1
-            counts = self.indptr[frontier + 1] - self.indptr[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            gather = np.repeat(self.indptr[frontier + 1] - counts.cumsum(), counts) \
-                + np.arange(total)
-            nbrs = self.indices[gather]
-            nbrs = nbrs[dist[nbrs] < 0]
-            if len(nbrs) == 0:
-                break
-            nbrs = np.unique(nbrs)
-            dist[nbrs] = level
-            frontier = nbrs
-        return dist
+        """Hop distances from node ``start_index``; -1 where unreachable."""
+        # csgraph imports scipy.sparse.linalg, which costs every process ~8 MB
+        from scipy.sparse.csgraph import shortest_path
+        dist = shortest_path(self.adjacency_matrix(), unweighted=True,
+                             indices=start_index)
+        return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
     def base_distances(self) -> np.ndarray:
         """Hop distances from the base node (computed once, then cached)."""
@@ -449,8 +426,8 @@ class Graph:
         return self.radii_ladder(min(r, reach))
 
     def distance(self, x: int, y: int) -> float:
-        index = {int(l): i for i, l in enumerate(self.labels)}
-        d = self.bfs_from(index[int(x)])[index[int(y)]]
+        (i,), (j,) = (np.flatnonzero(self.labels == v) for v in (x, y))
+        d = self.bfs_from(int(i))[j]
         if d < 0:
             raise ValueError(f"nodes {x} and {y} are not connected")
         return float(d)

@@ -521,6 +521,20 @@ def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
     assert message in err
 
 
+def test_potential_shift_key_is_refused(tmp_path, capsys):
+    # translation is a change of space.base; the potential has no shift
+    cfg = write_config(tmp_path, {
+        "space": {"kind": "lattice", "d": 1},
+        "hamiltonian": {"hopping": {"kind": "adjacency"},
+                        "potential": {"kind": "periodic",
+                                      "values": [0.0, 1.0], "shift": [1]}},
+        "g": {"kind": "one"}, "radii": [2, 4]})
+    assert cli.main(["dos", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == ("doslab: error: hamiltonian.potential.shift: "
+                   "unknown key 'shift'\n")
+
+
 def test_space_ladder_refuses_kmax_with_radius(capsys):
     assert cli.main(["space", "ladder", "--d", "1", "--kmax", "5",
                      "--radius", "100"]) == 1

@@ -98,22 +98,29 @@ def test_period_symmetric_function_hides_the_shift():
 
 
 def test_shift_relabels_the_diagonal():
-    """diag g(H') at x equals diag g(H) at x + shift away from the cut."""
+    """diag g(H) around base 1 equals diag g(H) around base 0 at the same
+    site away from the cut."""
     spec = adjacency(periodic_potential([0.0, 0.7, 1.3]))
     g = gaussian(0.3, 0.7)
-    space = Lattice(1)
-    op = build_truncated(space, spec, 300.0)
-    shifted = build_truncated(space, spec.shifted((1,)), 300.0)
+    op = build_truncated(Lattice(1), spec, 300.0)
+    shifted = build_truncated(Lattice(1, base=(1,)), spec, 300.0)
     diag = function_diagonal(op, g).values
     diag_shifted = function_diagonal(shifted, g).values
     pos = {int(x): i for i, x in enumerate(op.points[:, 0])}
     pos_shifted = {int(x): i for i, x in enumerate(shifted.points[:, 0])}
-    interior = max(abs(diag_shifted[pos_shifted[x]] - diag[pos[x + 1]])
+    interior = max(abs(diag_shifted[pos_shifted[x]] - diag[pos[x]])
                    for x in range(-50, 51))
     assert interior < 1e-12
     # the identity genuinely fails at the truncation edge
-    edge = abs(diag_shifted[pos_shifted[299]] - diag[pos[300]])
+    edge = abs(diag_shifted[pos_shifted[300]] - diag[pos[300]])
     assert edge > 1e-2
+
+
+@pytest.mark.parametrize("shift", [(1,), (1, 0, 0)])
+def test_equivariance_refuses_a_shift_of_the_wrong_length(shift):
+    with pytest.raises(ValueError, match="components, the lattice has d = 2"):
+        equivariance_check(Lattice(2), adjacency(), shift,
+                           gaussian(0.0, 1.0), [3.0, 4.0])
 
 
 def test_equivariance_needs_lattice():
@@ -354,13 +361,14 @@ def test_ergodic_average_guards():
 
 
 def test_library_imports_leave_heavy_scipy_out():
-    """scipy.linalg and scipy.ndimage load only when a solver or the Folner
-    dilation first needs them, not on import; the Chebyshev route of
-    diag g(H) (on an n = 2101 iid chain) loads neither scipy.linalg nor
-    scipy.fft."""
-    heavy = "('scipy.linalg', 'scipy.ndimage', 'scipy.fft')"
-    imports = ("import sys, doslab.hamiltonians, doslab.spectral, "
-               "doslab.ergodic; ")
+    """scipy.linalg, scipy.ndimage and scipy.sparse.csgraph load only when
+    a solver, the Folner dilation or a graph BFS first needs them, not on
+    import; the Chebyshev route of diag g(H) (on an n = 2101 iid chain)
+    loads none of them, nor scipy.fft."""
+    heavy = ("('scipy.linalg', 'scipy.ndimage', 'scipy.fft', "
+             "'scipy.sparse.csgraph')")
+    imports = ("import sys, doslab.spaces, doslab.hamiltonians, "
+               "doslab.spectral, doslab.ergodic; ")
     route = (
         "from doslab.hamiltonians import adjacency, build_truncated, "
         "iid_potential; from doslab.spaces import Lattice; "

@@ -42,8 +42,7 @@ def test_z2_laplacian_row_sums():
     op = build_truncated(Lattice(2, p=math.inf), laplacian(), 3.0)
     m = op.dense()
     sums = m.sum(axis=1)
-    interior = op.space_kind == "lattice" and np.max(
-        np.abs(op.points), axis=1) < 3
+    interior = np.max(np.abs(op.points), axis=1) < 3
     # Dirichlet truncation: interior rows sum to zero, boundary rows keep
     # the full degree on the diagonal but lose outside neighbours
     assert np.allclose(sums[interior], 0.0)
@@ -171,46 +170,60 @@ def test_potential_validation():
         Potential("table")
     with pytest.raises(ValueError):
         Potential("smooth")
-    with pytest.raises(ValueError):
-        Potential("periodic", values=(1.0,), shift=(0.5,))
 
 
 # ---------------------------------------------------------------------------
-# translated specs
+# translation: the same spec around another base point
 
 
 def test_shifted_periodic_values():
-    base = adjacency(periodic_potential([0.0, 1.0, 2.0]))
-    moved = base.shifted((1,))
-    op0 = build_truncated(Lattice(1), base, 6.0)
-    op1 = build_truncated(Lattice(1), moved, 6.0)
-    want = np.mod(op1.points[:, 0] + 1, 3).astype(float)
+    spec = adjacency(periodic_potential([0.0, 1.0, 2.0]))
+    op0 = build_truncated(Lattice(1), spec, 6.0)
+    op1 = build_truncated(Lattice(1, base=(1,)), spec, 6.0)
+    assert np.array_equal(op1.points, op0.points + 1)
+    want = np.mod(op0.points[:, 0] + 1, 3).astype(float)
     assert np.array_equal(op1.potential, want)
-    # composing shifts adds them up
-    assert base.shifted((1,)).shifted((2,)) == base.shifted((3,))
-    assert moved.potential.shift == (1,)
 
 
 def test_shifted_iid_is_sampled_at_translated_sites():
     spec = diagonal_spec(iid_potential(0.0, 1.0, seed=11))
     op = build_truncated(Lattice(1), spec, 6.0)
-    moved = build_truncated(Lattice(1), spec.shifted((2,)), 4.0)
+    small = build_truncated(Lattice(1), spec, 4.0)
+    moved = build_truncated(Lattice(1, base=(2,)), spec, 4.0)
+    assert np.array_equal(moved.points, small.points + 2)
     lookup = {int(x): v for x, v in zip(op.points[:, 0], op.potential)}
-    for x, v in zip(moved.points[:, 0], moved.potential):
+    for x, v in zip(small.points[:, 0], moved.potential):
         assert v == lookup[int(x) + 2]
 
 
-def test_shift_on_zero_potential_is_identity():
-    spec = adjacency()
-    assert spec.shifted((5,)) is spec
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_shift_dimension_mismatch():
-    spec = adjacency(periodic_potential([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        spec.shifted((1,)).shifted((1, 2))
-    with pytest.raises(ValueError):
-        build_truncated(Lattice(2), spec.shifted((1,)), 2.0)
+@pytest.mark.parametrize("space, moved, spec", [
+    (Lattice(1), Lattice(1, base=(6,)),
+     adjacency(periodic_potential([0.0, 1.0]))),
+    (Lattice(1), Lattice(1, base=(-9,)),
+     adjacency(periodic_potential([0.0, 0.7, 1.3]))),
+    (Lattice(2, p=1), Lattice(2, p=1, base=(4, -2)),
+     kernel([(1, 0), (-1, 0), (0, 2), (0, -2)], [1.0, 1.0, 0.5, 0.5],
+            periodic_potential([[0.0, 1.0], [2.0, 3.0]]))),
+], ids=["period-2-chain", "period-3-chain", "2d-l1-kernel"])
+def test_whole_period_move_of_the_base_is_bit_identical(space, moved, spec):
+    """Ball order and neighbour lookup are translation invariant, so a base
+    point moved by whole periods rebuilds the same bytes."""
+    a = build_truncated(space, spec, 12.0)
+    b = build_truncated(moved, spec, 12.0)
+    assert np.array_equal(b.points,
+                          a.points + np.subtract(moved.base, space.base))
+    assert np.array_equal(a.potential, b.potential)
+    assert_same_csr(a.H, b.H)
+    assert len(a.blocks) == len(b.blocks)
+    for x, y in zip(a.blocks, b.blocks):
+        assert_same_csr(x.matrix, y.matrix)
+        assert_same_csr(x.basis, y.basis)
 
 
 # ---------------------------------------------------------------------------
