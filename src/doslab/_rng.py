@@ -66,7 +66,7 @@ def site_keys(coords) -> np.ndarray:
         a = a[:, None]
     if a.shape[1] > 3:
         raise ValueError("site keys support at most 3 coordinates")
-    if np.any(np.abs(a) >= _COORD_OFFSET):
+    if np.any(a >= _COORD_OFFSET) or np.any(a <= -_COORD_OFFSET):
         raise ValueError("coordinate out of packable range (|x| < 2**20)")
     key = np.zeros(a.shape[0], dtype=np.uint64)
     for axis in range(a.shape[1]):

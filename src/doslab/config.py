@@ -54,7 +54,10 @@ def number(lo: float | None = None, hi: float | None = None,
             return math.inf
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError("expected a number", path)
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            raise ConfigError("outside the float range", path) from None
         if math.isnan(v):
             raise ConfigError("NaN is not a value", path)
         if math.isinf(v) and not allow_inf:
@@ -128,16 +131,22 @@ def validate(cfg: dict, fields: dict, path: str = "") -> dict:
 # ---------------------------------------------------------------------------
 # shared descriptor schemas
 
+# Lattice._box enumerates a d-axis grid and numpy broadcasts at most 32
+# axes (so 3^d ball counts stay int64); _rng.site_keys packs coordinates
+# (and so base points, shifts and kernel offsets) with |x| < 2^20
+_DIMENSION = integer(lo=1, hi=32)
+_SITE = integer(lo=1 - (1 << 20), hi=(1 << 20) - 1)
+
 SPACE = table({
     "kind": Field(string(("lattice", "f2"))),
-    "d": Field(integer(lo=1), 1),
+    "d": Field(_DIMENSION, 1),
     "p": Field(number(lo=1.0, allow_inf=True), 2.0),
-    "base": Field(array(integer(), min_len=1), None),
+    "base": Field(array(_SITE, min_len=1), None),
 })
 
 HOPPING = table({
     "kind": Field(string(("adjacency", "laplacian", "kernel", "none"))),
-    "offsets": Field(array(array(integer(), min_len=1)), None),
+    "offsets": Field(array(array(_SITE, min_len=1)), None),
     "amplitudes": Field(array(number()), None),
 })
 
@@ -174,7 +183,7 @@ TOLERANCE = table({
 
 FOLNER = table({
     "shape": Field(string(("cube", "ball", "lacunary"))),
-    "d": Field(integer(lo=1), 1),
+    "d": Field(_DIMENSION, 1),
     "schedule": Field(array(integer(lo=0), min_len=1)),
 })
 
@@ -245,7 +254,7 @@ SCHEMAS = {
         "out": _OUT,
     },
     "vp-trace": {
-        "d": Field(integer(lo=1), 1),
+        "d": Field(_DIMENSION, 1),
         "p": Field(number(lo=1.0, allow_inf=True), 2.0),
         "radius": Field(number(lo=1.0)),
         "out": _OUT,
@@ -254,7 +263,7 @@ SCHEMAS = {
         "space": Field(SPACE),
         "hamiltonian": Field(HAMILTONIAN),
         "g": Field(FN),
-        "shift": Field(array(integer(), min_len=1)),
+        "shift": Field(array(_SITE, min_len=1)),
         "radii": Field(increasing(array(number(lo=0.0), min_len=1))),
         "margin": Field(number(lo=0.0), 50.0),
         "out": _OUT,

@@ -62,7 +62,6 @@ class DosEstimate:
     values: np.ndarray
     margin: float
     outer_radius: float
-    tail_start: int
     tail_mean: float
     tail_spread: float
     solvers: tuple
@@ -117,7 +116,6 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
     tail = values[-q:]
     return DosEstimate(radii=radii, ball_counts=counts, values=values,
                        margin=float(margin), outer_radius=float(operator.radius),
-                       tail_start=len(radii) - q,
                        tail_mean=float(tail.mean()),
                        tail_spread=float(tail.max() - tail.min()),
                        solvers=operator.solvers,
@@ -331,7 +329,6 @@ class TheoremCheck:
     rhs_limit: float
     product: float
     relative_gap: float
-    gap_floor: float
     condition_c: CRatioReport
     modulated_gap_slope: float
     modulated_scale: float
@@ -405,7 +402,7 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
     mod_slope, mod_scale = _modulated_gap(lhs.series, operator, fn, w, lhs.fit)
     return TheoremCheck(
         lhs=lhs, weight_fit=weight_fit, dos=dos, rhs_limit=rhs_limit,
-        product=product, relative_gap=float(gap), gap_floor=GAP_FLOOR,
+        product=product, relative_gap=float(gap),
         condition_c=c_report, modulated_gap_slope=mod_slope,
         modulated_scale=mod_scale,
         modulated_ok=bool(mod_slope <= MODULATED_SLOPE_TOL * max(mod_scale, 1e-3)),

@@ -144,6 +144,9 @@ class FolnerSequence:
             raise ValueError("empty schedule")
         if self.shape == "lacunary" and self.d != 1:
             raise ValueError("dyadic intervals are one-dimensional")
+        if self.shape == "lacunary" and max(self.schedule) > 62:
+            raise ValueError("schedule: a dyadic interval [0, 2^n) has an "
+                             "int64 size only for n <= 62")
         cards = [self.cardinality(i) for i in range(len(self))]
         if any(b <= a for a, b in zip(cards, cards[1:])):
             raise ValueError("cardinalities must increase along the schedule")

@@ -6,9 +6,10 @@ class BudgetExceeded(RuntimeError):
     """An enumeration or allocation would exceed its budget.
 
     The point budget is the process-wide ``DOSLAB_BUDGET`` (see
-    :mod:`doslab.budget`); dense truncations also have an entry ceiling.
-    Raised before any oversized work starts; nothing is silently truncated,
-    and no partial result is carried.
+    :mod:`doslab.budget`); a dense eigensolve of one operator block also
+    has an entry ceiling, charged just before its n x n arrays are
+    allocated.  Raised before the oversized allocation; nothing is silently
+    truncated, and no partial result is carried.
     """
 
     def __init__(self, message: str, requested: int | None = None,

@@ -16,10 +16,11 @@ nearest-neighbour chain gives tridiagonal blocks.
 
 Each block picks its eigensolver once from its own nonzero pattern (see
 ``Block``): a block without off-diagonal entries is its own eigenbasis, a
-tridiagonal block goes to LAPACK's tridiagonal divide and conquer without
-the dense reduction, and any other block to the dense symmetric solver.
-Each block caches its eigendecomposition, so every spectral quantity of
-one operator shares it.
+tridiagonal block goes to LAPACK's tridiagonal solvers without the dense
+reduction, and any other block to the dense symmetric solver.  Only
+``Block`` forms n_b x n_b arrays, and it charges the entry ceiling just
+before; the sparse H has no size ceiling.  Each block caches its
+eigendecomposition, so every spectral quantity of one operator shares it.
 
 Truncation is plain Dirichlet: matrix elements between ball points are
 kept exactly as in the infinite operator (graph Laplacians keep the full
@@ -35,8 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import site_keys, uniform_stream
-from .budget import DEFAULT_ENTRY_BUDGET
-from .errors import BudgetExceeded
+from .budget import charge_entries
 from .spaces import CayleyF2, Graph, Lattice, RadiiLadder
 
 
@@ -144,8 +144,8 @@ class Block:
 
     * ``diagonal``     no off-diagonal entries; the spectrum is read off
                        without an eigensolve,
-    * ``tridiagonal``  bandwidth 1; LAPACK ``dstevd`` (divide and conquer
-                       on the tridiagonal itself, no reduction),
+    * ``tridiagonal``  bandwidth 1; LAPACK ``dstevd``, or ``dsterf`` for
+                       values alone (no reduction),
     * ``dense``        anything else; ``numpy.linalg.eigh`` (``syevd``).
     """
 
@@ -165,6 +165,7 @@ class Block:
     def eigh(self) -> tuple:
         """Eigenvalues and eigenvectors of a non-diagonal M_b, computed once."""
         if self._eigh is None:
+            charge_entries(self.matrix.shape[0] ** 2, "eigenvectors of a block")
             if self.solver == "tridiagonal":
                 from scipy.linalg.lapack import dstevd
                 evals, evecs, info = dstevd(self.diagonal,
@@ -176,6 +177,19 @@ class Block:
             else:
                 self._eigh = np.linalg.eigh(self.matrix.toarray())
         return self._eigh
+
+    def eigvalsh(self) -> np.ndarray:
+        """Eigenvalues of M_b without eigenvectors: the diagonal of a diagonal
+        block, ``dsterf`` on a tridiagonal block, ``eigvalsh`` on a dense one.
+        Never read from the ``eigh`` cache, so call order changes nothing."""
+        if self.solver == "diagonal":
+            return self.diagonal
+        if self.solver == "tridiagonal":
+            from scipy.linalg import eigvalsh_tridiagonal
+            d, e = self.diagonal, self.matrix.diagonal(1)
+            return eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+        charge_entries(self.matrix.shape[0] ** 2, "dense matrix of a block")
+        return np.linalg.eigvalsh(self.matrix.toarray())
 
 
 @dataclass
@@ -196,7 +210,6 @@ class TruncatedOperator:
     level_radii: np.ndarray
     level_counts: np.ndarray
     potential: np.ndarray
-    spec: HamiltonianSpec
     H: sparse.csr_array
     blocks: tuple
 
@@ -208,9 +221,6 @@ class TruncatedOperator:
     def solvers(self) -> tuple:
         """(solver, size) of each block, in block order."""
         return tuple((b.solver, b.matrix.shape[0]) for b in self.blocks)
-
-    def dense(self) -> np.ndarray:
-        return self.H.toarray()
 
 
 def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
@@ -349,11 +359,6 @@ def build_truncated(space, spec: HamiltonianSpec,
     n = len(points)
     parts = [(np.arange(n), np.arange(n), v)]
     if spec.hopping.kind != "none":
-        if n * n > DEFAULT_ENTRY_BUDGET:
-            raise BudgetExceeded(
-                f"dense truncation at radius {radius:g} needs {n * n} entries, "
-                f"entry budget is {DEFAULT_ENTRY_BUDGET}", requested=n * n,
-                allowed=DEFAULT_ENTRY_BUDGET)
         if isinstance(space, Lattice):
             parts.append(_lattice_hopping(space, spec, points))
         elif spec.hopping.kind == "kernel":
@@ -384,7 +389,7 @@ def build_truncated(space, spec: HamiltonianSpec,
     return TruncatedOperator(
         radius=float(radius), points=points, dists=dists, levels=levels,
         level_radii=level_radii, level_counts=level_counts.astype(np.int64),
-        potential=v, spec=spec, H=H, blocks=blocks)
+        potential=v, H=H, blocks=blocks)
 
 
 @dataclass
@@ -411,13 +416,9 @@ class WeightFunction:
             raise ValueError("weight values must be strictly decreasing in the level")
         self.level_values = w
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.level_values)
-
     def values_for_levels(self, levels: np.ndarray) -> np.ndarray:
         levels = np.asarray(levels, dtype=np.int64)
-        if levels.max(initial=0) >= self.n_levels:
+        if levels.max(initial=0) >= len(self.level_values):
             raise ValueError(
                 "operator reaches ladder levels the weight was not built for; "
                 "rebuild the weight from a longer ladder")

@@ -107,7 +107,6 @@ class CRatioReport:
     deviations: np.ndarray
     threshold: float
     tail_fraction: float
-    tail_start: int
     max_tail_deviation: float
     min_tail_deviation: float
     tail_mean_ratio: float
@@ -147,7 +146,7 @@ def condition_c_report(ladder: RadiiLadder, threshold: float = 0.01,
         verdict = "inconclusive"
     return CRatioReport(
         ratios=ratios, deviations=dev, threshold=threshold,
-        tail_fraction=tail_fraction, tail_start=tail_start,
+        tail_fraction=tail_fraction,
         max_tail_deviation=max_tail, min_tail_deviation=min_tail,
         tail_mean_ratio=float(ratios[tail_start:].mean()),
         trend_maxima=trend, verdict=verdict)
@@ -182,10 +181,6 @@ class Lattice:
         p = "inf" if math.isinf(self.p) else f"{self.p:g}"
         return f"Lattice(d={self.d}, p={p}, base={self.base})"
 
-    @property
-    def exact_keys(self) -> bool:
-        return self.p in (1.0, 2.0) or math.isinf(self.p)
-
     def _norm_keys(self, offsets: np.ndarray):
         """Dedupe key (int64) and float distance for each offset row."""
         a = np.abs(offsets)
@@ -198,7 +193,10 @@ class Lattice:
         if self.p == 2.0:
             k = (a.astype(np.int64) ** 2).sum(axis=1)
             return k, np.sqrt(k.astype(np.float64))
-        v = (a.astype(np.float64) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        with np.errstate(over="ignore"):
+            v = (a.astype(np.float64) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        if not np.isfinite(v).all():
+            raise ValueError(f"p = {self.p:g}: l_p lengths leave the float range")
         return np.rint(v / _GENERAL_P_GRID).astype(np.int64), v
 
     def _key_limit(self, radius: float) -> int:
@@ -212,6 +210,8 @@ class Lattice:
 
     def _box_half(self, radius: float) -> int:
         """Half side of the box around the ball, its points charged."""
+        if math.isinf(radius):
+            raise ValueError("radius must be finite")
         half = int(math.floor(radius + 1e-9))
         charge((2 * half + 1) ** self.d,
                f"ball of radius {radius:g} in {self!r}")
@@ -281,7 +281,7 @@ class Lattice:
             raise AssertionError("base point missing from its own ball")
         if self.p == 2.0:
             radii = np.sqrt(uniq[1:].astype(np.float64))
-        elif self.exact_keys:
+        elif self.p == 1.0 or math.isinf(self.p):
             radii = uniq[1:].astype(np.float64)
         else:
             radii = uniq[1:].astype(np.float64) * _GENERAL_P_GRID

@@ -12,13 +12,12 @@ memory in its levels, not in its ball points.
 
 Operator spectra are computed block by block, with the solver each
 ``Block`` chose from its nonzero pattern, and each spectral quantity has
-one routine.  ``symmetric_eigenvalues`` reads a diagonal block off, sends
-a tridiagonal block to ``dsterf`` (through
-``scipy.linalg.eigvalsh_tridiagonal``, the kernel LAPACK's dense
-``syevd`` uses for values only) and a dense block to ``eigvalsh``.
-``product_eigenvalues`` and ``function_diagonal`` share each block's
-cached eigendecomposition (``dstevd`` on a tridiagonal block, ``syevd``
-on a dense one).  For dimensions up to a few thousand the relative
+one routine.  The eigensolves themselves, and the entry ceiling on their
+n_b x n_b arrays, belong to ``Block``: ``symmetric_eigenvalues`` joins
+each block's ``eigvalsh`` (values only: ``dsterf`` on a tridiagonal
+block), while ``product_eigenvalues`` and ``function_diagonal`` share
+each block's cached ``eigh`` (``dstevd`` on a tridiagonal block,
+``syevd`` on a dense one).  For dimensions up to a few thousand the relative
 residual of the returned pairs is far below 1e-10, which the test suite
 pins down.  ``product_eigenvalues`` is rank-factored: it keeps the k
 eigenvectors with g(lambda) != 0, an exact cut with no threshold, solves
@@ -128,20 +127,7 @@ def eigen_sequence(values) -> EigenSequence:
 
 def symmetric_eigenvalues(op: TruncatedOperator) -> EigenSequence:
     """Eigenvalues of the operator, ordered by decreasing modulus."""
-    return eigen_sequence(np.concatenate([_block_eigvalsh(b)
-                                          for b in op.blocks]))
-
-
-def _block_eigvalsh(block: Block) -> np.ndarray:
-    """Eigenvalues of M_b without eigenvectors: the diagonal of a diagonal
-    block, ``dsterf`` on a tridiagonal block, ``eigvalsh`` on a dense one."""
-    if block.solver == "diagonal":
-        return block.diagonal
-    if block.solver == "tridiagonal":
-        from scipy.linalg import eigvalsh_tridiagonal
-        d, e = block.diagonal, block.matrix.diagonal(1)
-        return eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-    return np.linalg.eigvalsh(block.matrix.toarray())
+    return eigen_sequence(np.concatenate([b.eigvalsh() for b in op.blocks]))
 
 
 # the Chebyshev route's tail must stay within this fraction of max|g|
@@ -433,7 +419,6 @@ class SlopeFit:
     intercept: float
     window: tuple
     indices: np.ndarray
-    residuals: np.ndarray
     max_residual: float
     residual_growth_slope: float
     scale: float
@@ -478,7 +463,7 @@ def slope_dixmier_estimate(series: CesaroSeries,
     growth = float(np.polyfit(x, np.abs(resid), 1)[0])
     return SlopeFit(slope=float(slope), intercept=float(intercept),
                     window=(int(n_lo), int(n_hi)), indices=counts,
-                    residuals=resid, max_residual=float(np.abs(resid).max()),
+                    max_residual=float(np.abs(resid).max()),
                     residual_growth_slope=growth,
                     scale=float(np.abs(y).max()))
 
@@ -493,7 +478,6 @@ class WeightedMeanReport:
 
     indices: np.ndarray
     ratios: np.ndarray
-    denominators: np.ndarray
     positive: bool
     nonincreasing: bool
     sup_k_ak: float
@@ -519,7 +503,7 @@ def weighted_cesaro(a, x) -> WeightedMeanReport:
     n = dyadic_counts(len(a))
     k = np.arange(1, len(a) + 1, dtype=np.float64)
     return WeightedMeanReport(
-        indices=n, ratios=num[n - 1] / den[n - 1], denominators=den[n - 1],
+        indices=n, ratios=num[n - 1] / den[n - 1],
         positive=bool(np.all(a > 0)),
         nonincreasing=bool(np.all(np.diff(a) <= 0)),
         sup_k_ak=float(np.max(k * a)),
@@ -570,8 +554,6 @@ class SubsequenceReport:
 
     max_tail_discrepancy: float
     checkpoint_ratio_tail: float
-    indices: np.ndarray
-    discrepancies: np.ndarray
 
 
 def subsequence_equivalence_check(values, checkpoints) -> SubsequenceReport:
@@ -579,17 +561,14 @@ def subsequence_equivalence_check(values, checkpoints) -> SubsequenceReport:
     ks = np.asarray(sorted(set(int(k) for k in checkpoints)), dtype=np.int64)
     if ks[0] < 1 or ks[-1] > len(v):
         raise ValueError("checkpoints must be 1-based positions into values")
-    means = np.cumsum(v) / np.arange(1, len(v) + 1)
     n = np.arange(1, len(v) + 1)
+    means = np.cumsum(v) / n
     last_k = ks[np.searchsorted(ks, n, side="right") - 1]
-    valid = n >= ks[0]
     disc = np.abs(means - means[last_k - 1])
-    tail = valid & (n >= len(v) // 2)
+    tail = (n >= ks[0]) & (n >= len(v) // 2)
     ratios = ks[1:] / ks[:-1].astype(np.float64)
     tail_ratio = float(ratios[ks[1:] >= len(v) // 2].max()) if np.any(
         ks[1:] >= len(v) // 2) else float(ratios[-1])
-    grid = dyadic_counts(len(v))
     return SubsequenceReport(
         max_tail_discrepancy=float(disc[tail].max()),
-        checkpoint_ratio_tail=tail_ratio,
-        indices=grid, discrepancies=disc[grid - 1])
+        checkpoint_ratio_tail=tail_ratio)

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doslab import cli, percolation
 from doslab.config import (SCHEMAS, config_digest, fn_from, space_from,
@@ -118,6 +119,64 @@ def test_domain_errors_are_wrapped_with_the_path():
     assert err.value.path == "space"
 
 
+# the enum strings the schemas know, every key of every table, and one
+# valid config per schema for the property test below to mutate
+_ENUMS = ("lattice", "f2", "adjacency", "laplacian", "kernel", "none", "zero",
+          "periodic", "iid_uniform", "gaussian", "bump", "polynomial", "one",
+          "default", "lattice_power", "cube", "ball", "lacunary", "inf")
+_KEYS = sorted({key for fields in SCHEMAS.values() for key in fields} | {
+    "kind", "d", "p", "base", "hopping", "potential", "offsets", "amplitudes",
+    "values", "low", "high", "seed", "center", "sigma", "halfwidth", "coeffs",
+    "relative_gap", "condition_c", "shape", "schedule"})
+_OPERATOR = {"space": {"kind": "lattice"}, "hamiltonian": FREE_CHAIN,
+             "g": {"kind": "one"}}
+_VALID = {
+    "space-ladder": {"space": {"kind": "lattice"}, "kmax": 5},
+    "space-check-c": {"space": {"kind": "lattice"}},
+    "percolate": {"L": 10, "p": 0.5},
+    "dos": {**_OPERATOR, "radii": [1.0]},
+    "ids": {"space": {"kind": "lattice"}, "hamiltonian": FREE_CHAIN,
+            "radius": 1.0},
+    "dixmier": {**_OPERATOR, "r_outer": 2.0},
+    "theorem-check": {**_OPERATOR, "r_outer": 2.0},
+    "counterexample": {},
+    "vp-trace": {"radius": 2.0},
+    "equivariance": {**_OPERATOR, "shift": [1], "radii": [1.0]},
+    "ergodic": {**_OPERATOR, "realizations": 2,
+                "folner": {"shape": "cube", "schedule": [1]}},
+    "folner": {"folner": {"shape": "cube", "schedule": [1]}},
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400)
+    | st.integers(2 ** 1023, 10 ** 400).map(lambda v: v * (-1) ** v)
+    | st.floats() | st.sampled_from(_ENUMS) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), kids, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), schema=st.sampled_from(sorted(SCHEMAS)))
+def test_validate_maps_any_json_to_a_dict_or_a_config_error(data, schema):
+    """A valid config with the value at one drawn key path (new keys
+    included) replaced by arbitrary JSON validates or raises ConfigError;
+    nothing else escapes."""
+    validate(_VALID[schema], SCHEMAS[schema])  # the unmutated config is valid
+    cfg = json.loads(json.dumps(_VALID[schema]))
+    node = cfg
+    while True:
+        key = data.draw(st.sampled_from(sorted(node) + _KEYS))
+        if not (isinstance(node.get(key), dict) and data.draw(st.booleans())):
+            break
+        node = node[key]
+    node[key] = data.draw(_JSON)
+    try:
+        out = validate(cfg, SCHEMAS[schema])
+    except ConfigError:
+        return
+    assert set(out) == set(SCHEMAS[schema])
+
+
 def test_polynomial_profile_needs_coefficients():
     with pytest.raises(ConfigError) as err:
         fn_from({"kind": "polynomial", "center": 0.0, "sigma": 1.0,
@@ -194,13 +253,14 @@ def test_vp_trace_json(tmp_path):
     assert data["terms"] == 40001
 
 
-@pytest.mark.parametrize("d, radius", [(2, 1500), (3, 150)])
-def test_vp_trace_peak_memory(d, radius):
-    """The l_inf weight series (9.0 M terms for d = 2, 27.3 M for d = 3)
-    is held as one run per level.  The child reports the high-water mark
-    of its own address space (VmHWM).  Its RUSAGE_SELF ru_maxrss would not
-    do: exec records the high-water mark of the address space it replaces,
-    which is the spawning test process's own."""
+def run_in_child(*argv):
+    """Run ``doslab argv`` in a child process; return the finished process
+    and the child's peak resident size in MB.
+
+    The child reports the high-water mark of its own address space
+    (VmHWM).  Its RUSAGE_SELF ru_maxrss would not do: exec records the
+    high-water mark of the address space it replaces, which is the
+    spawning test process's own."""
     code = ("import sys\n"
             "from doslab import cli\n"
             "rc = cli.main(sys.argv[1:])\n"
@@ -208,13 +268,47 @@ def test_vp_trace_peak_memory(d, radius):
             "    print([ln.split()[1] for ln in fh if ln.startswith('VmHWM:')][0])\n"
             "sys.exit(rc)")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", code, "vp-trace", "--d", str(d), "--p", "inf",
-         "--radius", str(radius)],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
-    peak_mb = int(out.stdout.split()[-1]) / 1024.0  # VmHWM is in KiB
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out, int(out.stdout.split()[-1]) / 1024.0  # VmHWM is in KiB
+
+
+@pytest.mark.parametrize("d, radius", [(2, 1500), (3, 150)])
+def test_vp_trace_peak_memory(d, radius):
+    """The l_inf weight series (9.0 M terms for d = 2, 27.3 M for d = 3)
+    is held as one run per level."""
+    out, peak_mb = run_in_child("vp-trace", "--d", str(d), "--p", "inf",
+                                "--radius", str(radius))
+    assert out.returncode == 0
     assert peak_mb < 80.0
+
+
+def test_large_chain_dos_allocates_no_dense_block(tmp_path):
+    """An iid chain of n = 100,101 sites has no parity fold, so it is one
+    tridiagonal block whose eigenvectors would take 1e10 entries.  A
+    gaussian g takes the Chebyshev route and needs none; a bump g needs
+    the eigen route, which is refused before dstevd allocates them."""
+    out = tmp_path / "dos.csv"
+    chain = {"space": {"kind": "lattice", "d": 1},
+             "hamiltonian": {"hopping": {"kind": "adjacency"},
+                             "potential": {"kind": "iid_uniform"}},
+             "radii": [25000.0, 50000.0], "margin": 50.0, "out": str(out)}
+    cfg = write_config(tmp_path, {**chain, "g": {
+        "kind": "gaussian", "center": 0.3, "sigma": 0.7}})
+    run, peak_mb = run_in_child("dos", "--config", cfg)
+    assert run.returncode == 0, run.stderr
+    meta = json.loads((tmp_path / "dos.csv.meta.json").read_text())
+    assert meta["solvers"] == [["tridiagonal", 100101]]
+    assert [r[0] for r in meta["diagonal_routes"]] == ["chebyshev"]
+    assert peak_mb < 300.0
+    cfg = write_config(tmp_path, {**chain, "g": {
+        "kind": "bump", "center": 0.0, "halfwidth": 1.5}}, "bump.json")
+    run, peak_mb = run_in_child("dos", "--config", cfg)
+    assert run.returncode == 1
+    assert run.stderr == ("doslab: error: eigenvectors of a block needs "
+                          "10020210201 entries, entry budget is 250000000\n")
+    assert peak_mb < 300.0
 
 
 def test_percolate_artifacts(tmp_path):
@@ -510,12 +604,52 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
                  "folner": {"shape": "cube", "d": 1, "schedule": [2, 4]},
                  "realizations": 2, "index": 5},
      "index 5 outside the folner schedule of 2 sets"),
+    ("dos", {"space": {"kind": "lattice"}, "radii": [10 ** 400]},
+     "radii[0]: outside the float range"),
+    ("dos", {"space": {"kind": "lattice", "d": 10 ** 20}, "radii": [2]},
+     "space.d: must be <= 32"),
+    ("dos", {"space": {"kind": "lattice", "base": [2 ** 70]}, "radii": [2]},
+     "space.base[0]: must be <= 1048575"),
+    ("dos", {"space": {"kind": "lattice", "d": 2, "p": 1e308},
+             "radii": [2], "margin": 1},
+     "p = 1e+308: l_p lengths leave the float range"),
+    ("dos", {"space": {"kind": "lattice"}, "radii": [1e308], "margin": 1e308},
+     "radius must be finite"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
                                           message):
     cfg = write_config(tmp_path, {"hamiltonian": FREE_CHAIN,
                                   "g": {"kind": "one"}, **payload})
     assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("doslab: error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    (["ids"], {"space": {"kind": "lattice"}, "hamiltonian": FREE_CHAIN,
+               "radius": 10 ** 400}, "radius: outside the float range"),
+    (["vp-trace"], {"radius": -10 ** 400}, "radius: outside the float range"),
+    (["vp-trace"], {"d": 10 ** 20, "radius": 10}, "d: must be <= 32"),
+    (["ids"], {"space": {"kind": "lattice", "d": 33},
+               "hamiltonian": {"hopping": {"kind": "none"}}, "radius": 0},
+     "space.d: must be <= 32"),
+    (["space", "ladder"], {"space": {"kind": "lattice", "d": 2, "p": 1e308},
+                           "kmax": 5}, "l_p lengths leave the float range"),
+    (["folner"], {"folner": {"shape": "lacunary", "schedule": [1, 2, 200]}},
+     "folner: schedule: a dyadic interval [0, 2^n) has an int64 size only "
+     "for n <= 62"),
+])
+@pytest.mark.filterwarnings("error")
+def test_values_beyond_machine_ranges_end_in_one_error_line(
+        tmp_path, capsys, command, payload, message):
+    """Integers past the float range, dimensions past the 32 axes a ball
+    grid can hold, dyadic intervals past int64 and l_p lengths that
+    overflow are refused with one error line, no traceback and no
+    warning."""
+    cfg = write_config(tmp_path, payload)
+    assert cli.main([*command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("doslab: error: ") and err.count("\n") == 1
     assert message in err

@@ -58,7 +58,7 @@ def test_dos_matches_masked_diagonal_of_g_of_h():
     radii = np.array([10.0, 25.0, 60.0])
     est = dos_approximant(space, spec, g, radii, margin=40.0)
     op = build_truncated(space, spec, 100.0)
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     diag = (vec * vec) @ g(lam)
     for r, v in zip(radii, est.values):
         mask = op.dists <= r + 1e-9
@@ -206,8 +206,8 @@ def test_measurability_weak_branch():
     # evidence alone decides the verdict
     counts = dyadic_window_counts(8, 1 << 13)
     fit = SlopeFit(slope=1.0, intercept=0.0, window=(8, 1 << 13),
-                   indices=counts, residuals=np.linspace(0.0, 1.0, len(counts)),
-                   max_residual=1.0, residual_growth_slope=0.2, scale=1.0)
+                   indices=counts, max_residual=1.0,
+                   residual_growth_slope=0.2, scale=1.0)
     rep = dos._classify(fit, (1.0, 1.0))
     assert rep.verdict == "weak-measurable"
     assert rep.residual_growth > rep.residual_tol

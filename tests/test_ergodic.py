@@ -266,7 +266,7 @@ def test_ergodic_average_reports_routes_and_matches_the_eigen_route():
         [("chebyshev", 17)]] * 2
     for child, average in zip(rep.seeds, rep.averages):
         op = build_truncated(space, _iid_spec(seed=child), 200.0)
-        lam, vec = np.linalg.eigh(op.dense())
+        lam, vec = np.linalg.eigh(op.H.toarray())
         window = np.abs(op.points[:, 0]) <= 150
         assert abs(average - ((vec * vec) @ g(lam))[window].mean()) < 1e-12
 

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
+from doslab._rng import site_keys
+from doslab.dos import ids_histogram
 from doslab.errors import BudgetExceeded
 from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
                                  WeightFunction, adjacency, build_truncated,
@@ -13,6 +16,7 @@ from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
                                  kernel, laplacian, lattice_weight,
                                  periodic_potential, weak_l1_bound)
 from doslab.spaces import CayleyF2, Graph, Lattice
+from doslab.spectral import function_diagonal, gaussian, product_eigenvalues
 
 
 def coord_order(op):
@@ -22,7 +26,37 @@ def coord_order(op):
 
 def dense_in_coord_order(op):
     perm = coord_order(op)
-    return op.dense()[np.ix_(perm, perm)]
+    return op.H.toarray()[np.ix_(perm, perm)]
+
+
+# ---------------------------------------------------------------------------
+# site keys
+
+_PACKABLE = (1 << 20) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-_PACKABLE, _PACKABLE) | st.integers(-2, 2)] * d),
+    min_size=1, max_size=40)))
+def test_site_keys_are_injective_in_the_packable_range(rows):
+    keys = site_keys(np.array(rows, dtype=np.int64))
+    assert len(np.unique(keys)) == len(set(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 5), axis=st.integers(0, 4),
+       bad=st.integers(_PACKABLE + 1, 2 ** 63 - 1)
+       | st.integers(-2 ** 63, -_PACKABLE - 1))
+@example(d=1, axis=0, bad=-2 ** 63)
+def test_site_keys_refuse_coordinates_outside_the_packable_range(d, axis,
+                                                                 bad):
+    # up to three axes fit, so four or more are refused whatever they hold
+    coords = np.zeros((3, d), dtype=np.int64)
+    if d <= 3:
+        coords[1, axis % d] = bad
+    with pytest.raises(ValueError):
+        site_keys(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +74,7 @@ def test_z1_adjacency_is_tridiagonal():
 
 def test_z2_laplacian_row_sums():
     op = build_truncated(Lattice(2, p=math.inf), laplacian(), 3.0)
-    m = op.dense()
+    m = op.H.toarray()
     sums = m.sum(axis=1)
     interior = np.max(np.abs(op.points), axis=1) < 3
     # Dirichlet truncation: interior rows sum to zero, boundary rows keep
@@ -95,14 +129,14 @@ def test_cycle_graph_adjacency_spectrum():
     n = 12
     g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)], base=0)
     op = build_truncated(g, adjacency(), 6.0)
-    lam = np.sort(scipy.linalg.eigvalsh(op.dense()))
+    lam = np.sort(scipy.linalg.eigvalsh(op.H.toarray()))
     want = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
     assert np.allclose(lam, want, atol=1e-12)
 
 
 def test_f2_adjacency_degrees():
     op = build_truncated(CayleyF2(), adjacency(), 4.0)
-    m = op.dense()
+    m = op.H.toarray()
     assert np.array_equal(m, m.T)
     deg = m.sum(axis=1)
     interior = op.dists < 4.0
@@ -235,7 +269,7 @@ def test_fold_matches_dense_spectrum():
     spec = adjacency(periodic_potential([1.0, -1.0]))
     op = build_truncated(Lattice(1), spec, 60.0)
     assert len(op.blocks) == 2
-    a = np.sort(scipy.linalg.eigvalsh(op.dense()))
+    a = np.sort(scipy.linalg.eigvalsh(op.H.toarray()))
     b = np.sort(np.concatenate([scipy.linalg.eigvalsh(blk.matrix.toarray())
                                 for blk in op.blocks]))
     assert np.allclose(a, b, atol=1e-10)
@@ -248,7 +282,7 @@ def test_fold_dense_reconstruction_is_exact():
     op = build_truncated(Lattice(1), spec, 40.0)
     assert len(op.blocks) == 2
     rebuilt = sum(b.basis @ b.matrix @ b.basis.T for b in op.blocks)
-    assert np.allclose(rebuilt.toarray(), op.dense(), atol=1e-12)
+    assert np.allclose(rebuilt.toarray(), op.H.toarray(), atol=1e-12)
     for b in op.blocks:
         gram = (b.basis.T @ b.basis).toarray()
         assert np.allclose(gram, np.eye(b.matrix.shape[0]), atol=1e-15)
@@ -280,7 +314,7 @@ def test_fold_is_decided_around_the_base_point():
         assert len(op.blocks) == n_blocks
         got = np.sort(np.concatenate([np.linalg.eigvalsh(b.matrix.toarray())
                                       for b in op.blocks]))
-        assert np.allclose(got, np.linalg.eigvalsh(op.dense()), atol=1e-12)
+        assert np.allclose(got, np.linalg.eigvalsh(op.H.toarray()), atol=1e-12)
 
 
 def test_fold_auto_kicks_in_for_large_even_operators():
@@ -307,14 +341,34 @@ def test_levels_and_counts_are_consistent():
 
 
 def test_entry_budget_guard():
-    # radius 90 holds ~25k points, so n^2 > 2.5e8 entries
-    with pytest.raises(BudgetExceeded):
-        build_truncated(Lattice(2), adjacency(), 90.0)
+    # radius 90 holds 25,445 points: the sparse H builds, and every dense
+    # solve of its one block (n^2 > 2.5e8 entries) is refused before it
+    # allocates
+    op = build_truncated(Lattice(2), adjacency(), 90.0)
+    assert op.solvers == (("dense", 25445),)
+    g = gaussian(0.3, 0.7)
+    for solve in (lambda: ids_histogram(None, None, 90.0, operator=op),
+                  lambda: function_diagonal(op, g),
+                  lambda: product_eigenvalues(op, np.ones(op.n), g)):
+        with pytest.raises(BudgetExceeded, match="needs 647448025 entries, "
+                           "entry budget is 250000000"):
+            solve()
     # diagonal operators skip the dense allocation entirely
     op = build_truncated(Lattice(2), diagonal_spec(iid_potential(0, 1, 1)),
                          90.0)
     (block,) = op.blocks
     assert np.array_equal(block.diagonal, op.potential)
+
+
+def test_values_only_route_has_no_entry_ceiling():
+    # n = 16,001 is past the n^2 entry ceiling; dsterf on the two parity
+    # blocks needs no n x n array
+    op = build_truncated(Lattice(1), adjacency(), 8000.0)
+    assert op.solvers == (("tridiagonal", 8001), ("tridiagonal", 8000))
+    hist = ids_histogram(None, None, 8000.0, operator=op)
+    n = op.n
+    exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    assert np.abs(hist.energies - exact).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

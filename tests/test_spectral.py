@@ -58,7 +58,7 @@ def test_polynomial_and_table_and_one():
 
 def test_symmetric_eigenvalues_against_scipy():
     op = build_truncated(Lattice(2), laplacian(), 4.0)
-    want = np.sort(np.abs(scipy.linalg.eigvalsh(op.dense())))[::-1]
+    want = np.sort(np.abs(scipy.linalg.eigvalsh(op.H.toarray())))[::-1]
     assert np.allclose(np.abs(symmetric_eigenvalues(op).values), want,
                        atol=1e-10)
 
@@ -103,7 +103,7 @@ def test_product_eigenvalues_folded_equals_dense():
     g = gaussian(0.0, 1.0)
     op = build_truncated(space, spec, 128.0)
     assert len(op.blocks) == 2
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     s = np.sqrt(w.values_for_levels(op.levels))
     want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
     got = product_eigenvalues(op, w, g).values
@@ -116,7 +116,7 @@ def test_function_diagonal_matches_dense_route():
     op = build_truncated(Lattice(1), spec, 80.0)
     assert len(op.blocks) == 2
     g = gaussian(0.3, 0.7)
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     want = np.diag((vec * g(lam)) @ vec.T)
     assert np.allclose(function_diagonal(op, g).values, want, atol=1e-11)
 
@@ -377,7 +377,7 @@ def even_chain_operators(draw):
 def test_parity_blocks_match_the_dense_reference(case):
     op, w, g = case
     assert len(op.blocks) == 2
-    h = op.dense()
+    h = op.H.toarray()
     lam, vec = np.linalg.eigh(h)
     _close(np.sort(symmetric_eigenvalues(op).values), lam)
     _close(function_diagonal(op, g).values, (vec * vec) @ g(lam))
@@ -395,7 +395,7 @@ def test_weights_must_be_constant_on_parity_orbits():
     with pytest.raises(ValueError, match="symmetry orbits"):
         product_eigenvalues(op, w, g)
     even = (w + w[_mirror(op)]) / 2.0
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     s = np.sqrt(even)
     want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
     _close(np.sort(product_eigenvalues(op, even, g).values), want)
@@ -475,7 +475,7 @@ def test_chain_blocks_match_the_dense_reference(case):
             assert np.array_equal(q.data, np.ones(op.n))
             assert np.array_equal(op.points[q.row[np.argsort(q.col)], 0],
                                   np.arange(-radius, radius + 1))
-        h = op.dense()
+        h = op.H.toarray()
         lam, vec = np.linalg.eigh(h)
         _close(np.sort(symmetric_eigenvalues(op).values), lam)
         _close(function_diagonal(op, g).values, (vec * vec) @ g(lam))
@@ -512,7 +512,7 @@ def test_smallest_chains_pick_their_route(radius, solvers):
                          float(radius))
     assert op.solvers == solvers
     g = gaussian(0.3, 0.7)
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     _close(np.sort(symmetric_eigenvalues(op).values), lam)
     _close(function_diagonal(op, g).values, (vec * vec) @ g(lam))
     w = np.linspace(1.0, 0.5, op.n)
@@ -568,7 +568,7 @@ def test_factored_products_match_the_dense_reference(kind, case):
     g on a spectrum symmetric under lam -> -lam gives +-a pairs whose
     moduli differ in the last bit, so their order by modulus is rounding."""
     op = _product_operator(kind)
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     g = _profile(case, lam)
     k = int(np.count_nonzero(g(lam)))
     assert {"bump": 0 < k < op.n, "signed": 0 < k < op.n,
@@ -628,7 +628,7 @@ def test_chebyshev_route_matches_the_eigen_route(chain, radius, g, routes):
         if route[0] == "chebyshev":
             assert route[1] ** 2 <= block.matrix.shape[0]
             assert 0.0 <= route[2] <= 1e-14 * scale
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     _close(result.values, (vec * vec) @ g(lam))
 
 
@@ -639,7 +639,7 @@ def test_narrow_bumps_between_the_points_keep_the_eigen_route():
     only the check point between, and bump(0.3, 0.002) misses both grids;
     each holds eigenvalues, and none may alias to a zero diagonal."""
     op = build_truncated(Lattice(1), adjacency(_CHAINS["iid"]), 1050.0)
-    lam, vec = np.linalg.eigh(op.dense())
+    lam, vec = np.linalg.eigh(op.H.toarray())
     for g in (bump(0.3, 0.02), bump(0.282, 0.01), bump(0.3, 0.002)):
         want = (vec * vec) @ g(lam)
         assert want.max() > 1e-3
