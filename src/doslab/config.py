@@ -124,8 +124,8 @@ def table(fields: dict):
     return check
 
 
-def validate(cfg: dict, fields: dict, path: str = "") -> dict:
-    return table(fields)(cfg, path)
+def validate(cfg: dict, fields: dict) -> dict:
+    return table(fields)(cfg, "")
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +332,21 @@ def _wrap(path: str, builder: Callable):
         raise ConfigError(str(exc), path) from exc
 
 
-def space_from(cfg: dict, path: str = "space"):
+def space_from(cfg: dict):
     from .spaces import CayleyF2, Lattice
     if cfg["kind"] == "f2":
         return CayleyF2()
-    return _wrap(path, lambda: Lattice(cfg["d"], cfg["p"], base=cfg["base"]))
+    return _wrap("space", lambda: Lattice(cfg["d"], cfg["p"], base=cfg["base"]))
 
 
-def hamiltonian_from(cfg: dict, path: str = "hamiltonian"):
+def hamiltonian_from(cfg: dict):
     from .hamiltonians import HamiltonianSpec, Hopping, Potential
     hop_cfg, pot_cfg = cfg["hopping"], cfg["potential"]
-    hop = _wrap(_join(path, "hopping"), lambda: Hopping(
+    hop = _wrap("hamiltonian.hopping", lambda: Hopping(
         hop_cfg["kind"],
         tuple(tuple(o) for o in (hop_cfg["offsets"] or ())),
         tuple(hop_cfg["amplitudes"] or ())))
-    pot = _wrap(_join(path, "potential"), lambda: Potential(
+    pot = _wrap("hamiltonian.potential", lambda: Potential(
         pot_cfg["kind"],
         values=tuple(pot_cfg["values"] or ()),
         period=(len(pot_cfg["values"]),) if pot_cfg["values"] else (),
@@ -354,30 +354,30 @@ def hamiltonian_from(cfg: dict, path: str = "hamiltonian"):
     return HamiltonianSpec(hop, pot)
 
 
-def fn_from(cfg: dict, path: str = "g"):
+def fn_from(cfg: dict):
     from . import spectral
     kind = cfg["kind"]
     if kind == "gaussian":
-        return _wrap(path, lambda: spectral.gaussian(cfg["center"],
-                                                     cfg["sigma"]))
+        return _wrap("g", lambda: spectral.gaussian(cfg["center"],
+                                                    cfg["sigma"]))
     if kind == "bump":
-        return _wrap(path, lambda: spectral.bump(cfg["center"],
-                                                 cfg["halfwidth"]))
+        return _wrap("g", lambda: spectral.bump(cfg["center"],
+                                                cfg["halfwidth"]))
     if kind == "polynomial":
         if cfg["coeffs"] is None:
-            raise ConfigError("missing required key", _join(path, "coeffs"))
+            raise ConfigError("missing required key", "g.coeffs")
         return spectral.polynomial(cfg["coeffs"])
     return spectral.constant_one()
 
 
-def weight_from(cfg: dict, space, ladder, path: str = "weight"):
+def weight_from(cfg: dict, space, ladder):
     from .hamiltonians import default_weight, lattice_weight
     if cfg["kind"] == "lattice_power":
-        return _wrap(path, lambda: lattice_weight(space, ladder))
+        return _wrap("weight", lambda: lattice_weight(space, ladder))
     return default_weight(ladder)
 
 
-def folner_from(cfg: dict, path: str = "folner"):
+def folner_from(cfg: dict):
     from . import ergodic
-    return _wrap(path, lambda: ergodic.FolnerSequence(
+    return _wrap("folner", lambda: ergodic.FolnerSequence(
         cfg["shape"], cfg["d"], tuple(cfg["schedule"])))

@@ -34,7 +34,8 @@ from .spectral import (CesaroSeries, SlopeFit, function_diagonal,
 DEFAULT_MARGIN = 50.0
 
 # DOS tail estimator: mean over the last quarter of the requested radii,
-# abstaining when the spread there is out of proportion to the mean.
+# abstaining when the spread over them (over at least the last two) is out
+# of proportion to the mean.
 DOS_TAIL_FRACTION = 0.25
 DOS_DIVERGENCE_TOL = 0.25
 GAP_FLOOR = 1e-3
@@ -113,11 +114,11 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
     counts = _ball_prefix_counts(operator, radii)
     values = csum[counts - 1] / counts
     q = max(1, int(len(radii) * DOS_TAIL_FRACTION))
-    tail = values[-q:]
+    spread = values[-max(2, q):]
     return DosEstimate(radii=radii, ball_counts=counts, values=values,
                        margin=float(margin), outer_radius=float(operator.radius),
-                       tail_mean=float(tail.mean()),
-                       tail_spread=float(tail.max() - tail.min()),
+                       tail_mean=float(values[-q:].mean()),
+                       tail_spread=float(spread.max() - spread.min()),
                        solvers=operator.solvers,
                        diagonal_routes=diag.routes)
 
@@ -167,7 +168,7 @@ def ids_histogram(space, spec, radius: float,
     """Sorted eigenvalues of the truncation at ``radius`` with ECDF fractions."""
     if operator is None:
         operator = build_truncated(space, spec, radius)
-    energies = np.sort(symmetric_eigenvalues(operator).values)
+    energies = np.sort(symmetric_eigenvalues(operator))
     n = len(energies)
     return IdsHistogram(energies=energies,
                         fractions=np.arange(1, n + 1, dtype=np.float64) / n,
@@ -185,11 +186,6 @@ class MeasurabilityReport:
     drift_tol: float
     residual_growth: float
     residual_tol: float
-
-    def __str__(self) -> str:
-        return (f"{self.verdict} (slope drift {self.slope_drift:.2e} "
-                f"vs {self.drift_tol:.2e}, residual growth "
-                f"{self.residual_growth:.2e} vs {self.residual_tol:.2e})")
 
 
 @dataclass
@@ -295,7 +291,7 @@ def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
         window = truncation_fit_window(len(series))
     return replace(dixmier_estimate_from_series(series, window=window),
                    solvers=operator.solvers,
-                   product_rank=int(np.count_nonzero(prods.values)))
+                   product_rank=int(np.count_nonzero(prods)))
 
 
 def weight_dixmier_trace(w: WeightFunction,

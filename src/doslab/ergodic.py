@@ -7,9 +7,10 @@ Three groups of checks live here:
   what lets the trace ignore the choice of base point;
 * equivariance: ball averages of diag g(H) around two base points agree
   in the limit, tested as finite-size decay;
-* tempered Folner averaging: exact set arithmetic for the deviation and
-  temperedness constants, and Monte Carlo averages of the diagonal of
-  g(H) over a Folner window for iid potentials.
+* tempered Folner averaging: the deviation and temperedness constants of
+  cubes, l1 balls and dyadic intervals as quotients of closed-form
+  integer counts (nothing is enumerated), and Monte Carlo averages of the
+  diagonal of g(H) over a Folner window for iid potentials.
 
 Potentials are functions of the absolute site, so moving the base point
 of the lattice is literally evaluating the same field at shifted sites;
@@ -27,8 +28,10 @@ from .budget import charge
 from .dos import DEFAULT_MARGIN, dos_approximant
 from .errors import PreconditionFailed
 from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated)
-from .spaces import Lattice
+from .spaces import Lattice, lattice_ball_count
 from .spectral import function_diagonal
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,11 @@ def equivariance_check(space, spec: HamiltonianSpec, shift, fn, radii,
 @dataclass
 class FolnerSequence:
     """Schedule of finite subsets of Z^d: cubes [-n, n]^d, l1 balls of
-    radius n, or dyadic intervals [0, 2^n) (``lacunary``, d = 1)."""
+    radius n, or dyadic intervals [0, 2^n) (``lacunary``, d = 1).
+
+    Every set's size is an exact integer in closed form, so nothing is
+    enumerated until ``points`` is asked for.
+    """
 
     shape: str
     d: int
@@ -148,27 +155,55 @@ class FolnerSequence:
             raise ValueError("schedule: a dyadic interval [0, 2^n) has an "
                              "int64 size only for n <= 62")
         cards = [self.cardinality(i) for i in range(len(self))]
+        for i, c in enumerate(cards):
+            if c > _INT64_MAX:
+                raise ValueError(f"schedule[{i}]: the {self.shape} in d = "
+                                 f"{self.d} has more points than int64 holds")
         if any(b <= a for a, b in zip(cards, cards[1:])):
             raise ValueError("cardinalities must increase along the schedule")
 
     def __len__(self) -> int:
         return len(self.schedule)
 
+    @property
+    def _p(self) -> float:
+        # [-n, n]^d is the l_inf ball of radius n
+        return math.inf if self.shape == "cube" else 1.0
+
     def cardinality(self, i: int) -> int:
         n = self.schedule[i]
-        if self.shape == "cube":
-            return (2 * n + 1) ** self.d
-        if self.shape == "ball":
-            return len(self.points(i))
-        return 1 << n
+        if self.shape == "lacunary":
+            return 1 << n
+        return lattice_ball_count(self.d, self._p, n)
+
+    def _lost(self, i: int) -> int:
+        """|F_i minus (F_i + e_j)|, the same for every generator e_j.
+
+        Each line parallel to e_j meets a cube or an l1 ball in one run of
+        sites, and exactly the first site of each run is lost, so the count
+        is the size of the projection: the same ball in d - 1 dimensions.
+        """
+        if self.shape == "lacunary":
+            return 1
+        return lattice_ball_count(self.d - 1, self._p, self.schedule[i])
+
+    def _union_size(self, i: int) -> int:
+        """|union_{k<=i} (-F_k) + F_{i+1}| along the increasing schedule.
+
+        Cubes and l1 balls are symmetric and nested, and B_a + B_b =
+        B_(a+b) on Z^d, so the union is the ball of radius n_i + n_(i+1);
+        for dyadic intervals it is (-2^(n_i), 2^(n_(i+1))).
+        """
+        a, b = self.schedule[i], self.schedule[i + 1]
+        if self.shape == "lacunary":
+            return (1 << a) + (1 << b) - 1
+        return lattice_ball_count(self.d, self._p, a + b)
 
     def points(self, i: int) -> np.ndarray:
         """The i-th set as an (m, d) array of coordinates."""
         n = self.schedule[i]
         if self.shape in ("cube", "ball"):
-            # [-n, n]^d is the l_inf ball of radius n
-            p = math.inf if self.shape == "cube" else 1.0
-            return Lattice(self.d, p).ball_arrays(float(n))[0]
+            return Lattice(self.d, self._p).ball_arrays(float(n))[0]
         charge(1 << n, "folner interval")
         return np.arange(1 << n, dtype=np.int64)[:, None]
 
@@ -198,83 +233,26 @@ class FolnerReport:
     c_estimate: float
 
 
-def _mask_extent(points: np.ndarray) -> int:
-    return int(np.abs(points).max(initial=0))
-
-
-def _as_mask(points: np.ndarray, extent: int) -> np.ndarray:
-    d = points.shape[1]
-    side = 2 * extent + 1
-    m = np.zeros((side,) * d, dtype=bool)
-    m[tuple((points + extent).T)] = True
-    return m
-
-
-def _minkowski(mask_a: np.ndarray, into: np.ndarray) -> np.ndarray:
-    """into union-with (A + B) where B is already embedded in ``into``'s grid.
-
-    scipy's dilation adds structure offsets without reflection, so the
-    structure mask is used as is.  scipy.ndimage (which loads
-    scipy.special) is imported here, at its one use, so that importing
-    this module stays cheap.
-    """
-    from scipy.ndimage import binary_dilation
-    return binary_dilation(into, structure=mask_a)
-
-
 def folner_tempered_check(seq: FolnerSequence,
                           n_max: int | None = None) -> FolnerReport:
-    """Exact deviation fractions per generator and temperedness ratios."""
+    """Exact deviation fractions per generator and temperedness ratios,
+    each a quotient of the closed-form integer counts of the sets."""
     if n_max is None:
         n_max = len(seq)
     if n_max < 3:
         raise ValueError("need at least 3 sets for a trend")
     if n_max > len(seq):
         raise ValueError(f"schedule has only {len(seq)} sets")
-    if seq.shape == "lacunary":
-        return _lacunary_report(seq, n_max)
-    pts = [seq.points(i) for i in range(n_max)]
-    cards = np.array([len(p) for p in pts], dtype=np.int64)
-    d = seq.d
-    deviations = np.empty((n_max, d))
-    for i, p in enumerate(pts):
-        keys = site_keys(p)
-        for j in range(d):
-            e = np.zeros(d, dtype=np.int64)
-            e[j] = 1
-            moved = site_keys(p + e)
-            common = len(np.intersect1d(keys, moved, assume_unique=True))
-            deviations[i, j] = 2.0 * (len(p) - common) / len(p)
-    ratios = np.empty(n_max - 1)
-    for i in range(n_max - 1):
-        target = pts[i + 1]
-        extent = _mask_extent(target) + max(_mask_extent(q)
-                                            for q in pts[: i + 1])
-        acc = np.zeros((2 * extent + 1,) * d, dtype=bool)
-        base = _as_mask(target, extent)
-        for k in range(i + 1):
-            flipped = _as_mask(-pts[k], _mask_extent(pts[k]))
-            acc |= _minkowski(flipped, base)
-        ratios[i] = acc.sum() / len(target)
+    cards = [seq.cardinality(i) for i in range(n_max)]
+    deviation = [2.0 * seq._lost(i) / cards[i] for i in range(n_max)]
+    ratios = np.array([float(seq._union_size(i)) / float(cards[i + 1])
+                       for i in range(n_max - 1)])
     return FolnerReport(shape=seq.shape, schedule=tuple(seq.schedule[:n_max]),
-                        cardinalities=cards, deviations=deviations,
+                        cardinalities=np.array(cards, dtype=np.int64),
+                        deviations=np.repeat(np.array(deviation)[:, None],
+                                             seq.d, axis=1),
                         tempered_ratios=ratios,
                         c_estimate=float(ratios.max()))
-
-
-def _lacunary_report(seq: FolnerSequence, n_max: int) -> FolnerReport:
-    # F_n = [0, 2^n): everything has closed form in exact integers
-    ns = np.array(seq.schedule[:n_max], dtype=np.int64)
-    cards = (np.int64(1) << ns).astype(np.int64)
-    deviations = (2.0 / cards)[:, None]
-    ratios = np.empty(n_max - 1)
-    for i in range(n_max - 1):
-        # union_{k<=i} {-(2^{n_k}-1)..0} + {0..2^{n_{i+1}}-1}
-        size = (1 << int(ns[i])) + (1 << int(ns[i + 1])) - 1
-        ratios[i] = size / float(1 << int(ns[i + 1]))
-    return FolnerReport(shape="lacunary", schedule=tuple(int(n) for n in ns),
-                        cardinalities=cards, deviations=deviations,
-                        tempered_ratios=ratios, c_estimate=float(ratios.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,24 @@ def condition_c_report(ladder: RadiiLadder, threshold: float = 0.01,
         trend_maxima=trend, verdict=verdict)
 
 
+def lattice_ball_count(d: int, p: float, k):
+    """Points of Z^d within integer l_p distance k of the origin, for
+    p = inf (or any p when d = 1) and p = 1: (2k+1)^d, or
+    sum_i 2^i C(d,i) C(k,i) for p = 1.
+
+    ``k`` is a Python int or an int64 array; the arithmetic is exact
+    integer arithmetic in the same type.  d = 0 gives 1.
+    """
+    if p != 1.0:
+        return (2 * k + 1) ** d
+    count = 1 + 0 * k
+    choose = 1 + 0 * k  # C(k, i)
+    for i in range(1, d + 1):
+        choose = choose * (k - i + 1) // i
+        count = count + 2 ** i * math.comb(d, i) * choose
+    return count
+
+
 def _lex_order(keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
     cols = [coords[:, j] for j in range(coords.shape[1] - 1, -1, -1)]
     return np.lexsort(tuple(cols) + (keys,))
@@ -249,23 +267,15 @@ class Lattice:
 
     def _closed_form_levels(self, radius: float):
         """Keys and ball counts of the integer radii k = 0..R, for d = 1 or
-        p in {1, inf}, where those are the realised distances: (2k+1)^d
-        points for d = 1 or p = inf, sum_i 2^i C(d,i) C(k,i) for p = 1.
-        The budget is charged as for the enumerated box."""
+        p in {1, inf}, where those are the realised distances.  The budget
+        is charged as for the enumerated box."""
         k = np.arange(self._box_half(radius) + 1, dtype=np.int64)
         axis = np.zeros((len(k), self.d), dtype=np.int64)
         axis[:, 0] = k
         keys = self._norm_keys(axis)[0]
         inside = keys <= self._key_limit(radius)
         keys, k = keys[inside], k[inside]
-        if self.p != 1.0:
-            return keys, (2 * k + 1) ** self.d
-        counts = np.ones_like(k)
-        choose = np.ones_like(k)  # C(k, i), exact in integers
-        for i in range(1, self.d + 1):
-            choose = choose * (k - i + 1) // i
-            counts += 2 ** i * math.comb(self.d, i) * choose
-        return keys, counts
+        return keys, lattice_ball_count(self.d, self.p, k)
 
     def ladder_to_radius(self, radius: float) -> RadiiLadder:
         """Realised radii up to ``radius`` with their ball counts."""

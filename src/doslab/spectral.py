@@ -109,23 +109,14 @@ def constant_one() -> SpectralFunction:
 # eigenvalue sequences
 
 
-@dataclass
-class EigenSequence:
-    """Eigenvalues ordered by decreasing modulus; ties in |value| put the
-    larger signed value first."""
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def eigen_sequence(values) -> EigenSequence:
+def eigen_sequence(values) -> np.ndarray:
+    """Eigenvalues as float64, ordered by decreasing modulus; ties in
+    |value| put the larger signed value first."""
     v = np.asarray(values, dtype=np.float64)
-    return EigenSequence(values=v[np.lexsort((-v, -np.abs(v)))])
+    return v[np.lexsort((-v, -np.abs(v)))]
 
 
-def symmetric_eigenvalues(op: TruncatedOperator) -> EigenSequence:
+def symmetric_eigenvalues(op: TruncatedOperator) -> np.ndarray:
     """Eigenvalues of the operator, ordered by decreasing modulus."""
     return eigen_sequence(np.concatenate([b.eigvalsh() for b in op.blocks]))
 
@@ -292,7 +283,7 @@ def _block_weights(op: TruncatedOperator, w) -> list:
     return out
 
 
-def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> EigenSequence:
+def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
     """Eigenvalues of fn(H) M_w for strictly positive w.
 
     The product shares its spectrum with W^(1/2) fn(M_b) W^(1/2) on each
@@ -390,8 +381,8 @@ def dyadic_counts(n_max: int) -> np.ndarray:
 
 
 def log_cesaro(seq) -> CesaroSeries:
-    """Partial-sum series of an eigenvalue sequence (or pre-ordered array)."""
-    values = seq.values if isinstance(seq, EigenSequence) else np.asarray(seq)
+    """Partial-sum series of an ordered eigenvalue sequence."""
+    values = np.asarray(seq)
     return CesaroSeries(ends=np.arange(1, len(values) + 1),
                         sums=np.cumsum(values, dtype=np.float64))
 

@@ -284,6 +284,15 @@ def test_vp_trace_peak_memory(d, radius):
     assert peak_mb < 80.0
 
 
+def test_folner_peak_memory():
+    """Folner tables come from closed-form counts; no set is enumerated
+    and no Minkowski sum is built."""
+    out, peak_mb = run_in_child("folner", "--shape", "ball", "--d", "2",
+                                "--schedule", "10,20,40,80")
+    assert out.returncode == 0, out.stderr
+    assert peak_mb < 120.0
+
+
 def test_large_chain_dos_allocates_no_dense_block(tmp_path):
     """An iid chain of n = 100,101 sites has no parity fold, so it is one
     tridiagonal block whose eigenvectors would take 1e10 entries.  A
@@ -640,13 +649,28 @@ def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
     (["folner"], {"folner": {"shape": "lacunary", "schedule": [1, 2, 200]}},
      "folner: schedule: a dyadic interval [0, 2^n) has an int64 size only "
      "for n <= 62"),
+    (["folner"], {"folner": {"shape": "ball", "d": 2,
+                             "schedule": [1, 2, 10 ** 400]}},
+     "folner: schedule[2]: the ball in d = 2 has more points than int64 "
+     "holds"),
+    (["folner"], {"folner": {"shape": "cube", "d": 32, "schedule": [1000]}},
+     "folner: schedule[0]: the cube in d = 32 has more points than int64 "
+     "holds"),
+    (["ergodic"], {"space": {"kind": "lattice", "d": 1},
+                   "hamiltonian": {"hopping": {"kind": "adjacency"},
+                                   "potential": {"kind": "iid_uniform"}},
+                   "g": {"kind": "one"}, "realizations": 2,
+                   "folner": {"shape": "cube", "d": 1,
+                              "schedule": [1, 2, 10 ** 400]}},
+     "folner: schedule[2]: the cube in d = 1 has more points than int64 "
+     "holds"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_values_beyond_machine_ranges_end_in_one_error_line(
         tmp_path, capsys, command, payload, message):
     """Integers past the float range, dimensions past the 32 axes a ball
-    grid can hold, dyadic intervals past int64 and l_p lengths that
-    overflow are refused with one error line, no traceback and no
+    grid can hold, Folner sets whose size passes int64 and l_p lengths
+    that overflow are refused with one error line, no traceback and no
     warning."""
     cfg = write_config(tmp_path, payload)
     assert cli.main([*command, "--config", cfg]) == 1

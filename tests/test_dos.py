@@ -138,6 +138,21 @@ def test_dos_divergence_flag_on_block_potential():
     assert est.tail_spread > 0.2
 
 
+def test_dos_divergence_flag_on_two_radii():
+    """Short radius lists still compare their last two averages (0.35 and
+    0.67 here); the tail mean stays the last quarter, here the last
+    average.  One radius has nothing to compare and never diverges."""
+    space = Lattice(1)
+    spec = diagonal_spec(block_potential(530))
+    x = polynomial([0.0, 1.0])
+    est = dos_approximant(space, spec, x, [32.0, 64.0], margin=10.0)
+    assert est.diverged
+    assert est.tail_mean == est.values[-1]
+    assert est.tail_spread == est.values[1] - est.values[0]
+    one = dos_approximant(space, spec, x, [64.0], margin=10.0)
+    assert one.tail_spread == 0.0 and not one.diverged
+
+
 # ---------------------------------------------------------------------------
 # integrated density of states
 

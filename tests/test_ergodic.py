@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import doslab
-from doslab.ergodic import (FolnerSequence, _minkowski, cubes,
+from doslab.ergodic import (FolnerSequence, cubes,
                             equivariance_check, ergodic_average,
                             folner_tempered_check, l1_balls, shift_weight_gap)
 from doslab.errors import PreconditionFailed
@@ -181,30 +181,26 @@ def test_ball_temperedness_exact_ratios():
 
 
 def test_custom_family_matches_brute_force():
-    """Deviations and temperedness ratios of a Folner family against raw
-    set arithmetic, and the grid Minkowski sum against an asymmetric pair,
-    where an unintended reflection would show."""
-    seq = l1_balls(2, [1, 2, 4])
-    rep = folner_tempered_check(seq)
-    raw = [set(map(tuple, seq.points(i).tolist())) for i in range(3)]
-    for i, pts in enumerate(raw):
-        for j, e in enumerate(((1, 0), (0, 1))):
-            moved = {(a + e[0], b + e[1]) for a, b in pts}
-            dev = 2 * (len(pts) - len(pts & moved)) / len(pts)
-            assert rep.deviations[i, j] == dev
-    for i in range(2):
-        summed = {(b0 - a0, b1 - a1)
-                  for k in range(i + 1) for a0, a1 in raw[k]
-                  for b0, b1 in raw[i + 1]}
-        assert rep.tempered_ratios[i] == len(summed) / len(raw[i + 1])
-    a = {(0, 0), (1, 0), (2, 0), (0, 1)}
-    b = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1)}
-    mask_a = np.zeros((5, 5), dtype=bool)
-    mask_a[tuple((np.array(sorted(a)) + 2).T)] = True
-    into = np.zeros((13, 13), dtype=bool)
-    into[tuple((np.array(sorted(b)) + 6).T)] = True
-    got = {(x - 6, y - 6) for x, y in zip(*np.nonzero(_minkowski(mask_a, into)))}
-    assert got == {(a0 + b0, a1 + b1) for a0, a1 in a for b0, b1 in b}
+    """Cardinalities, deviations and temperedness ratios of every shape
+    against raw set arithmetic on the enumerated points, which also pins
+    the enumeration against the closed-form counts."""
+    families = [cubes(d, [0, 1, 2, 4]) for d in (1, 2)] + [cubes(3, [0, 1, 2])]
+    families += [l1_balls(d, [0, 1, 2, 4]) for d in (1, 2, 3)]
+    families.append(FolnerSequence("lacunary", 1, (0, 1, 2, 5)))
+    for seq in families:
+        rep = folner_tempered_check(seq)
+        raw = [set(map(tuple, seq.points(i).tolist())) for i in range(len(seq))]
+        assert rep.cardinalities.tolist() == [len(pts) for pts in raw]
+        for i, pts in enumerate(raw):
+            for j in range(seq.d):
+                moved = {x[:j] + (x[j] + 1,) + x[j + 1:] for x in pts}
+                dev = 2 * (len(pts) - len(pts & moved)) / len(pts)
+                assert rep.deviations[i, j] == dev, (seq, i, j)
+        for i in range(len(seq) - 1):
+            summed = {tuple(b - a for a, b in zip(x, y))
+                      for k in range(i + 1) for x in raw[k]
+                      for y in raw[i + 1]}
+            assert rep.tempered_ratios[i] == len(summed) / len(raw[i + 1])
 
 
 def test_lacunary_closed_forms():
@@ -361,10 +357,10 @@ def test_ergodic_average_guards():
 
 
 def test_library_imports_leave_heavy_scipy_out():
-    """scipy.linalg, scipy.ndimage and scipy.sparse.csgraph load only when
-    a solver, the Folner dilation or a graph BFS first needs them, not on
-    import; the Chebyshev route of diag g(H) (on an n = 2101 iid chain)
-    loads none of them, nor scipy.fft."""
+    """scipy.linalg and scipy.sparse.csgraph load only when a solver or a
+    graph BFS first needs them, and scipy.ndimage not at all; the Chebyshev
+    route of diag g(H) (on an n = 2101 iid chain) loads none of them, nor
+    scipy.fft."""
     heavy = ("('scipy.linalg', 'scipy.ndimage', 'scipy.fft', "
              "'scipy.sparse.csgraph')")
     imports = ("import sys, doslab.spaces, doslab.hamiltonians, "
