@@ -14,13 +14,13 @@ halves every eigensolve; any other 1-d lattice operator with hopping is one
 block whose basis sorts the ball into coordinate order.  Either way a
 nearest-neighbour chain gives tridiagonal blocks.
 
-Each block picks its eigensolver once from its own nonzero pattern (see
+Each block picks its solver once from its own nonzero pattern (see
 ``Block``): a block without off-diagonal entries is its own eigenbasis, a
-tridiagonal block goes to LAPACK's tridiagonal solvers without the dense
-reduction, and any other block to the dense symmetric solver.  Only
+tridiagonal block is its own tridiagonal form, and a dense block gets one
+from a single ``dsytrd``; both then run the same tridiagonal kernels.  Only
 ``Block`` forms n_b x n_b arrays, and it charges the entry ceiling just
-before; the sparse H has no size ceiling.  Each block caches its
-eigendecomposition, so every spectral quantity of one operator shares it.
+before; the sparse H has no size ceiling.  Each block caches its form and
+eigendecomposition, so every spectral quantity of one operator shares them.
 
 Truncation is plain Dirichlet: matrix elements between ball points are
 kept exactly as in the infinite operator (graph Laplacians keep the full
@@ -132,6 +132,15 @@ def iid_potential(low: float, high: float, seed: int) -> Potential:
                      seed=int(seed))
 
 
+def _lapack(name: str, *args, **kwargs) -> list:
+    """Outputs of scipy's LAPACK ``name``; a nonzero ``info`` raises."""
+    from scipy.linalg import lapack
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed (info={info})")
+    return out
+
+
 @dataclass(eq=False)
 class Block:
     """One diagonal block of H = sum_b Q_b M_b Q_b^T.
@@ -144,15 +153,18 @@ class Block:
 
     * ``diagonal``     no off-diagonal entries; the spectrum is read off
                        without an eigensolve,
-    * ``tridiagonal``  bandwidth 1; LAPACK ``dstevd``, or ``dsterf`` for
-                       values alone (no reduction),
-    * ``dense``        anything else; ``numpy.linalg.eigh`` (``syevd``).
+    * ``tridiagonal``  bandwidth 1; M_b is its own tridiagonal form, which
+                       ``dsterf`` (values) and ``dstevd`` (pairs) solve,
+    * ``dense``        anything else; one ``dsytrd`` gives the tridiagonal
+                       form, then the same two kernels run on it.
     """
 
     basis: sparse.csr_array
     matrix: sparse.csr_array
     diagonal: np.ndarray = field(init=False)
     solver: str = field(init=False)
+    _form: tuple | None = field(default=None, init=False, repr=False)
+    _reflectors: tuple | None = field(default=None, init=False, repr=False)
     _eigh: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -161,35 +173,57 @@ class Block:
         self.diagonal = self.matrix.diagonal()
         self.solver = ("diagonal" if not band.any()
                        else "tridiagonal" if band.max() == 1 else "dense")
+        if self.solver != "dense":
+            self._form = (self.diagonal, self.matrix.diagonal(1))
+
+    def tridiagonal(self) -> tuple:
+        """(d, e) of a tridiagonal T = Q^T M_b Q.  A dense block runs
+        ``dsytrd`` (lower) once and keeps the reflectors of Q = diag(1, Q')
+        for ``eigh``.  f2py would copy the strided c[1:, :n-1] that ``dormtr``
+        hands to ``dormqr``, so M_b is reduced one column into a zero-filled
+        buffer whose first n^2 entries read [0 | c[:, :n-1]]: the reflectors
+        shifted by one, with reflector 0 (tau 0) the identity."""
+        if self._form is None:
+            n = self.matrix.shape[0]
+            charge_entries(n * n, "dense matrix of a block")
+            buf = np.zeros(n * n + n)
+            a = self.matrix.toarray(out=buf[n:].reshape((n, n), order="F"))
+            lwork = int(_lapack("dsytrd_lwork", n, lower=1)[0])
+            _, d, e, tau = _lapack("dsytrd", a, lower=1, lwork=lwork,
+                                   overwrite_a=1)
+            self._form = (d, e)
+            self._reflectors = (buf[:n * n].reshape((n, n), order="F"),
+                                np.concatenate(([0.0], tau)))
+        return self._form
 
     def eigh(self) -> tuple:
-        """Eigenvalues and eigenvectors of a non-diagonal M_b, computed once."""
+        """Ascending eigenvalues and eigenvectors of M_b, computed once: a
+        diagonal block's sorted diagonal and unit vectors, else ``dstevd`` on
+        the form, mapped back by a dense block's reflectors (then dropped)."""
         if self._eigh is None:
-            charge_entries(self.matrix.shape[0] ** 2, "eigenvectors of a block")
-            if self.solver == "tridiagonal":
-                from scipy.linalg.lapack import dstevd
-                evals, evecs, info = dstevd(self.diagonal,
-                                            self.matrix.diagonal(1))
-                if info != 0:
-                    raise np.linalg.LinAlgError(
-                        f"dstevd failed to converge (info={info})")
-                self._eigh = (evals, evecs)
+            n = self.matrix.shape[0]
+            charge_entries(n * n, "eigenvectors of a block")
+            if self.solver == "diagonal":
+                order = np.argsort(self.diagonal, kind="stable")
+                evals, evecs = self.diagonal[order], np.zeros((n, n))
+                evecs[order, np.arange(n)] = 1.0
             else:
-                self._eigh = np.linalg.eigh(self.matrix.toarray())
+                evals, evecs = _lapack("dstevd", *self.tridiagonal())
+            if self._reflectors is not None:
+                apply_q = ("dormqr", "L", "N", *self._reflectors, evecs)
+                lwork = _lapack(*apply_q, -1, overwrite_c=1)[1][0]
+                evecs = _lapack(*apply_q, int(lwork), overwrite_c=1)[0]
+                self._reflectors = None
+            self._eigh = (evals, evecs)
         return self._eigh
 
     def eigvalsh(self) -> np.ndarray:
-        """Eigenvalues of M_b without eigenvectors: the diagonal of a diagonal
-        block, ``dsterf`` on a tridiagonal block, ``eigvalsh`` on a dense one.
-        Never read from the ``eigh`` cache, so call order changes nothing."""
+        """Eigenvalues of M_b alone: a diagonal block's diagonal, else
+        ``dsterf`` on the form.  Values read only (d, e), pairs (d, e) and the
+        reflectors, neither the other's results: call order changes no byte."""
         if self.solver == "diagonal":
             return self.diagonal
-        if self.solver == "tridiagonal":
-            from scipy.linalg import eigvalsh_tridiagonal
-            d, e = self.diagonal, self.matrix.diagonal(1)
-            return eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-        charge_entries(self.matrix.shape[0] ** 2, "dense matrix of a block")
-        return np.linalg.eigvalsh(self.matrix.toarray())
+        return _lapack("dsterf", *self.tridiagonal())[0]
 
 
 @dataclass

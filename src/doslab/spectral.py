@@ -10,16 +10,15 @@ an eigenvalue sequence has one run per term, and the spectrum of a
 radial weight has one run per ladder level, so a weight's series costs
 memory in its levels, not in its ball points.
 
-Operator spectra are computed block by block, with the solver each
-``Block`` chose from its nonzero pattern, and each spectral quantity has
-one routine.  The eigensolves themselves, and the entry ceiling on their
-n_b x n_b arrays, belong to ``Block``: ``symmetric_eigenvalues`` joins
-each block's ``eigvalsh`` (values only: ``dsterf`` on a tridiagonal
-block), while ``product_eigenvalues`` and ``function_diagonal`` share
-each block's cached ``eigh`` (``dstevd`` on a tridiagonal block,
-``syevd`` on a dense one).  For dimensions up to a few thousand the relative
-residual of the returned pairs is far below 1e-10, which the test suite
-pins down.  ``product_eigenvalues`` is rank-factored: it keeps the k
+Operator spectra are computed block by block, and each spectral quantity
+has one routine.  The eigensolves, and the entry ceiling on their n_b x n_b
+arrays, belong to ``Block``: a dense block is reduced once by ``dsytrd``,
+then every non-diagonal block runs the tridiagonal kernels.
+``symmetric_eigenvalues`` joins each block's ``eigvalsh`` (``dsterf``),
+while ``product_eigenvalues`` and ``function_diagonal`` share each block's
+cached ``eigh`` (``dstevd``, mapped back by ``dormqr`` on a dense block).
+The test suite pins the pairs' residual and orthogonality to 1e-12
+relative.  ``product_eigenvalues`` is rank-factored: it keeps the k
 eigenvectors with g(lambda) != 0, an exact cut with no threshold, solves
 one k x k problem built from their weighted Gram matrix, and returns the
 other n - k eigenvalues as exact zeros, so a compactly supported g costs
@@ -358,12 +357,8 @@ class CesaroSeries:
         n = np.asarray(n)
         return self.at(n) / np.log(2.0 + n)
 
-    @property
-    def dyadic_counts(self) -> np.ndarray:
-        return dyadic_counts(len(self))
-
     def lam_table(self):
-        n = self.dyadic_counts
+        n = dyadic_counts(len(self))
         return n, self.lam(n)
 
 
@@ -371,13 +366,8 @@ def dyadic_counts(n_max: int) -> np.ndarray:
     """Powers of two up to n_max, plus n_max itself."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    out = []
-    j = 0
-    while (1 << j) < n_max:
-        out.append(1 << j)
-        j += 1
-    out.append(n_max)
-    return np.array(out, dtype=np.int64)
+    exponents = np.arange((n_max - 1).bit_length(), dtype=np.int64)
+    return np.append(np.left_shift(1, exponents), np.int64(n_max))
 
 
 def log_cesaro(seq) -> CesaroSeries:
@@ -419,12 +409,8 @@ def dyadic_window_counts(n_lo: int, n_hi: int) -> np.ndarray:
     """Term counts n_hi, n_hi/2, ... down to n_lo (1-based, ascending)."""
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
-    out = [n_hi]
-    n = n_hi
-    while n // 2 >= n_lo:
-        n //= 2
-        out.append(n)
-    return np.array(sorted(out), dtype=np.int64)
+    shifts = np.arange((n_hi // n_lo).bit_length(), dtype=np.int64)
+    return np.right_shift(np.int64(n_hi), shifts[::-1])
 
 
 def slope_dixmier_estimate(series: CesaroSeries,

@@ -8,13 +8,14 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from doslab._rng import site_keys
-from doslab.dos import ids_histogram
+from doslab.dos import dos_approximant, ids_histogram
 from doslab.errors import BudgetExceeded
 from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
                                  WeightFunction, adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
                                  kernel, laplacian, lattice_weight,
                                  periodic_potential, weak_l1_bound)
+from doslab.percolation import largest_cluster, percolate_bonds
 from doslab.spaces import CayleyF2, Graph, Lattice
 from doslab.spectral import function_diagonal, gaussian, product_eigenvalues
 
@@ -369,6 +370,88 @@ def test_values_only_route_has_no_entry_ceiling():
     n = op.n
     exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     assert np.abs(hist.energies - exact).max() < 1e-12
+
+
+def _dense_operators():
+    """Three operators whose one block is dense: a chemical ball of a
+    percolation cluster, an F2 ball and a 2-d lattice with a reach-2
+    kernel, each with an iid potential where the space allows one."""
+    cluster = largest_cluster(percolate_bonds(2, 40, 0.6, 1))
+    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    reach2 = kernel(units + [(2 * a, 2 * b) for a, b in units],
+                    [1.0] * 4 + [0.5] * 4, iid_potential(-1.0, 1.0, 3))
+    return {"cluster": lambda: build_truncated(
+                cluster, adjacency(iid_potential(0.0, 1.0, 2)), 14.0),
+            "f2": lambda: build_truncated(CayleyF2(), adjacency(), 5.0),
+            "reach-2": lambda: build_truncated(Lattice(2), reach2, 10.0)}
+
+
+@pytest.mark.parametrize("name", ["cluster", "f2", "reach-2"])
+def test_dense_block_solves_are_accurate_and_ignore_call_order(name):
+    """Values and pairs of a dense block both come from its one reduction,
+    so neither depends on whether the other ran first; the pairs are
+    accurate, and once they exist the block holds no other n x n array."""
+    build = _dense_operators()[name]
+    op = build()
+    ((solver, n),) = op.solvers
+    assert solver == "dense" and n > 200
+    (block,) = op.blocks
+    values = block.eigvalsh()
+    lam, vec = block.eigh()
+    assert block.eigvalsh().tobytes() == values.tobytes()
+    (fresh,) = build().blocks
+    fresh_lam, fresh_vec = fresh.eigh()
+    assert fresh.eigvalsh().tobytes() == values.tobytes()
+    assert fresh_lam.tobytes() == lam.tobytes()
+    assert fresh_vec.tobytes() == vec.tobytes()
+
+    m = op.H.toarray()
+    scale = max(1.0, np.abs(np.linalg.eigvalsh(m)).max())
+    assert np.abs(np.sort(values) - np.linalg.eigvalsh(m)).max() < 1e-12
+    assert np.abs(lam - np.linalg.eigvalsh(m)).max() < 1e-12
+    assert np.linalg.norm(m @ vec - vec * lam, 2) <= 1e-12 * scale
+    gram = vec.T @ vec - np.eye(n)
+    assert np.linalg.norm(gram, 2) <= 1e-12 * scale
+
+    held = [a for v in vars(fresh).values()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and a.size >= n * n]
+    assert len(held) == 1 and held[0] is fresh_vec
+    assert fresh_vec.base is None or fresh_vec.base.size == n * n
+
+
+def test_one_reduction_per_dense_operator(monkeypatch):
+    """ids, the DOS approximant and the product spectrum of one dense
+    operator share one ``dsytrd``; a diagonal block's eigh calls neither
+    the reduction nor any cubic solver."""
+    import scipy.linalg.lapack as lapack
+    calls = []
+    dsytrd = lapack.dsytrd
+    monkeypatch.setattr(lapack, "dsytrd",
+                        lambda *a, **k: calls.append(1) or dsytrd(*a, **k))
+    op = build_truncated(CayleyF2(), adjacency(), 5.0)
+    assert op.solvers == (("dense", 485),)
+    g = gaussian(0.3, 0.7)
+    ids_histogram(None, None, 5.0, operator=op)
+    dos_approximant(None, None, g, [1.0, 2.0, 3.0], margin=2.0, operator=op)
+    product_eigenvalues(op, np.linspace(1.0, 0.5, op.n), g)
+    assert len(calls) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal block ran a dense solver")
+
+    for module, name in ((lapack, "dsytrd"), (lapack, "dsyevd"),
+                         (lapack, "dstevd"), (np.linalg, "eigh"),
+                         (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+        monkeypatch.setattr(module, name, refuse)
+    op = build_truncated(Lattice(2), diagonal_spec(iid_potential(0, 1, 4)),
+                         6.0)
+    (block,) = op.blocks
+    assert block.solver == "diagonal"
+    lam, vec = block.eigh()
+    assert np.array_equal(lam, np.sort(op.potential))
+    assert np.array_equal(block.matrix @ vec, vec * lam)
+    assert np.array_equal(vec.T @ vec, np.eye(op.n))
 
 
 # ---------------------------------------------------------------------------
