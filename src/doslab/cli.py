@@ -10,7 +10,9 @@ the file's ``folner`` object).
 
 Exit codes: 0 success (verdicts of any kind count as success), 2 a
 theorem-check ran fine but missed its tolerance, 1 anything that stopped
-the run (bad config, budget, failed precondition).
+the run (bad config, budget, failed precondition).  A stopped run prints
+one ``doslab: error:`` line, each distinct library warning one
+``doslab: warning:`` line.
 
 Thread caps have to land in the environment before numpy loads its BLAS,
 so nothing numerical is imported at module level; handlers import what
@@ -30,6 +32,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -515,7 +518,12 @@ def main(argv=None) -> int:
         return 1
     try:
         _apply_process_flags(args)
-        return args.handler(_load_config(args))
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.handler(_load_config(args))
+            finally:
+                for text in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"doslab: warning: {text}", file=sys.stderr)
     except (ValueError, BudgetExceeded, PreconditionFailed, NotEstablished,
             OSError) as exc:
         # ValueError covers ConfigError, GraphParseError and the domain

@@ -23,11 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rng import derive_seed, site_keys
+from ._rng import derive_seed
 from .budget import charge
 from .dos import DEFAULT_MARGIN, dos_approximant
 from .errors import PreconditionFailed
-from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated)
+from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated,
+                           site_rows)
 from .spaces import Lattice, lattice_ball_count
 from .spectral import function_diagonal
 
@@ -285,15 +286,12 @@ class ErgodicReport:
 
 
 def _window_indices(op, window_points: np.ndarray) -> np.ndarray:
-    keys = site_keys(op.points)
-    order = np.argsort(keys)
-    wanted = site_keys(window_points)
-    pos = np.searchsorted(keys[order], wanted)
-    if np.any(pos >= len(keys)) or np.any(keys[order][np.minimum(pos, len(keys) - 1)] != wanted):
+    rows = site_rows(op.points, window_points)
+    if np.any(rows < 0):
         raise ValueError("folner window escapes the built ball")
     # ball order, not listing order: the window's mean then sums the same
     # set in the same order however the Folner sequence lists it
-    return np.sort(order[pos])
+    return np.sort(rows)
 
 
 def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,

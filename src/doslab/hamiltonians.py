@@ -1,18 +1,22 @@
 """Finite-range operators truncated to balls, and radial weight functions.
 
 ``build_truncated`` applies a hopping kernel plus a potential to the points
-of a closed ball.  The result keeps the exact truncated Hamiltonian ``H`` as
-a sparse CSR matrix together with its block decomposition
+of a closed ball, on one path for every space.  The result keeps the exact
+truncated Hamiltonian ``H`` as a sparse CSR matrix together with its block
+decomposition
 
     H = sum_b Q_b M_b Q_b^T,
 
 where each basis ``Q_b`` is sparse and orthonormal with at most one nonzero
-per row.  A generic operator is one block with Q = I.  A 1-d lattice
-operator whose potential is even about the ball centre b commutes with the
-reflection x -> 2b - x and splits into its even and odd parity blocks, which
-halves every eigensolve; any other 1-d lattice operator with hopping is one
-block whose basis sorts the ball into coordinate order.  Either way a
-nearest-neighbour chain gives tridiagonal blocks.
+per row.  ``_hopping`` assembles every space and applies the Laplacian
+rule once, ``site_rows`` is the one lattice site index, and
+``_orbit_block`` builds every block from one orbit label and sign per
+point; only ``Block`` reads the orbits back.  A generic operator has one
+orbit per point, so Q = I.  A 1-d lattice operator whose potential is
+even about the base point b commutes with x -> 2b - x and splits into
+even and odd blocks on the orbits of |x - b|, which halves every
+eigensolve; any other 1-d lattice operator with hopping is one block in
+coordinate order.  A nearest-neighbour chain gives tridiagonal blocks.
 
 Each block picks its solver once from its own nonzero pattern (see
 ``Block``): a block without off-diagonal entries is its own eigenbasis, a
@@ -37,7 +41,7 @@ from scipy import sparse
 
 from ._rng import site_keys, uniform_stream
 from .budget import charge_entries
-from .spaces import CayleyF2, Graph, Lattice, RadiiLadder
+from .spaces import Graph, Lattice, RadiiLadder
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,9 @@ class Block:
     """One diagonal block of H = sum_b Q_b M_b Q_b^T.
 
     ``basis`` (Q_b) is a sparse n x k matrix whose column j is the signed
-    indicator of an orbit of c_j points scaled to unit length, so it has
-    orthonormal columns, at most one nonzero per row and |Q_ij|^2 = 1/c_j;
+    indicator of orbit j, its c_j = ``size[j]`` points scaled to unit length,
+    so it has orthonormal columns, at most one nonzero per row and
+    |Q_ij|^2 = 1/c_j; ball point ``rows[i]`` lies in orbit ``cols[i]``.
     ``matrix`` (M_b) is the sparse k x k block and ``diagonal`` its diagonal.
     ``solver`` is decided once from M_b's nonzero pattern:
 
@@ -161,6 +166,9 @@ class Block:
 
     basis: sparse.csr_array
     matrix: sparse.csr_array
+    rows: np.ndarray
+    cols: np.ndarray
+    size: np.ndarray
     diagonal: np.ndarray = field(init=False)
     solver: str = field(init=False)
     _form: tuple | None = field(default=None, init=False, repr=False)
@@ -175,6 +183,22 @@ class Block:
                        else "tridiagonal" if band.max() == 1 else "dense")
         if self.solver != "dense":
             self._form = (self.diagonal, self.matrix.diagonal(1))
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """``values`` of the ball points as one value per orbit; refused
+        unless they are constant on every orbit."""
+        out = np.empty(len(self.size))
+        out[self.cols] = values[self.rows]
+        if not np.array_equal(out[self.cols], values[self.rows]):
+            raise ValueError("weight is not constant on the operator's "
+                             "symmetry orbits (w(-x) != w(x) on a "
+                             "parity-folded operator)")
+        return out
+
+    def scatter(self, out: np.ndarray, diag: np.ndarray) -> None:
+        """Add diag[j] / c_j to ``out`` at each of the c_j points of orbit j:
+        the ball diagonal of Q_b diag(diag) Q_b^T."""
+        out[self.rows] += diag[self.cols] / self.size[self.cols]
 
     def tridiagonal(self) -> tuple:
         """(d, e) of a tridiagonal T = Q^T M_b Q.  A dense block runs
@@ -281,85 +305,78 @@ def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.nd
     return pot.low + (pot.high - pot.low) * u
 
 
-def _lattice_hopping(space: Lattice, spec: HamiltonianSpec, points: np.ndarray):
-    """(rows, cols, values) of the hopping part between ball points."""
-    n = len(points)
-    hop = spec.hopping
-    units = [tuple(s if i == a else 0 for i in range(space.d))
-             for a in range(space.d) for s in (1, -1)]
-    if hop.kind == "adjacency":
-        offsets, amps = units, [1.0] * len(units)
-    elif hop.kind == "laplacian":
-        offsets = [(0,) * space.d] + units
-        amps = [2.0 * space.d] + [-1.0] * len(units)
-    else:
-        offsets, amps = [tuple(o) for o in hop.offsets], list(hop.amplitudes)
-        for off in offsets:
-            if len(off) != space.d:
-                raise ValueError(f"kernel offset {off} has {len(off)} "
-                                 f"components, the lattice has d = {space.d}")
+def site_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Row of each lattice site of ``sites`` in ``points``, -1 where the
+    site is not among them."""
     keys = site_keys(points)
     order = np.argsort(keys)
-    sorted_keys = keys[order]
-    rows, cols, vals = [], [], []
-    for off, amp in zip(offsets, amps):
-        tkeys = site_keys(points + np.asarray(off, dtype=np.int64))
-        pos = np.minimum(np.searchsorted(sorted_keys, tkeys), n - 1)
-        hit = np.flatnonzero(sorted_keys[pos] == tkeys)
-        rows.append(hit)
-        cols.append(order[pos[hit]])
-        vals.append(np.full(len(hit), float(amp)))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    sorted_keys, wanted = keys[order], site_keys(sites)
+    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
+    return np.where(sorted_keys[pos] == wanted, order[pos], -1)
 
 
-def _graph_hopping(space: Graph, spec: HamiltonianSpec, node_idx: np.ndarray):
-    sub = space.adjacency_matrix()[node_idx][:, node_idx].tocoo()
-    rows, cols, vals = sub.row, sub.col, sub.data
-    if spec.hopping.kind == "laplacian":
-        deg = (space.indptr[node_idx + 1] - space.indptr[node_idx]).astype(np.float64)
-        diag = np.arange(len(node_idx))
-        rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
-        vals = np.concatenate((-vals, deg))
-    return rows, cols, vals
+def _hopping(space, spec: HamiltonianSpec, points: np.ndarray):
+    """(rows, cols, values) of the hopping part between ball points.
 
-
-def _f2_hopping(spec: HamiltonianSpec, words: np.ndarray):
-    order = np.argsort(words)
-    child = np.flatnonzero(words > 1)
-    parent = order[np.searchsorted(words[order], words[child] >> 2)]
-    rows, cols = np.concatenate((child, parent)), np.concatenate((parent, child))
-    vals = np.ones(len(rows))
-    if spec.hopping.kind == "laplacian":
-        diag = np.arange(len(words))
-        rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
-        vals = np.concatenate((-vals, np.full(len(words), 4.0)))
-    return rows, cols, vals
-
-
-def _parity_blocks(H: sparse.csr_array, points: np.ndarray) -> tuple:
-    """Even and odd blocks of a reflection-invariant operator on [b-R, b+R].
-
-    The even basis is e_b and (e_b+x + e_b-x)/sqrt2, the odd basis
-    (e_b+x - e_b-x)/sqrt2, for x = 1..R.
+    A kernel is looked up on the lattice, offset by offset.  Adjacency is
+    the space's neighbour pairs among the ball points: unit offsets on
+    Z^d, edges on a graph, parent links on F2.  The Laplacian negates them
+    and puts each point's degree in the untruncated space on the diagonal
+    (2d, the graph's row length, 4), boundary points included.
     """
-    order = np.argsort(points[:, 0])
-    r = len(order) // 2
-    plus, minus = order[r + 1:], order[:r][::-1]
-    k = np.arange(r)
-    even = _orbit_block(H, np.concatenate(([order[r]], plus, minus)),
-                        np.concatenate(([0], k + 1, k + 1)),
-                        np.ones(2 * r + 1), r + 1)
-    odd = _orbit_block(H, np.concatenate((plus, minus)), np.concatenate((k, k)),
-                       np.concatenate((np.ones(r), -np.ones(r))), r)
-    return even, odd
+    hop, n = spec.hopping, len(points)
+    if isinstance(space, Lattice):
+        d = space.d
+        if hop.kind == "kernel":
+            for off in hop.offsets:
+                if len(off) != d:
+                    raise ValueError(f"kernel offset {off} has {len(off)} "
+                                     f"components, the lattice has d = {d}")
+            offsets, amps = hop.offsets, hop.amplitudes
+        else:
+            offsets = np.concatenate((np.eye(d), -np.eye(d)))
+            amps = np.ones(2 * d)
+        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, d)
+        # entry o * n + i is site i moved by offset o
+        cols = site_rows(points, (points + offsets[:, None, :]).reshape(-1, d))
+        hit = np.flatnonzero(cols >= 0)
+        rows, cols = hit % n, cols[hit]
+        vals = np.asarray(amps, dtype=np.float64)[hit // n]
+        degree = 2.0 * d
+    elif hop.kind == "kernel":
+        raise ValueError("kernel hopping needs a lattice space, not "
+                         f"{space.kind!r}")
+    elif isinstance(space, Graph):
+        sub = space.adjacency_matrix()[points][:, points].tocoo()
+        rows, cols, vals = sub.row, sub.col, sub.data
+        degree = np.diff(space.indptr)[points].astype(np.float64)
+    else:
+        # CayleyF2, the one kind left: a word's parent drops its last letter
+        order = np.argsort(points)
+        child = np.flatnonzero(points > 1)
+        parent = order[np.searchsorted(points[order], points[child] >> 2)]
+        rows = np.concatenate((child, parent))
+        cols = np.concatenate((parent, child))
+        vals = np.ones(len(rows))
+        degree = 4.0
+    if hop.kind == "laplacian":
+        diag = np.arange(n)
+        rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
+        vals = np.concatenate((-vals, np.broadcast_to(degree, (n,))))
+    return rows, cols, vals
 
 
-def _orbit_block(H: sparse.csr_array, rows: np.ndarray, cols: np.ndarray,
-                 signs: np.ndarray, k: int) -> Block:
-    """Block of H on the k columns j = signed indicator of the orbit
-    {rows[cols == j]}, normalised to unit length."""
-    n = H.shape[0]
-    size = np.bincount(cols, minlength=k).astype(np.float64)
+def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
+                 signs: np.ndarray) -> Block:
+    """The block M_b = Q_b^T H Q_b, where point i lies in the orbit labelled
+    ``orbits[i]`` with sign ``signs[i]`` (sign 0: in no orbit of the block)
+    and column j of Q_b is the signed indicator of the j-th smallest label,
+    scaled to unit length.  Every block of every operator is built here."""
+    n, rows = H.shape[0], np.flatnonzero(signs)
+    _, cols, size = np.unique(orbits[rows], return_inverse=True,
+                              return_counts=True)
+    k, size = len(size), size.astype(np.float64)
+    signs = np.asarray(signs[rows], dtype=np.float64)
     pattern = sparse.csr_array((signs, (rows, cols)), shape=(n, k))
     m = (pattern.T @ H @ pattern).tocoo()
     # sqrt(c)/c instead of 1/sqrt(c): pair-pair entries scale by exactly
@@ -369,17 +386,20 @@ def _orbit_block(H: sparse.csr_array, rows: np.ndarray, cols: np.ndarray,
                          shape=(k, k))
     basis = sparse.csr_array((signs / np.sqrt(size[cols]), (rows, cols)),
                              shape=(n, k))
-    return Block(basis, sparse.csr_array((m + m.T) / 2.0))
+    return Block(basis, sparse.csr_array((m + m.T) / 2.0), rows, cols, size)
 
 
 def build_truncated(space, spec: HamiltonianSpec,
                     radius: float) -> TruncatedOperator:
     """Dirichlet truncation of the operator to the closed ball of ``radius``.
 
-    A 1-d lattice operator with hopping and a potential even about the
-    ball centre is split into its two parity blocks, any other 1-d lattice
-    operator with hopping is one block in coordinate order, and everything
-    else is one block in ball order.
+    One path serves every space: the potential and ``_hopping`` give the
+    triplets of H, and ``_orbit_block`` its blocks.  With b the base point
+    and x a site, a 1-d lattice operator with hopping and a potential even
+    about b takes the orbits of |x - b|: the even block holds all of them,
+    the odd block those with x != b, signed by sign(x - b).  Any other 1-d
+    lattice operator with hopping takes the orbits of x - b (coordinate
+    order), and everything else one orbit per point, in ball order.
     """
     points, keys, dists = space.ball_arrays(radius)
     uniq = np.unique(keys)
@@ -393,33 +413,21 @@ def build_truncated(space, spec: HamiltonianSpec,
     n = len(points)
     parts = [(np.arange(n), np.arange(n), v)]
     if spec.hopping.kind != "none":
-        if isinstance(space, Lattice):
-            parts.append(_lattice_hopping(space, spec, points))
-        elif spec.hopping.kind == "kernel":
-            raise ValueError("kernel hopping needs a lattice space, not "
-                             f"{space.kind!r}")
-        elif isinstance(space, Graph):
-            parts.append(_graph_hopping(space, spec, points))
-        elif isinstance(space, CayleyF2):
-            parts.append(_f2_hopping(spec, points))
-        else:
-            raise ValueError(f"unsupported space kind {space.kind!r}")
+        parts.append(_hopping(space, spec, points))
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     H = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     H.eliminate_zeros()
     if (H != H.T).nnz:
         raise AssertionError("truncated matrix lost exact symmetry")
+    orbits, signs = np.arange(n), [np.ones(n)]
     if (spec.hopping.kind != "none" and isinstance(space, Lattice)
             and space.d == 1):
-        order = np.argsort(points[:, 0])
+        orbits = points[:, 0] - space.base[0]
+        order = np.argsort(orbits)
         if np.array_equal(v[order], v[order[::-1]]):
-            blocks = _parity_blocks(H, points)
-        else:
-            blocks = (_orbit_block(H, order, np.arange(n), np.ones(n), n),)
-    else:
-        identity = sparse.csr_array(
-            (np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
-        blocks = (Block(identity, H),)
+            signs.append(np.sign(orbits))
+            orbits = np.abs(orbits)
+    blocks = tuple(_orbit_block(H, orbits, s) for s in signs)
     return TruncatedOperator(
         radius=float(radius), points=points, dists=dists, levels=levels,
         level_radii=level_radii, level_counts=level_counts.astype(np.int64),
@@ -472,8 +480,7 @@ def default_weight(ladder: RadiiLadder) -> WeightFunction:
     """
     _, counts = ladder.level_arrays()
     values = 1.0 / (1.0 + counts.astype(np.float64))
-    return WeightFunction("default", values, counts,
-                          descriptor={"rule": "1/(1+ball_count)"})
+    return WeightFunction("default", values, counts)
 
 
 def lattice_weight(space, ladder: RadiiLadder) -> WeightFunction:
@@ -497,7 +504,6 @@ class WeakL1Report:
     logarithmic decay), meaning no finite C is in sight.
     """
 
-    products: np.ndarray
     c_estimate: float
     divergent_trend: bool
 
@@ -509,4 +515,4 @@ def weak_l1_bound(w: WeightFunction) -> WeakL1Report:
     divergent = bool(len(products) >= 8
                      and products[-1] >= 1.5 * products[half]
                      and np.all(np.diff(products[half:]) > 0))
-    return WeakL1Report(products=products, c_estimate=c, divergent_trend=divergent)
+    return WeakL1Report(c_estimate=c, divergent_trend=divergent)

@@ -250,36 +250,8 @@ def function_diagonal(op: TruncatedOperator, fn: Callable) -> FunctionDiagonal:
             evals, evecs = block.eigh()
             diag = (evecs * evecs) @ fn(evals)
             routes.append(("eigh", dim))
-        q = block.basis.tocoo()
-        size = np.bincount(q.col, minlength=q.shape[1])
-        out[q.row] += diag[q.col] / size[q.col]
+        block.scatter(out, diag)
     return FunctionDiagonal(values=out, routes=tuple(routes))
-
-
-def _block_weights(op: TruncatedOperator, w) -> list:
-    """The weight of ``op``'s points as one vector per block basis.
-
-    M_w maps each block to itself only when w is constant on the support
-    of every basis column (on a parity-folded operator: w(-x) == w(x));
-    any other w is refused rather than silently averaged.
-    """
-    if isinstance(w, WeightFunction):
-        w_pts = w.values_for_levels(op.levels)
-    else:
-        w_pts = np.asarray(w, dtype=np.float64)
-        if w_pts.shape != (op.n,):
-            raise ValueError("weight vector length does not match operator")
-    out = []
-    for block in op.blocks:
-        q = block.basis.tocoo()
-        wb = np.empty(q.shape[1])
-        wb[q.col] = w_pts[q.row]
-        if not np.array_equal(wb[q.col], w_pts[q.row]):
-            raise ValueError("weight is not constant on the operator's "
-                             "symmetry orbits (w(-x) != w(x) on a "
-                             "parity-folded operator)")
-        out.append(wb)
-    return out
 
 
 def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
@@ -295,9 +267,17 @@ def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
     is formed, an n k^2 product in place of an n^3 one.  The nonzero
     spectrum is ``eigvalsh`` of G^(1/2) C G^(1/2) when G > 0, and of
     L^T G L with C = L L^T (Cholesky) when fn changes sign; the other
-    n - k eigenvalues are exact zeros.
+    n - k eigenvalues are exact zeros.  M_w maps each block to itself only
+    when w is constant on every orbit (w(-x) == w(x) on a parity-folded
+    operator); ``Block.gather`` refuses any other w rather than average it.
     """
-    weights = _block_weights(op, w)
+    if isinstance(w, WeightFunction):
+        w_pts = w.values_for_levels(op.levels)
+    else:
+        w_pts = np.asarray(w, dtype=np.float64)
+        if w_pts.shape != (op.n,):
+            raise ValueError("weight vector length does not match operator")
+    weights = [block.gather(w_pts) for block in op.blocks]
     if any(np.any(wb <= 0) for wb in weights):
         raise ValueError("weights must be strictly positive")
     parts = []

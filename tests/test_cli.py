@@ -373,6 +373,23 @@ def test_dos_csv_matches_library(tmp_path):
     assert meta["diagonal_routes"] == [["eigh", 101], ["eigh", 100]]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("dos", {}), ("equivariance", {"shift": [1]})])
+def test_library_warning_is_one_stderr_line(tmp_path, capsys, command, extra):
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, {
+        "space": {"kind": "lattice", "d": 1}, "hamiltonian": FREE_CHAIN,
+        "g": {"kind": "gaussian", "center": 0.3, "sigma": 0.7},
+        "radii": [10.0, 20.0], "margin": 0, "out": str(out), **extra})
+    assert cli.main([command, "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    # equivariance warns once per ball family; the message prints once
+    assert captured.err == ("doslab: warning: margin 0: ball averages touch "
+                            "the truncation boundary and pick up edge "
+                            "contamination\n")
+    assert captured.out.endswith(f"wrote {out} (2 rows)\n")
+
+
 def test_ids_csv(tmp_path):
     out = tmp_path / "ids.csv"
     cfg = write_config(tmp_path, {

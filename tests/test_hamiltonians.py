@@ -145,6 +145,105 @@ def test_f2_adjacency_degrees():
     assert np.all(deg[~interior] == 1.0)  # leaves only reach their parent
 
 
+def _random_graph():
+    rng = np.random.default_rng(5)
+    edges = [tuple(int(v) for v in e) for e in rng.integers(0, 30, (60, 2))]
+    return Graph.from_edges(edges, base=edges[0][0]), edges
+
+
+def _metric_cases():
+    """(id, space, radius, neighbours) where neighbours(points) gives the
+    amplitude table of the space's own nearest-neighbour relation among the
+    ball points and the full degree of each point."""
+    def lattice(d, p, radius):
+        def neighbours(points):
+            l1 = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+            return (l1 == 1).astype(np.float64), np.full(len(points), 2.0 * d)
+        return Lattice(d, p), radius, neighbours
+
+    graph, edges = _random_graph()
+
+    def graph_neighbours(points):
+        pairs = {frozenset(e) for e in edges if e[0] != e[1]}
+        labels = graph.labels[points]
+        want = np.array([[float(frozenset((a, b)) in pairs) for b in labels]
+                         for a in labels])
+        degree = np.array([sum(a in e for e in pairs) for a in labels],
+                          dtype=np.float64)
+        return want, degree
+
+    cluster = largest_cluster(percolate_bonds(2, 30, 0.6, 4))
+
+    def cluster_neighbours(points):
+        rows = [set(cluster.indices[cluster.indptr[i]:cluster.indptr[i + 1]])
+                for i in points]
+        want = np.array([[float(b in row) for b in points] for row in rows])
+        return want, np.array([len(row) for row in rows], dtype=np.float64)
+
+    f2 = CayleyF2()
+
+    def f2_neighbours(points):
+        words = [CayleyF2.decode(int(w)) for w in points]
+        want = np.array([[float(f2.distance(a, b) == 1) for b in words]
+                         for a in words])
+        return want, np.full(len(points), 4.0)
+
+    return [
+        ("z1", *lattice(1, 2.0, 4.0)),
+        ("z2-l1", *lattice(2, 1.0, 4.0)),
+        ("z2-l2", *lattice(2, 2.0, 3.0)),
+        ("z2-linf", *lattice(2, math.inf, 3.0)),
+        ("z3-l1", *lattice(3, 1.0, 3.0)),
+        ("graph", graph, 2.0, graph_neighbours),
+        ("cluster", cluster, 6.0, cluster_neighbours),
+        ("f2", f2, 3.0, f2_neighbours),
+    ]
+
+
+_METRIC_CASES = [
+    (*case, hopping) for case in _metric_cases()
+    for hopping in ("adjacency", "laplacian", "kernel")
+    if hopping != "kernel" or isinstance(case[1], Lattice)]
+
+
+@pytest.mark.parametrize("name, space, radius, neighbours, hopping",
+                         _METRIC_CASES,
+                         ids=[f"{case[0]}-{case[4]}" for case in _METRIC_CASES])
+def test_hopping_matches_the_space_metric_pair_by_pair(name, space, radius,
+                                                       neighbours, hopping):
+    """H minus its potential, against a matrix built from the space's own
+    metric one pair at a time.  Boundary points keep their full degree on
+    the Laplacian diagonal: the truncation drops matrix elements, not
+    neighbours."""
+    potential = iid_potential(-1.0, 1.0, 3)
+    if hopping == "kernel":
+        d = space.d
+        units = [tuple(s * (i == a) for i in range(d))
+                 for a in range(d) for s in (1, -1)]
+        reach2 = [tuple(2 * s * (i == d - 1) for i in range(d))
+                  for s in (1, -1)]
+        amps = {**{u: 1.0 for u in units}, **{o: -0.5 for o in reach2}}
+        spec = kernel(list(amps), list(amps.values()), potential)
+    else:
+        spec = HamiltonianSpec(Hopping(hopping), potential)
+    op = build_truncated(space, spec, radius)
+    if hopping == "kernel":
+        n = op.n
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                want[i, j] = amps.get(
+                    tuple(int(c) for c in op.points[j] - op.points[i]), 0.0)
+    else:
+        want, degree = neighbours(op.points)
+        boundary = want.sum(axis=1) < degree
+        assert boundary.any() and not boundary.all()
+        if hopping == "laplacian":
+            want = np.diag(degree) - want
+    # H = want + diag(potential) exactly: one float sum per diagonal entry
+    assert np.array_equal(op.H.toarray(), want + np.diag(op.potential))
+
+
 # ---------------------------------------------------------------------------
 # potentials
 
