@@ -7,13 +7,15 @@ decomposition
 
     H = sum_b Q_b M_b Q_b^T,
 
-where each basis ``Q_b`` is sparse and orthonormal with at most one nonzero
-per row.  ``_hopping`` assembles every space and applies the Laplacian
-rule once, ``site_rows`` is the one lattice site index, and
-``_orbit_block`` builds every block from one orbit label and sign per
-point; only ``Block`` reads the orbits back.  A generic operator has one
-orbit per point, so Q = I.  A 1-d lattice operator whose potential is
-even about the base point b commutes with x -> 2b - x and splits into
+where column j of ``Q_b`` is the signed indicator of orbit j scaled to unit
+length, so Q_b is orthonormal with at most one nonzero per row.  A block
+stores no Q_b, only the orbit of each point and the orbit sizes that
+``gather`` and ``scatter`` read.  ``_hopping`` assembles every space and
+applies the Laplacian rule once, ``site_rows`` is the one lattice site
+index, and ``_orbit_block`` builds every block from one orbit label and
+sign per point; only ``Block`` reads the orbits back.  A generic operator
+has one orbit per point, so Q = I.  A 1-d lattice operator whose potential
+is even about the base point b commutes with x -> 2b - x and splits into
 even and odd blocks on the orbits of |x - b|, which halves every
 eigensolve; any other 1-d lattice operator with hopping is one block in
 coordinate order.  A nearest-neighbour chain gives tridiagonal blocks.
@@ -149,10 +151,9 @@ def _lapack(name: str, *args, **kwargs) -> list:
 class Block:
     """One diagonal block of H = sum_b Q_b M_b Q_b^T.
 
-    ``basis`` (Q_b) is a sparse n x k matrix whose column j is the signed
-    indicator of orbit j, its c_j = ``size[j]`` points scaled to unit length,
-    so it has orthonormal columns, at most one nonzero per row and
-    |Q_ij|^2 = 1/c_j; ball point ``rows[i]`` lies in orbit ``cols[i]``.
+    Column j of Q_b is the signed indicator of orbit j, its c_j = ``size[j]``
+    points scaled to unit length, so |Q_ij|^2 = 1/c_j.  Ball point
+    ``rows[i]`` lies in orbit ``cols[i]``; that is all a diagonal needs.
     ``matrix`` (M_b) is the sparse k x k block and ``diagonal`` its diagonal.
     ``solver`` is decided once from M_b's nonzero pattern:
 
@@ -164,7 +165,6 @@ class Block:
                        form, then the same two kernels run on it.
     """
 
-    basis: sparse.csr_array
     matrix: sparse.csr_array
     rows: np.ndarray
     cols: np.ndarray
@@ -384,9 +384,7 @@ def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
     cc = size[m.row] * size[m.col]
     m = sparse.csr_array((m.data * (np.sqrt(cc) / cc), (m.row, m.col)),
                          shape=(k, k))
-    basis = sparse.csr_array((signs / np.sqrt(size[cols]), (rows, cols)),
-                             shape=(n, k))
-    return Block(basis, sparse.csr_array((m + m.T) / 2.0), rows, cols, size)
+    return Block(sparse.csr_array((m + m.T) / 2.0), rows, cols, size)
 
 
 def build_truncated(space, spec: HamiltonianSpec,

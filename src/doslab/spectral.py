@@ -29,14 +29,17 @@ kernel polynomial method with probing vectors (Weisse et al., Rev. Mod.
 Phys. 78, 275 (2006); Tang & Saad, Numer. Linear Algebra Appl. 19
 (2012)).  g is expanded in K Chebyshev terms on the block's Gershgorin
 interval, and the coefficient tail beyond K of its interpolant bounds
-the error of every diagonal entry.  T_k of a tridiagonal block has
-bandwidth k, so K probes of sites equal mod K recover the diagonal
-exactly, in n K^2 work and without eigenvectors.  A block takes this
-route only when the tail is at most 1e-14 max|g| with K^2 <= n, below
-the n^2 cost of its eigenvectors, and p_K also matches g at the points
-between the interpolation points; a g that vanishes at every sample has
-no relative bound and is refused too, so a bump narrower than the point
-spacing cannot alias to zero.  Every other block keeps the eigen route.
+the error of every diagonal entry.  The three-term recurrence runs on an
+n x K block of probe vectors as products with one CSR matrix, M_b
+rescaled to [-1, 1], so the kernel reads only M_b's nonzeros.  The
+probes are what need a tridiagonal block: T_k of it has bandwidth k, so
+K probes of sites equal mod K recover the diagonal exactly, in n K^2
+work and without eigenvectors.  A block takes this route only when the
+tail is at most 1e-14 max|g| with K^2 <= n, below the n^2 cost of its
+eigenvectors, and p_K also matches g at the points between the
+interpolation points; a g that vanishes at every sample has no relative
+bound and is refused too, so a bump narrower than the point spacing
+cannot alias to zero.  Every other block keeps the eigen route.
 The choice depends on (M_b, g) alone, and the result carries it per
 block.
 """
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .hamiltonians import Block, TruncatedOperator, WeightFunction
 
@@ -178,34 +182,28 @@ def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
                         hi: float) -> np.ndarray:
     """diag p(M_b) for p = sum_k c_k T_k on [lo, hi], by probing.
 
-    T_k of the rescaled block has bandwidth k < K, so the K probes
+    T = (M_b - centre I) / half is M_b rescaled to [-1, 1], one CSR.  T_k(T)
+    has bandwidth k < K on a tridiagonal block, so the K probes
     z_j = sum_{i = j mod K} e_i never overlap in a band: entry (i, i mod K)
-    of T_k Z is T_k[i, i].  The three-term recurrence runs on the n x K
-    block Z with the band product done by slicing.
+    of T_k(T) Z is T_k(T)[i, i].  The three-term recurrence
+    Y_k = 2T Y_{k-1} - Y_{k-2} runs on the n x K block Z as sparse
+    products, which read only M_b's nonzeros and not its band.
     """
     n, terms = block.matrix.shape[0], len(c)
-    half = (hi - lo) / 2.0
-    d = ((block.diagonal - (hi + lo) / 2.0) / half)[:, None]
-    e = (block.matrix.diagonal(1) / half)[:, None]
-
-    def band(t):
-        out = d * t
-        out[:-1] += e * t[1:]
-        out[1:] += e * t[:-1]
-        return out
-
+    diag = np.full(n, c[0])
+    if terms == 1:
+        return diag
+    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    t = (block.matrix - centre * sparse.eye_array(n, format="csr")) / half
     sites = np.arange(n)
     own = sites * terms + sites % terms  # flat index of (i, i mod K)
     prev = np.zeros((n, terms))
     prev.flat[own] = 1.0
-    diag = np.full(n, c[0])
-    if terms == 1:
-        return diag
-    cur = band(prev)
+    cur = t @ prev
     diag += c[1] * cur.ravel()[own]
+    two_t = 2.0 * t
     for ck in c[2:]:
-        prev = 2.0 * band(cur) - prev
-        prev, cur = cur, prev
+        prev, cur = cur, two_t @ cur - prev
         diag += ck * cur.ravel()[own]
     return diag
 

@@ -383,7 +383,7 @@ def test_library_warning_is_one_stderr_line(tmp_path, capsys, command, extra):
         "radii": [10.0, 20.0], "margin": 0, "out": str(out), **extra})
     assert cli.main([command, "--config", cfg]) == 0
     captured = capsys.readouterr()
-    # equivariance warns once per ball family; the message prints once
+    # the one margin-0 warning prints as one line on either command
     assert captured.err == ("doslab: warning: margin 0: ball averages touch "
                             "the truncation boundary and pick up edge "
                             "contamination\n")

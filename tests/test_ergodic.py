@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,27 @@ def test_shift_relabels_the_diagonal():
     # the identity genuinely fails at the truncation edge
     edge = abs(diag_shifted[pos_shifted[300]] - diag[pos[300]])
     assert edge > 1e-2
+
+
+def test_margin_zero_warns_once_per_check():
+    """Both ball families touch the boundary at margin 0; the check warns
+    once for the pair, and every other warning still gets through."""
+    spec = adjacency(periodic_potential([0.0, 1.0]))
+    calls = []
+
+    def g(x):
+        calls.append(1)
+        warnings.warn("g was evaluated", RuntimeWarning)
+        return gaussian(0.3, 0.7)(x)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        equivariance_check(Lattice(1), spec, (1,), g, [10.0, 20.0], margin=0)
+    margin = [w for w in caught if w.category is UserWarning]
+    assert [str(w.message) for w in margin] == [
+        "margin 0: ball averages touch the truncation boundary and pick up "
+        "edge contamination"]
+    assert len(caught) - len(margin) == len(calls) > 0
 
 
 @pytest.mark.parametrize("shift", [(1,), (1, 0, 0)])

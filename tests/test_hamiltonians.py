@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from doslab._rng import site_keys
 from doslab.dos import dos_approximant, ids_histogram
@@ -357,12 +358,24 @@ def test_whole_period_move_of_the_base_is_bit_identical(space, moved, spec):
     assert len(a.blocks) == len(b.blocks)
     for x, y in zip(a.blocks, b.blocks):
         assert_same_csr(x.matrix, y.matrix)
-        assert_same_csr(x.basis, y.basis)
+        for name in ("rows", "cols", "size"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
 
 
 # ---------------------------------------------------------------------------
 # parity folding (the property test in test_spectral.py compares every
 # spectral quantity of folded operators with the dense reference)
+
+
+def orbit_basis(op, i):
+    """Q_b of block i of a 1-d operator based at the origin: the indicator
+    of each orbit scaled to unit length, signed by sign(x) on the odd block
+    (block 1) of a parity fold."""
+    block = op.blocks[i]
+    signs = np.sign(op.points[block.rows, 0]) if i == 1 else 1.0
+    return sparse.csr_array(
+        (signs / np.sqrt(block.size[block.cols]), (block.rows, block.cols)),
+        shape=(op.n, len(block.size)))
 
 
 def test_fold_matches_dense_spectrum():
@@ -381,12 +394,13 @@ def test_fold_dense_reconstruction_is_exact():
                   periodic_potential([0.5, 2.0, 2.0]))
     op = build_truncated(Lattice(1), spec, 40.0)
     assert len(op.blocks) == 2
-    rebuilt = sum(b.basis @ b.matrix @ b.basis.T for b in op.blocks)
+    bases = [orbit_basis(op, i) for i in range(len(op.blocks))]
+    rebuilt = sum(q @ b.matrix @ q.T for q, b in zip(bases, op.blocks))
     assert np.allclose(rebuilt.toarray(), op.H.toarray(), atol=1e-12)
-    for b in op.blocks:
-        gram = (b.basis.T @ b.basis).toarray()
+    for q, b in zip(bases, op.blocks):
+        gram = (q.T @ q).toarray()
         assert np.allclose(gram, np.eye(b.matrix.shape[0]), atol=1e-15)
-        assert np.all(np.diff(b.basis.indptr) <= 1)  # one nonzero per row
+        assert np.all(np.diff(q.indptr) <= 1)  # one nonzero per row
 
 
 def test_fold_rejects_odd_potential():
@@ -395,12 +409,12 @@ def test_fold_rejects_odd_potential():
     op = build_truncated(Lattice(1), spec, 10.0)
     (block,) = op.blocks
     # the one block is H in coordinate order: Q is a permutation matrix
-    q = block.basis.tocoo()
-    assert np.array_equal(q.data, np.ones(op.n))
-    assert np.array_equal(np.sort(q.row), np.arange(op.n))
-    assert np.array_equal(op.points[q.row[np.argsort(q.col)], 0],
+    assert np.array_equal(block.size, np.ones(op.n))
+    assert np.array_equal(np.sort(block.rows), np.arange(op.n))
+    assert np.array_equal(op.points[block.rows[np.argsort(block.cols)], 0],
                           np.arange(-10, 11))
-    assert ((block.basis @ block.matrix @ block.basis.T) != op.H).nnz == 0
+    q = orbit_basis(op, 0)
+    assert ((q @ block.matrix @ q.T) != op.H).nnz == 0
     m = block.matrix.toarray()
     assert np.array_equal(m, np.triu(np.tril(m, 1), -1))
     assert block.solver == "tridiagonal"

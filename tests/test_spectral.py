@@ -11,7 +11,7 @@ from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
                                  diagonal_spec, iid_potential, kernel,
                                  laplacian, periodic_potential)
 from doslab.spaces import Graph, Lattice
-from doslab.spectral import (bump,
+from doslab.spectral import (_chebyshev_plan, bump,
                              constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
                              function_diagonal, gaussian,
@@ -470,9 +470,9 @@ def test_chain_blocks_match_the_dense_reference(case):
             assert "dense" in [solver for solver, _ in op.solvers]
         if len(op.blocks) == 1:
             (block,) = op.blocks
-            q = block.basis.tocoo()
-            assert np.array_equal(q.data, np.ones(op.n))
-            assert np.array_equal(op.points[q.row[np.argsort(q.col)], 0],
+            assert np.array_equal(block.size, np.ones(op.n))
+            order = block.rows[np.argsort(block.cols)]
+            assert np.array_equal(op.points[order, 0],
                                   np.arange(-radius, radius + 1))
         h = op.H.toarray()
         lam, vec = np.linalg.eigh(h)
@@ -658,3 +658,61 @@ def test_function_diagonal_ignores_the_eigh_cache():
     again = function_diagonal(op, _NARROW)
     assert again.routes == first.routes
     assert again.values.tobytes() == first.values.tobytes()
+
+
+@st.composite
+def chebyshev_chains(draw):
+    """An iid chain (random seed, low < high) or a chain of period 2 (which
+    folds) or 3, values in [0, 1], a gaussian with sigma >= 0.7, and a
+    radius at which every block has at least K^2 points."""
+    if draw(st.booleans()):
+        low, high = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                         max_size=2, unique=True)))
+        potential = iid_potential(low, high, draw(st.integers(0, 2 ** 32)))
+    else:
+        period = draw(st.sampled_from((2, 3)))
+        potential = periodic_potential(draw(st.lists(
+            st.floats(0.0, 1.0), min_size=period, max_size=period)))
+    g = gaussian(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.7, 2.5)))
+    spec = adjacency(potential)
+    # a shorter chain's Gershgorin interval lies inside this one's, so its
+    # blocks need no more terms than the K <= 40 read here
+    long = build_truncated(Lattice(1), spec, 2000.0)
+    terms = max(len(_chebyshev_plan(b, g)[0]) for b in long.blocks)
+    # the fold's odd block has R points, the one block of any other 2R + 1
+    least = terms ** 2 if len(long.blocks) == 2 else terms ** 2 // 2
+    return spec, g, least + draw(st.integers(0, 40))
+
+
+@settings(max_examples=10, deadline=None)
+@given(chebyshev_chains())
+def test_chebyshev_route_matches_dense_eigh_on_random_chains(case):
+    """Whenever every block of a chain can take the Chebyshev route it
+    does, matches (V*V) g(lam) of the dense H to 1e-12, and leaves every
+    block's eigendecomposition uncomputed."""
+    spec, g, radius = case
+    op = build_truncated(Lattice(1), spec, float(radius))
+    result = function_diagonal(op, g)
+    assert [r[0] for r in result.routes] == ["chebyshev"] * len(op.blocks)
+    assert all(block._eigh is None for block in op.blocks)
+    lam, vec = np.linalg.eigh(op.H.toarray())
+    _close(result.values, (vec * vec) @ g(lam))
+
+
+@pytest.mark.parametrize("chain, radius", [("iid", 100), ("period-2", 60)])
+def test_cubic_diagonal_equals_the_dense_polynomial(chain, radius):
+    """A cubic is its own 4-term Chebyshev series, so the route has no
+    truncation error: its diagonal equals diag p(H) of a Horner sum on the
+    dense H, and no eigensolver runs."""
+    op = build_truncated(Lattice(1), adjacency(_CHAINS[chain]), float(radius))
+    result = function_diagonal(op, _CUBIC)
+    assert {r[:2] for r in result.routes} == {("chebyshev", 4)}
+    assert all(block._eigh is None for block in op.blocks)
+    h = op.H.toarray()
+    p = np.zeros_like(h)
+    for coef in _CUBIC.params[::-1]:
+        p = p @ h
+        p[np.diag_indices_from(p)] += coef
+    want = np.diag(p)
+    np.testing.assert_allclose(result.values, want, rtol=0.0,
+                               atol=1e-13 * max(1.0, np.abs(want).max()))
