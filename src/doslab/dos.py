@@ -165,14 +165,16 @@ class IdsHistogram:
 
 def ids_histogram(space, spec, radius: float,
                   operator: TruncatedOperator | None = None) -> IdsHistogram:
-    """Sorted eigenvalues of the truncation at ``radius`` with ECDF fractions."""
+    """Sorted eigenvalues of the truncation at ``radius`` with ECDF
+    fractions.  A given ``operator`` wins over ``radius``, and its own
+    radius is the one recorded."""
     if operator is None:
         operator = build_truncated(space, spec, radius)
     energies = np.sort(symmetric_eigenvalues(operator))
     n = len(energies)
     return IdsHistogram(energies=energies,
                         fractions=np.arange(1, n + 1, dtype=np.float64) / n,
-                        radius=float(radius), solvers=operator.solvers)
+                        radius=operator.radius, solvers=operator.solvers)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from a single ``dsytrd``; both then run the same tridiagonal kernels.  Only
 ``Block`` forms n_b x n_b arrays, and it charges the entry ceiling just
 before; the sparse H has no size ceiling.  Each block caches its form and
 eigendecomposition, so every spectral quantity of one operator shares them.
+Each block also picks the route of every quantity from its solver (only
+``Block`` reads it), and ``doslab.spectral`` only joins blocks.
 
 Truncation is plain Dirichlet: matrix elements between ball points are
 kept exactly as in the infinite operator (graph Laplacians keep the full
@@ -221,18 +223,14 @@ class Block:
         return self._form
 
     def eigh(self) -> tuple:
-        """Ascending eigenvalues and eigenvectors of M_b, computed once: a
-        diagonal block's sorted diagonal and unit vectors, else ``dstevd`` on
-        the form, mapped back by a dense block's reflectors (then dropped)."""
+        """Ascending eigenvalues and eigenvectors of M_b, computed once:
+        ``dstevd`` on the form, mapped back by a dense block's reflectors
+        (then dropped).  Both routes read a diagonal block off its diagonal
+        and never call this."""
         if self._eigh is None:
             n = self.matrix.shape[0]
             charge_entries(n * n, "eigenvectors of a block")
-            if self.solver == "diagonal":
-                order = np.argsort(self.diagonal, kind="stable")
-                evals, evecs = self.diagonal[order], np.zeros((n, n))
-                evecs[order, np.arange(n)] = 1.0
-            else:
-                evals, evecs = _lapack("dstevd", *self.tridiagonal())
+            evals, evecs = _lapack("dstevd", *self.tridiagonal())
             if self._reflectors is not None:
                 apply_q = ("dormqr", "L", "N", *self._reflectors, evecs)
                 lwork = _lapack(*apply_q, -1, overwrite_c=1)[1][0]
@@ -248,6 +246,149 @@ class Block:
         if self.solver == "diagonal":
             return self.diagonal
         return _lapack("dsterf", *self.tridiagonal())[0]
+
+    def function_diagonal(self, fn: Callable) -> tuple:
+        """(diag g(M_b), route) for g = ``fn``.
+
+        A diagonal block gives fn(diag M_b), route ``("diagonal", n)``.  A
+        tridiagonal block that passes the rule of ``_chebyshev_plan`` takes
+        the probed Chebyshev route, ``("chebyshev", K, tail)``.  Every other
+        block gives (V*V) fn(lam) from the cached M_b = V diag(lam) V^T,
+        route ``("eigh", n)``, the route the tests hold the other to.  The
+        rule reads only M_b and fn, never whether ``eigh`` is cached, so one
+        input gives the same bytes in any call order.
+        """
+        n = self.matrix.shape[0]
+        if self.solver == "diagonal":
+            return np.asarray(fn(self.diagonal), dtype=np.float64), ("diagonal", n)
+        plan = _chebyshev_plan(self, fn) if self.solver == "tridiagonal" else None
+        if plan is not None:
+            c, lo, hi, tail = plan
+            return (_chebyshev_diagonal(self, c, lo, hi),
+                    ("chebyshev", len(c), tail))
+        evals, evecs = self.eigh()
+        return (evecs * evecs) @ fn(evals), ("eigh", n)
+
+    def product_eigenvalues(self, w_b: np.ndarray, fn: Callable) -> np.ndarray:
+        """Eigenvalues of W^(1/2) fn(M_b) W^(1/2) for the strictly positive
+        orbit weights ``w_b``, unordered.
+
+        On a diagonal block that is fn(d) * w.  On any other block, with the
+        cached M_b = V diag(lam) V^T, it is X G X^T with X = W^(1/2) V_k and
+        G = diag(fn(lam_k)), where the k kept columns are those with
+        fn(lam) != 0: an exact cut, since the others contribute nothing.
+        X G X^T and G X^T X have the same nonzero eigenvalues, so only the
+        k x k Gram matrix C = X^T X (SPD, as w > 0) is formed, an n k^2
+        product in place of an n^3 one.  The nonzero spectrum is
+        ``eigvalsh`` of G^(1/2) C G^(1/2) when G > 0, and of L^T G L with
+        C = L L^T (Cholesky) when fn changes sign; the other n - k
+        eigenvalues are exact zeros.
+        """
+        if self.solver == "diagonal":
+            return np.asarray(fn(self.diagonal), dtype=np.float64) * w_b
+        evals, evecs = self.eigh()
+        g = np.asarray(fn(evals), dtype=np.float64)
+        keep = np.flatnonzero(g)
+        g = g[keep]
+        x = evecs[:, keep]  # a copy: the cached vectors stay intact
+        x *= np.sqrt(w_b)[:, None]
+        c = x.T @ x
+        if np.all(g > 0):
+            s = np.sqrt(g)
+            m = s[:, None] * c * s
+        else:
+            chol = np.linalg.cholesky(c)
+            m = (chol.T * g) @ chol
+        return np.concatenate((np.linalg.eigvalsh((m + m.T) / 2.0),
+                               np.zeros(len(evals) - len(keep))))
+
+
+# the Chebyshev route's tail must stay within this fraction of max|g|
+CHEBYSHEV_TOL = 1e-14
+
+
+def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
+    """(c_0..c_{K-1}, lo, hi, tail) for the Chebyshev route on a
+    tridiagonal block, or None when the route rule sends it to ``eigh``.
+
+    The route is the kernel polynomial method with probing vectors
+    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006); Tang & Saad, Numer.
+    Linear Algebra Appl. 19 (2012)).  [lo, hi] is the Gershgorin interval
+    of M_b, so it holds the spectrum.  The c_k interpolate fn at
+    N = 4 floor(sqrt(n)) Chebyshev points of [lo, hi]; they come from a
+    DCT-II through ``numpy.fft``, whose rounding stays near 1e-17 a
+    coefficient where an N x N cosine product leaves a floor above the
+    tolerance.  With scale the largest |g| sampled, K is
+    the smallest count of terms whose tail sum_{k>=K} |c_k| is at most
+    CHEBYSHEV_TOL scale; as |T_k| <= 1 on the interval, the tail bounds
+    ||p_N(M_b) - p_K(M_b)||_2 for the N-point interpolant p_N, and so
+    every diagonal entry.  The points alone cannot tell g from p_N: a g
+    narrower than their spacing can vanish on all of them and alias to
+    p_K = 0.  So g is also sampled at the N + 1 points cos(pi j / N)
+    between them, the interval's ends included, and p_K must match it
+    there to CHEBYSHEV_TOL scale as well; a g that is zero at every
+    sample gives no relative bound at all.  The route is taken only when
+    both checks pass with K^2 <= n, where its n K^2 work stays below the
+    n^2 entries of the eigenvectors.
+    """
+    n = block.matrix.shape[0]
+    d, e = block.diagonal, np.abs(block._form[1])
+    radius = np.concatenate((e, [0.0])) + np.concatenate(([0.0], e))
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    points = 4 * math.isqrt(n)
+    k = np.arange(points)
+    x = np.cos(np.pi * (k + 0.5) / points)
+    f = np.asarray(fn(centre + half * x), dtype=np.float64)
+    between = np.cos(np.pi * np.arange(points + 1) / points)
+    g_between = np.asarray(fn(centre + half * between), dtype=np.float64)
+    scale = max(np.abs(f).max(), np.abs(g_between).max())
+    if scale == 0.0:
+        return None
+    spectrum = np.fft.fft(np.concatenate((f[::2], f[1::2][::-1])))
+    c = (np.exp(-0.5j * np.pi * k / points) * spectrum).real * (2.0 / points)
+    c[0] /= 2.0
+    # tails[K] = sum_{k>=K} |c_k| for K = 0..N
+    tails = np.append(np.cumsum(np.abs(c)[::-1])[::-1], 0.0)
+    terms = max(1, int(np.argmax(tails <= CHEBYSHEV_TOL * scale)))
+    if terms * terms > n:
+        return None
+    c = c[:terms]
+    miss = np.abs(np.polynomial.chebyshev.chebval(between, c) - g_between)
+    if miss.max() > CHEBYSHEV_TOL * scale:
+        return None
+    return c, lo, hi, float(tails[terms])
+
+
+def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
+                        hi: float) -> np.ndarray:
+    """diag p(M_b) for p = sum_k c_k T_k on [lo, hi], by probing.
+
+    T = (M_b - centre I) / half is M_b rescaled to [-1, 1], one CSR.  T_k(T)
+    has bandwidth k < K on a tridiagonal block, so the K probes
+    z_j = sum_{i = j mod K} e_i never overlap in a band: entry (i, i mod K)
+    of T_k(T) Z is T_k(T)[i, i].  The three-term recurrence
+    Y_k = 2T Y_{k-1} - Y_{k-2} runs on the n x K block Z as sparse
+    products, which read only M_b's nonzeros and not its band; K probes
+    recover the diagonal exactly in n K^2 work, without eigenvectors.
+    """
+    n, terms = block.matrix.shape[0], len(c)
+    diag = np.full(n, c[0])
+    if terms == 1:
+        return diag
+    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    t = (block.matrix - centre * sparse.eye_array(n, format="csr")) / half
+    sites = np.arange(n)
+    own = sites * terms + sites % terms  # flat index of (i, i mod K)
+    prev = np.zeros((n, terms))
+    prev.flat[own] = 1.0
+    cur = t @ prev
+    diag += c[1] * cur.ravel()[own]
+    two_t = 2.0 * t
+    for ck in c[2:]:
+        prev, cur = cur, two_t @ cur - prev
+        diag += ck * cur.ravel()[own]
+    return diag
 
 
 @dataclass
@@ -397,7 +538,9 @@ def build_truncated(space, spec: HamiltonianSpec,
     about b takes the orbits of |x - b|: the even block holds all of them,
     the odd block those with x != b, signed by sign(x - b).  Any other 1-d
     lattice operator with hopping takes the orbits of x - b (coordinate
-    order), and everything else one orbit per point, in ball order.
+    order), and everything else one orbit per point, in ball order.  An H
+    with a row sum of |H| past float64 (so past any Gershgorin bound) is
+    refused.
     """
     points, keys, dists = space.ball_arrays(radius)
     uniq = np.unique(keys)
@@ -415,6 +558,11 @@ def build_truncated(space, spec: HamiltonianSpec,
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     H = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     H.eliminate_zeros()
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(abs(H).sum(axis=1)).all()
+    if not finite:
+        raise ValueError("operator entries overflow float64: a row sum of "
+                         "|H| is not finite, so no spectral bound holds")
     if (H != H.T).nnz:
         raise AssertionError("truncated matrix lost exact symmetry")
     orbits, signs = np.arange(n), [np.ones(n)]

@@ -10,49 +10,24 @@ an eigenvalue sequence has one run per term, and the spectrum of a
 radial weight has one run per ladder level, so a weight's series costs
 memory in its levels, not in its ball points.
 
-Operator spectra are computed block by block, and each spectral quantity
-has one routine.  The eigensolves, and the entry ceiling on their n_b x n_b
-arrays, belong to ``Block``: a dense block is reduced once by ``dsytrd``,
-then every non-diagonal block runs the tridiagonal kernels.
-``symmetric_eigenvalues`` joins each block's ``eigvalsh`` (``dsterf``),
-while ``product_eigenvalues`` and ``function_diagonal`` share each block's
-cached ``eigh`` (``dstevd``, mapped back by ``dormqr`` on a dense block).
-The test suite pins the pairs' residual and orthogonality to 1e-12
-relative.  ``product_eigenvalues`` is rank-factored: it keeps the k
-eigenvectors with g(lambda) != 0, an exact cut with no threshold, solves
-one k x k problem built from their weighted Gram matrix, and returns the
-other n - k eigenvalues as exact zeros, so a compactly supported g costs
-an n k^2 product instead of an n^3 one.
-
-``function_diagonal`` has one more route, for tridiagonal blocks: the
-kernel polynomial method with probing vectors (Weisse et al., Rev. Mod.
-Phys. 78, 275 (2006); Tang & Saad, Numer. Linear Algebra Appl. 19
-(2012)).  g is expanded in K Chebyshev terms on the block's Gershgorin
-interval, and the coefficient tail beyond K of its interpolant bounds
-the error of every diagonal entry.  The three-term recurrence runs on an
-n x K block of probe vectors as products with one CSR matrix, M_b
-rescaled to [-1, 1], so the kernel reads only M_b's nonzeros.  The
-probes are what need a tridiagonal block: T_k of it has bandwidth k, so
-K probes of sites equal mod K recover the diagonal exactly, in n K^2
-work and without eigenvectors.  A block takes this route only when the
-tail is at most 1e-14 max|g| with K^2 <= n, below the n^2 cost of its
-eigenvectors, and p_K also matches g at the points between the
-interpolation points; a g that vanishes at every sample has no relative
-bound and is refused too, so a bump narrower than the point spacing
-cannot alias to zero.  Every other block keeps the eigen route.
-The choice depends on (M_b, g) alone, and the result carries it per
-block.
+Operator spectra are computed block by block.  Each ``Block`` of
+``doslab.hamiltonians`` owns its solver and its routes: its eigenvalues,
+diag g(M_b) together with the route it took, and the spectrum of its part
+of g(H) M_w.  This module only joins blocks, one routine per spectral
+quantity: ``symmetric_eigenvalues`` and ``product_eigenvalues`` merge the
+blocks' values into one eigenvalue sequence, and ``function_diagonal``
+scatters each block's diagonal back to the ball points and keeps its
+route.  ``product_eigenvalues`` checks the weight before any block reads
+it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .hamiltonians import Block, TruncatedOperator, WeightFunction
+from .hamiltonians import TruncatedOperator, WeightFunction
 
 # ---------------------------------------------------------------------------
 # spectral test functions
@@ -124,90 +99,6 @@ def symmetric_eigenvalues(op: TruncatedOperator) -> np.ndarray:
     return eigen_sequence(np.concatenate([b.eigvalsh() for b in op.blocks]))
 
 
-# the Chebyshev route's tail must stay within this fraction of max|g|
-CHEBYSHEV_TOL = 1e-14
-
-
-def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
-    """(c_0..c_{K-1}, lo, hi, tail) for the Chebyshev route on a
-    tridiagonal block, or None when the route rule sends it to ``eigh``.
-
-    [lo, hi] is the Gershgorin interval of M_b, so it holds the spectrum.
-    The c_k interpolate fn at N = 4 floor(sqrt(n)) Chebyshev points of
-    [lo, hi]; they come from a DCT-II through ``numpy.fft``, whose rounding
-    stays near 1e-17 a coefficient where an N x N cosine product leaves a
-    floor above the tolerance.  With scale the largest |g| sampled, K is
-    the smallest count of terms whose tail sum_{k>=K} |c_k| is at most
-    CHEBYSHEV_TOL scale; as |T_k| <= 1 on the interval, the tail bounds
-    ||p_N(M_b) - p_K(M_b)||_2 for the N-point interpolant p_N, and so
-    every diagonal entry.  The points alone cannot tell g from p_N: a g
-    narrower than their spacing can vanish on all of them and alias to
-    p_K = 0.  So g is also sampled at the N + 1 points cos(pi j / N)
-    between them, the interval's ends included, and p_K must match it
-    there to CHEBYSHEV_TOL scale as well; a g that is zero at every
-    sample gives no relative bound at all.  The route is taken only when
-    both checks pass with K^2 <= n, where its n K^2 work stays below the
-    n^2 entries of the eigenvectors.
-    """
-    n = block.matrix.shape[0]
-    d, e = block.diagonal, np.abs(block.matrix.diagonal(1))
-    radius = np.concatenate((e, [0.0])) + np.concatenate(([0.0], e))
-    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
-    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    points = 4 * math.isqrt(n)
-    k = np.arange(points)
-    x = np.cos(np.pi * (k + 0.5) / points)
-    f = np.asarray(fn(centre + half * x), dtype=np.float64)
-    between = np.cos(np.pi * np.arange(points + 1) / points)
-    g_between = np.asarray(fn(centre + half * between), dtype=np.float64)
-    scale = max(np.abs(f).max(), np.abs(g_between).max())
-    if scale == 0.0:
-        return None
-    spectrum = np.fft.fft(np.concatenate((f[::2], f[1::2][::-1])))
-    c = (np.exp(-0.5j * np.pi * k / points) * spectrum).real * (2.0 / points)
-    c[0] /= 2.0
-    # tails[K] = sum_{k>=K} |c_k| for K = 0..N
-    tails = np.append(np.cumsum(np.abs(c)[::-1])[::-1], 0.0)
-    terms = max(1, int(np.argmax(tails <= CHEBYSHEV_TOL * scale)))
-    if terms * terms > n:
-        return None
-    c = c[:terms]
-    miss = np.abs(np.polynomial.chebyshev.chebval(between, c) - g_between)
-    if miss.max() > CHEBYSHEV_TOL * scale:
-        return None
-    return c, lo, hi, float(tails[terms])
-
-
-def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
-                        hi: float) -> np.ndarray:
-    """diag p(M_b) for p = sum_k c_k T_k on [lo, hi], by probing.
-
-    T = (M_b - centre I) / half is M_b rescaled to [-1, 1], one CSR.  T_k(T)
-    has bandwidth k < K on a tridiagonal block, so the K probes
-    z_j = sum_{i = j mod K} e_i never overlap in a band: entry (i, i mod K)
-    of T_k(T) Z is T_k(T)[i, i].  The three-term recurrence
-    Y_k = 2T Y_{k-1} - Y_{k-2} runs on the n x K block Z as sparse
-    products, which read only M_b's nonzeros and not its band.
-    """
-    n, terms = block.matrix.shape[0], len(c)
-    diag = np.full(n, c[0])
-    if terms == 1:
-        return diag
-    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    t = (block.matrix - centre * sparse.eye_array(n, format="csr")) / half
-    sites = np.arange(n)
-    own = sites * terms + sites % terms  # flat index of (i, i mod K)
-    prev = np.zeros((n, terms))
-    prev.flat[own] = 1.0
-    cur = t @ prev
-    diag += c[1] * cur.ravel()[own]
-    two_t = 2.0 * t
-    for ck in c[2:]:
-        prev, cur = cur, two_t @ cur - prev
-        diag += ck * cur.ravel()[own]
-    return diag
-
-
 @dataclass
 class FunctionDiagonal:
     """diag g(H) in the ball basis and the route it took on each block, in
@@ -221,53 +112,28 @@ class FunctionDiagonal:
 def function_diagonal(op: TruncatedOperator, fn: Callable) -> FunctionDiagonal:
     """Diagonal of g(H) in the ball basis, without materialising g(H).
 
-    Per block, a diagonal block gives fn(diag M_b) directly.  A tridiagonal
-    block that passes the route rule of ``_chebyshev_plan`` takes the
-    probed Chebyshev route; every other block gives diag g(M_b) =
-    (V*V) fn(w) from its cached eigendecomposition M_b = V diag(w) V^T,
-    the route the tests hold the other to.  The rule reads only M_b and
-    fn, never whether ``eigh`` is cached, so one input gives the same
-    bytes in any call order.  The blocks scatter back as
-    (Q_b*Q_b) diag g(M_b), where Q_b*Q_b is 1/c_j on the c_j points of
-    orbit j.
+    Each block gives diag g(M_b) and its route (``Block.function_diagonal``)
+    and scatters back as (Q_b*Q_b) diag g(M_b), where Q_b*Q_b is 1/c_j on
+    the c_j points of orbit j.
     """
     out = np.zeros(op.n)
     routes = []
     for block in op.blocks:
-        dim = block.matrix.shape[0]
-        plan = (_chebyshev_plan(block, fn) if block.solver == "tridiagonal"
-                else None)
-        if block.solver == "diagonal":
-            diag = np.asarray(fn(block.diagonal), dtype=np.float64)
-            routes.append(("diagonal", dim))
-        elif plan is not None:
-            c, lo, hi, tail = plan
-            diag = _chebyshev_diagonal(block, c, lo, hi)
-            routes.append(("chebyshev", len(c), tail))
-        else:
-            evals, evecs = block.eigh()
-            diag = (evecs * evecs) @ fn(evals)
-            routes.append(("eigh", dim))
+        diag, route = block.function_diagonal(fn)
         block.scatter(out, diag)
+        routes.append(route)
     return FunctionDiagonal(values=out, routes=tuple(routes))
 
 
 def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
-    """Eigenvalues of fn(H) M_w for strictly positive w.
+    """Eigenvalues of fn(H) M_w for strictly positive w, ordered by
+    decreasing modulus.
 
     The product shares its spectrum with W^(1/2) fn(M_b) W^(1/2) on each
-    block.  On a diagonal block that is fn(d) * w.  On any other block,
-    with the cached eigendecomposition M_b = V diag(lam) V^T, it is
-    X G X^T with X = W^(1/2) V_k and G = diag(fn(lam_k)), where the k
-    kept columns are those with fn(lam) != 0: an exact cut, since the
-    others contribute nothing.  X G X^T and G X^T X have the same nonzero
-    eigenvalues, so only the k x k Gram matrix C = X^T X (SPD, as w > 0)
-    is formed, an n k^2 product in place of an n^3 one.  The nonzero
-    spectrum is ``eigvalsh`` of G^(1/2) C G^(1/2) when G > 0, and of
-    L^T G L with C = L L^T (Cholesky) when fn changes sign; the other
-    n - k eigenvalues are exact zeros.  M_w maps each block to itself only
-    when w is constant on every orbit (w(-x) == w(x) on a parity-folded
-    operator); ``Block.gather`` refuses any other w rather than average it.
+    block (``Block.product_eigenvalues``).  M_w maps each block to itself
+    only when w is constant on every orbit (w(-x) == w(x) on a
+    parity-folded operator); ``Block.gather`` refuses any other w rather
+    than average it.
     """
     if isinstance(w, WeightFunction):
         w_pts = w.values_for_levels(op.levels)
@@ -278,27 +144,9 @@ def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
     weights = [block.gather(w_pts) for block in op.blocks]
     if any(np.any(wb <= 0) for wb in weights):
         raise ValueError("weights must be strictly positive")
-    parts = []
-    for block, wb in zip(op.blocks, weights):
-        if block.solver == "diagonal":
-            parts.append(np.asarray(fn(block.diagonal), dtype=np.float64) * wb)
-            continue
-        evals, evecs = block.eigh()
-        g = np.asarray(fn(evals), dtype=np.float64)
-        keep = np.flatnonzero(g)
-        g = g[keep]
-        x = evecs[:, keep]  # a copy: the cached vectors stay intact
-        x *= np.sqrt(wb)[:, None]
-        c = x.T @ x
-        if np.all(g > 0):
-            s = np.sqrt(g)
-            m = s[:, None] * c * s
-        else:
-            chol = np.linalg.cholesky(c)
-            m = (chol.T * g) @ chol
-        parts.append(np.linalg.eigvalsh((m + m.T) / 2.0))
-        parts.append(np.zeros(len(evals) - len(keep)))
-    return eigen_sequence(np.concatenate(parts))
+    return eigen_sequence(np.concatenate(
+        [block.product_eigenvalues(wb, fn)
+         for block, wb in zip(op.blocks, weights)]))
 
 
 # ---------------------------------------------------------------------------

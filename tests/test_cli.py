@@ -641,6 +641,18 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
      "p = 1e+308: l_p lengths leave the float range"),
     ("dos", {"space": {"kind": "lattice"}, "radii": [1e308], "margin": 1e308},
      "radius must be finite"),
+    ("dos", {"space": {"kind": "lattice"},
+             "hamiltonian": {"hopping": {"kind": "kernel",
+                                         "offsets": [[1], [-1]],
+                                         "amplitudes": [1e308, 1e308]}},
+             "radii": [10, 20, 30], "margin": 5},
+     "operator entries overflow float64"),
+    ("dos", {"space": {"kind": "lattice"},
+             "hamiltonian": {"hopping": {"kind": "adjacency"},
+                             "potential": {"kind": "iid_uniform",
+                                           "low": -1e308, "high": 1e308}},
+             "radii": [10, 20, 30], "margin": 5},
+     "operator entries overflow float64"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,

@@ -167,6 +167,12 @@ def test_ids_free_chain_closed_form():
     assert h.fractions[-1] == 1.0
 
 
+def test_ids_records_the_radius_of_the_operator_it_used():
+    op = build_truncated(Lattice(1), adjacency(), 50.0)
+    h = ids_histogram(None, None, 3.0, operator=op)
+    assert len(h.energies) == 101 and h.radius == 50.0
+
+
 def test_ids_evaluate_and_sup_distance():
     h = IdsHistogram(energies=np.array([0.0, 1.0, 2.0]),
                      fractions=np.array([1 / 3, 2 / 3, 1.0]),

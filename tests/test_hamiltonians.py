@@ -127,6 +127,18 @@ def test_spec_that_does_not_fit_its_space_is_refused(space, spec, message):
         build_truncated(space, spec, 2.0)
 
 
+@pytest.mark.parametrize("spec", [
+    kernel([(1,), (-1,)], [1e308, 1e308]),
+    adjacency(iid_potential(-1e308, 1e308, 0)),
+])
+@pytest.mark.filterwarnings("error")
+def test_operator_whose_row_sums_overflow_is_refused(spec):
+    """Entries whose |H| row sums pass float64 leave no finite Gershgorin
+    interval; they are refused without a warning instead of giving NaN."""
+    with pytest.raises(ValueError, match="overflow float64"):
+        build_truncated(Lattice(1), spec, 10.0)
+
+
 def test_cycle_graph_adjacency_spectrum():
     n = 12
     g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)], base=0)
@@ -535,7 +547,7 @@ def test_dense_block_solves_are_accurate_and_ignore_call_order(name):
 
 def test_one_reduction_per_dense_operator(monkeypatch):
     """ids, the DOS approximant and the product spectrum of one dense
-    operator share one ``dsytrd``; a diagonal block's eigh calls neither
+    operator share one ``dsytrd``; a diagonal block's routes call neither
     the reduction nor any cubic solver."""
     import scipy.linalg.lapack as lapack
     calls = []
@@ -561,10 +573,12 @@ def test_one_reduction_per_dense_operator(monkeypatch):
                          6.0)
     (block,) = op.blocks
     assert block.solver == "diagonal"
-    lam, vec = block.eigh()
-    assert np.array_equal(lam, np.sort(op.potential))
-    assert np.array_equal(block.matrix @ vec, vec * lam)
-    assert np.array_equal(vec.T @ vec, np.eye(op.n))
+    result = function_diagonal(op, g)
+    assert result.routes == (("diagonal", op.n),)
+    assert np.array_equal(result.values, g(op.potential))
+    w = np.linspace(1.0, 0.5, op.n)
+    assert np.array_equal(np.sort(product_eigenvalues(op, w, g)),
+                          np.sort(g(op.potential) * w))
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +639,29 @@ def test_weak_l1_certificates():
     slow = weak_l1_bound(radial_weight(lad, lambda r: 1.0 / np.log(math.e + r)))
     assert slow.divergent_trend
     assert slow.c_estimate > 100.0
+
+
+def test_only_hamiltonians_reads_the_block_solver():
+    """The solver choice has one owner: no other module of the package
+    reads a block's ``solver`` (the per-operator ``solvers`` sidecar field
+    is a different name), and ``spectral`` sees neither ``Block`` nor
+    scipy, so it can only join blocks."""
+    import ast
+    import pathlib
+
+    import doslab
+    package = pathlib.Path(doslab.__file__).parent
+    readers, spectral_imports = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "solver"
+                    and path.name != "hamiltonians.py"):
+                readers.append(f"{path.name}:{node.lineno}")
+            if path.name == "spectral.py" and isinstance(
+                    node, (ast.Import, ast.ImportFrom)):
+                spectral_imports.add(getattr(node, "module", None) or "")
+                spectral_imports.update(a.name for a in node.names)
+    assert readers == []
+    assert "Block" not in spectral_imports
+    assert not any(name.split(".")[0] == "scipy" for name in spectral_imports)

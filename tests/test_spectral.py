@@ -7,12 +7,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
-                                 diagonal_spec, iid_potential, kernel,
-                                 laplacian, periodic_potential)
+from doslab.hamiltonians import (_chebyshev_plan, adjacency, build_truncated,
+                                 default_weight, diagonal_spec, iid_potential,
+                                 kernel, laplacian, periodic_potential)
 from doslab.spaces import Graph, Lattice
-from doslab.spectral import (_chebyshev_plan, bump,
-                             constant_one, dyadic_counts,
+from doslab.spectral import (bump, constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
                              function_diagonal, gaussian,
                              log_cesaro, polynomial,
