@@ -3,7 +3,9 @@
 Configs are plain JSON objects.  Validation is strict: unknown keys are
 rejected, missing required keys are reported, and every error carries the
 dotted path of the offending entry so a failing run points at the exact
-field.  Validation returns a fully defaulted dict; ``config_digest`` hashes
+field.  The ``kind`` of an object in ``KINDS`` picks its other keys: the
+keyword parameters of the one constructor (``_makers``) that builds it.
+Validation returns a fully defaulted dict; ``config_digest`` hashes
 that dict (minus output paths) so artifacts can be matched to the
 experiment that produced them independently of where they were written.
 """
@@ -103,16 +105,25 @@ def array(item: Callable, min_len: int = 0, max_len: int | None = None):
     return check
 
 
-def table(fields: dict):
+def table(fields: dict | None = None, kinds: dict | None = None):
+    """An object with exactly the keys of ``fields``, or of ``kinds[kind]``
+    besides the required ``kind``."""
     def check(v, path):
         if not isinstance(v, dict):
             raise ConfigError("expected an object", path)
-        unknown = sorted(set(v) - set(fields))
+        own = fields
+        if kinds is not None:
+            if "kind" not in v:
+                raise ConfigError("missing required key", _join(path, "kind"))
+            pick = string(tuple(kinds))
+            own = {"kind": Field(pick),
+                   **kinds[pick(v["kind"], _join(path, "kind"))]}
+        unknown = sorted(set(v) - set(own))
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r}",
                               _join(path, unknown[0]))
         out = {}
-        for name, f in fields.items():
+        for name, f in own.items():
             sub = _join(path, name)
             if name in v:
                 out[name] = f.check(v[name], sub)
@@ -137,40 +148,46 @@ def validate(cfg: dict, fields: dict) -> dict:
 _DIMENSION = integer(lo=1, hi=32)
 _SITE = integer(lo=1 - (1 << 20), hi=(1 << 20) - 1)
 
-SPACE = table({
-    "kind": Field(string(("lattice", "f2"))),
-    "d": Field(_DIMENSION, 1),
-    "p": Field(number(lo=1.0, allow_inf=True), 2.0),
-    "base": Field(array(_SITE, min_len=1), None),
-})
+_CENTER, _WIDTH = Field(number(), 0.0), Field(number(lo=0.0), 1.0)
 
-HOPPING = table({
-    "kind": Field(string(("adjacency", "laplacian", "kernel", "none"))),
-    "offsets": Field(array(array(_SITE, min_len=1)), None),
-    "amplitudes": Field(array(number()), None),
-})
+# by config path: each kind's keys, the keyword parameters of its maker
+KINDS = {
+    "space": {
+        "lattice": {"d": Field(_DIMENSION, 1),
+                    "p": Field(number(lo=1.0, allow_inf=True), 2.0),
+                    "base": Field(array(_SITE, min_len=1), None)},
+        "f2": {},
+    },
+    "hamiltonian.hopping": {
+        "adjacency": {}, "laplacian": {},
+        "kernel": {"offsets": Field(array(array(_SITE, min_len=1))),
+                   "amplitudes": Field(array(number()))},
+        "none": {},
+    },
+    "hamiltonian.potential": {
+        "zero": {},
+        "periodic": {"values": Field(array(number(), min_len=1))},
+        "iid_uniform": {"low": Field(number(), 0.0),
+                        "high": Field(number(), 1.0),
+                        "seed": Field(integer(lo=0), 0)},
+    },
+    "g": {
+        "gaussian": {"center": _CENTER, "sigma": _WIDTH},
+        "bump": {"center": _CENTER, "halfwidth": _WIDTH},
+        "polynomial": {"coeffs": Field(array(number(), min_len=1))},
+        "one": {},
+    },
+}
 
-POTENTIAL = table({
-    "kind": Field(string(("zero", "periodic", "iid_uniform"))),
-    "values": Field(array(number(), min_len=1), None),
-    "low": Field(number(), 0.0),
-    "high": Field(number(), 1.0),
-    "seed": Field(integer(lo=0), 0),
-})
+SPACE = table(kinds=KINDS["space"])
 
 HAMILTONIAN = table({
-    "hopping": Field(HOPPING),
-    "potential": Field(POTENTIAL, {"kind": "zero", "values": None, "low": 0.0,
-                                   "high": 1.0, "seed": 0}),
+    "hopping": Field(table(kinds=KINDS["hamiltonian.hopping"])),
+    "potential": Field(table(kinds=KINDS["hamiltonian.potential"]),
+                       {"kind": "zero"}),
 })
 
-FN = table({
-    "kind": Field(string(("gaussian", "bump", "polynomial", "one"))),
-    "center": Field(number(), 0.0),
-    "sigma": Field(number(lo=0.0), 1.0),
-    "halfwidth": Field(number(lo=0.0), 1.0),
-    "coeffs": Field(array(number(), min_len=1), None),
-})
+FN = table(kinds=KINDS["g"])
 
 WEIGHT = table({
     "kind": Field(string(("default", "lattice_power")), "default"),
@@ -332,42 +349,39 @@ def _wrap(path: str, builder: Callable):
         raise ConfigError(str(exc), path) from exc
 
 
+def _makers() -> dict:
+    """The library constructor of each kind in ``KINDS``."""
+    from . import hamiltonians as h, spaces, spectral as s
+    return {"space": {"lattice": spaces.Lattice, "f2": spaces.CayleyF2},
+            "hamiltonian.hopping": {"adjacency": h.adjacency,
+                                    "laplacian": h.laplacian,
+                                    "kernel": h.kernel,
+                                    "none": h.diagonal_spec},
+            "hamiltonian.potential": {"zero": lambda: h.Potential("zero"),
+                                      "periodic": h.periodic_potential,
+                                      "iid_uniform": h.iid_potential},
+            "g": {"gaussian": s.gaussian, "bump": s.bump,
+                  "polynomial": s.polynomial, "one": s.constant_one}}
+
+
+def _make(path: str, cfg: dict, **extra):
+    """The maker of ``cfg["kind"]`` at ``path``, called with the other keys."""
+    maker = _makers()[path][cfg["kind"]]
+    args = {k: v for k, v in cfg.items() if k != "kind"}
+    return _wrap(path, lambda: maker(**args, **extra))
+
+
 def space_from(cfg: dict):
-    from .spaces import CayleyF2, Lattice
-    if cfg["kind"] == "f2":
-        return CayleyF2()
-    return _wrap("space", lambda: Lattice(cfg["d"], cfg["p"], base=cfg["base"]))
+    return _make("space", cfg)
 
 
 def hamiltonian_from(cfg: dict):
-    from .hamiltonians import HamiltonianSpec, Hopping, Potential
-    hop_cfg, pot_cfg = cfg["hopping"], cfg["potential"]
-    hop = _wrap("hamiltonian.hopping", lambda: Hopping(
-        hop_cfg["kind"],
-        tuple(tuple(o) for o in (hop_cfg["offsets"] or ())),
-        tuple(hop_cfg["amplitudes"] or ())))
-    pot = _wrap("hamiltonian.potential", lambda: Potential(
-        pot_cfg["kind"],
-        values=tuple(pot_cfg["values"] or ()),
-        period=(len(pot_cfg["values"]),) if pot_cfg["values"] else (),
-        low=pot_cfg["low"], high=pot_cfg["high"], seed=pot_cfg["seed"]))
-    return HamiltonianSpec(hop, pot)
+    return _make("hamiltonian.hopping", cfg["hopping"], potential=_make(
+        "hamiltonian.potential", cfg["potential"]))
 
 
 def fn_from(cfg: dict):
-    from . import spectral
-    kind = cfg["kind"]
-    if kind == "gaussian":
-        return _wrap("g", lambda: spectral.gaussian(cfg["center"],
-                                                    cfg["sigma"]))
-    if kind == "bump":
-        return _wrap("g", lambda: spectral.bump(cfg["center"],
-                                                cfg["halfwidth"]))
-    if kind == "polynomial":
-        if cfg["coeffs"] is None:
-            raise ConfigError("missing required key", "g.coeffs")
-        return spectral.polynomial(cfg["coeffs"])
-    return spectral.constant_one()
+    return _make("g", cfg)
 
 
 def weight_from(cfg: dict, space, ladder):

@@ -345,7 +345,7 @@ class TheoremCheck:
 def _modulated_gap(series: CesaroSeries, operator: TruncatedOperator,
                    fn, w: WeightFunction, fit: SlopeFit) -> tuple:
     diag = function_diagonal(operator, fn).values
-    w_sites = w.values_for_levels(operator.levels)
+    w_sites = w.values_on(operator)
     diag_sums = np.cumsum(diag * w_sites)
     counts = fit.indices
     gap = np.abs(series.at(counts) - diag_sums[counts - 1])

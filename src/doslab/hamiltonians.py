@@ -604,18 +604,17 @@ class WeightFunction:
             raise ValueError("weight values must be strictly decreasing in the level")
         self.level_values = w
 
-    def values_for_levels(self, levels: np.ndarray) -> np.ndarray:
-        levels = np.asarray(levels, dtype=np.int64)
-        if levels.max(initial=0) >= len(self.level_values):
+    def values_on(self, op: TruncatedOperator) -> np.ndarray:
+        """The weight at each point of ``op``, built on the same ladder."""
+        n = len(op.level_counts)
+        if n > len(self.level_values):
             raise ValueError(
                 "operator reaches ladder levels the weight was not built for; "
                 "rebuild the weight from a longer ladder")
-        return self.level_values[levels]
-
-    def value_at_radius(self, r):
-        if self.radius_fn is None:
-            raise ValueError(f"{self.kind} weight has no closed form in the radius")
-        return self.radius_fn(np.asarray(r, dtype=np.float64))
+        if not np.array_equal(self.level_counts[:n], op.level_counts):
+            raise ValueError("the weight was built on another ladder: its "
+                             "level counts differ from the operator's")
+        return self.level_values[op.levels]
 
 
 def default_weight(ladder: RadiiLadder) -> WeightFunction:

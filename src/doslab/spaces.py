@@ -252,12 +252,6 @@ class Lattice:
         sites = offsets[order] + np.asarray(self.base, dtype=np.int64)
         return sites, keys[order], dists[order]
 
-    def ball_points(self, radius: float):
-        """Sorted list of ((coords...), distance) pairs, base included."""
-        sites, _, dists = self.ball_arrays(radius)
-        return [(tuple(int(c) for c in sites[i]), float(dists[i]))
-                for i in range(len(sites))]
-
     def norms(self, offsets) -> np.ndarray:
         """l_p lengths of the rows of an integer offset array."""
         arr = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
@@ -410,10 +404,6 @@ class Graph:
         keep = keep[order]
         return keep, dist[keep], dist[keep].astype(np.float64)
 
-    def ball_points(self, radius: float):
-        idx, _, dists = self.ball_arrays(radius)
-        return [(int(self.labels[i]), float(d)) for i, d in zip(idx, dists)]
-
     def radii_ladder(self, k_max: int) -> RadiiLadder:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
@@ -497,10 +487,6 @@ class CayleyF2:
         keys = np.repeat(np.arange(r + 1, dtype=np.int64),
                          [len(level) for level in levels])
         return words, keys, keys.astype(np.float64)
-
-    def ball_points(self, radius: float):
-        words, _, dists = self.ball_arrays(radius)
-        return [(self.decode(int(w)), float(d)) for w, d in zip(words, dists)]
 
     def radii_ladder(self, k_max: int) -> RadiiLadder:
         if k_max < 1:

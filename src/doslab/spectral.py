@@ -42,21 +42,22 @@ class SpectralFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "gaussian":
-            center, sigma = self.params
-            return np.exp(-0.5 * ((x - center) / sigma) ** 2)
-        if self.kind == "bump":
-            center, halfwidth = self.params
-            u = (x - center) / halfwidth
-            inside = np.abs(u) < 1.0
-            out = np.zeros_like(x)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                vals = np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u * u, 1.0))
-            out[inside] = vals[inside]
-            return out
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(x, np.asarray(self.params))
-        raise AssertionError(self.kind)  # pragma: no cover
+        with np.errstate(all="ignore"):
+            if self.kind == "gaussian":
+                center, sigma = self.params
+                y = np.exp(-0.5 * ((x - center) / sigma) ** 2)
+            elif self.kind == "bump":
+                center, halfwidth = self.params
+                u = (x - center) / halfwidth
+                y = np.where(np.abs(u) < 1.0,
+                             np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
+            elif self.kind == "polynomial":
+                y = np.polynomial.polynomial.polyval(x, self.params)
+            else:
+                raise AssertionError(self.kind)  # pragma: no cover
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"{self.kind} g is not finite on the spectrum")
+        return y
 
 
 def gaussian(center: float, sigma: float) -> SpectralFunction:
@@ -136,7 +137,7 @@ def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
     than average it.
     """
     if isinstance(w, WeightFunction):
-        w_pts = w.values_for_levels(op.levels)
+        w_pts = w.values_on(op)
     else:
         w_pts = np.asarray(w, dtype=np.float64)
         if w_pts.shape != (op.n,):

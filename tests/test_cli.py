@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doslab import cli, percolation
-from doslab.config import (SCHEMAS, config_digest, fn_from, space_from,
-                           validate)
+from doslab import cli, config, percolation
+from doslab.config import SCHEMAS, config_digest, space_from, validate
 from doslab.errors import ConfigError
 
 
@@ -178,10 +177,24 @@ def test_validate_maps_any_json_to_a_dict_or_a_config_error(data, schema):
 
 
 def test_polynomial_profile_needs_coefficients():
-    with pytest.raises(ConfigError) as err:
-        fn_from({"kind": "polynomial", "center": 0.0, "sigma": 1.0,
-                 "halfwidth": 1.0, "coeffs": None})
+    with pytest.raises(ConfigError, match="missing required key") as err:
+        validate({**_VALID["dos"], "g": {"kind": "polynomial"}},
+                 SCHEMAS["dos"])
     assert err.value.path == "g.coeffs"
+
+
+def test_each_kind_takes_exactly_its_makers_keywords():
+    """A kind's keys besides ``kind`` are the keyword parameters of the
+    constructor it names; hopping makers also take the built potential."""
+    makers = config._makers()
+    assert set(makers) == set(config.KINDS)
+    for path, kinds in config.KINDS.items():
+        assert set(makers[path]) == set(kinds), path
+        for kind, fields in kinds.items():
+            params = set(inspect.signature(makers[path][kind]).parameters)
+            if path == "hamiltonian.hopping":
+                params.discard("potential")
+            assert params == set(fields), (path, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +536,19 @@ def test_flags_set_one_key_and_keep_the_rest(tmp_path, capsys):
     _, rows = read_csv(out)
     assert [r[0] for r in rows] == ["1", "2", "3", "4"]
     assert rows[3] == ["4", "16", "0.125", "1.4375"]
-    # --d sets space.d; the file's space.kind f2 survives
-    out = tmp_path / "cc.json"
+    # --d sets space.d; the file's space.p survives
+    out = tmp_path / "ladder.csv"
+    cfg = write_config(tmp_path, {"space": {"kind": "lattice", "p": 1}},
+                       "l1.json")
+    assert cli.main(["space", "ladder", "--config", cfg, "--d", "2",
+                     "--kmax", "3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[2] for r in rows] == ["5", "13", "25"]  # l1 balls in Z^2
+    # f2 takes no d, so --d on an f2 file is refused
     cfg = write_config(tmp_path, {"space": {"kind": "f2"}, "kmax": 12},
                        "f2.json")
-    assert cli.main(["space", "check-c", "--config", cfg, "--d", "1",
-                     "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["tail_mean_ratio"] == pytest.approx(
-        3.0, abs=0.01)
+    assert cli.main(["space", "check-c", "--config", cfg, "--d", "1"]) == 1
+    assert "space.d: unknown key 'd'" in capsys.readouterr().err
     # a flag cannot reach into a value that is not an object
     cfg = write_config(tmp_path, {"space": "f2", "kmax": 12}, "bad.json")
     assert cli.main(["space", "check-c", "--config", cfg, "--d", "1"]) == 1
@@ -653,6 +671,10 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
                                            "low": -1e308, "high": 1e308}},
              "radii": [10, 20, 30], "margin": 5},
      "operator entries overflow float64"),
+    ("dos", {"space": {"kind": "lattice"},
+             "g": {"kind": "polynomial", "coeffs": [0, 0, 1e308]},
+             "radii": [10, 20, 40], "margin": 10},
+     "polynomial g is not finite"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
@@ -663,6 +685,46 @@ def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,
     err = capsys.readouterr().err
     assert err.startswith("doslab: error: ") and err.count("\n") == 1
     assert message in err
+
+
+_DOS = {"space": {"kind": "lattice"}, "hamiltonian": FREE_CHAIN,
+        "g": {"kind": "gaussian"}, "radii": [10, 20, 40], "margin": 10}
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["dos"], {**_DOS, "g": {"kind": "bump", "center": 0.5, "sigma": 0.1}},
+     "g.sigma: unknown key 'sigma'"),
+    (["dos"], {**_DOS, "hamiltonian": {"hopping": {"kind": "kernel"}}},
+     "hamiltonian.hopping.offsets: missing required key"),
+    (["ids"], {"space": {"kind": "lattice"}, "radius": 10, "hamiltonian": {
+        "hopping": {"kind": "adjacency"},
+        "potential": {"kind": "iid_uniform", "values": [5, 6],
+                      "low": 0, "high": 1}}},
+     "hamiltonian.potential.values: unknown key 'values'"),
+    (["space", "check-c", "--space", "f2", "--d", "3", "--p", "1",
+      "--kmax", "12"], None, "space.d: unknown key 'd'"),
+])
+def test_a_key_its_kind_does_not_take_is_refused(tmp_path, capsys, argv,
+                                                 payload, message):
+    """A key the object's kind does not take, or a required key of that
+    kind left out, ends the run with one error line at its dotted path."""
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, payload)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"doslab: error: {message}\n"
+
+
+def test_a_finite_g_from_tiny_sigma_warns_nothing(tmp_path, capsys):
+    # (x / 1e-310)^2 overflows to inf, and exp(-inf) = 0 is the exact value
+    out = tmp_path / "dos.csv"
+    cfg = write_config(tmp_path, {**_DOS, "g": {"kind": "gaussian",
+                                                "sigma": 1e-310}})
+    assert cli.main(["dos", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_csv(out) == (["r", "ball_count", "average"],
+                             [["10.0", "21", "0.0"], ["20.0", "41", "0.0"],
+                              ["40.0", "81", "0.0"]])
 
 
 @pytest.mark.parametrize("command, payload, message", [

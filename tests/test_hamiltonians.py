@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from doslab._rng import site_keys
-from doslab.dos import dos_approximant, ids_histogram
+from doslab.dos import _modulated_gap, dos_approximant, ids_histogram
 from doslab.errors import BudgetExceeded
 from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
                                  WeightFunction, adjacency, build_truncated,
@@ -597,7 +597,7 @@ def test_default_weight_values():
 def test_lattice_weight_closed_form():
     space = Lattice(2, p=math.inf)
     w = lattice_weight(space, space.radii_ladder(6))
-    assert w.value_at_radius(3.0) == pytest.approx((1.0 + 3.0) ** -2)
+    assert w.radius_fn(np.float64(3.0)) == pytest.approx((1.0 + 3.0) ** -2)
     assert w.descriptor == {"d": 2, "p": math.inf}
     with pytest.raises(ValueError):
         lattice_weight(CayleyF2(), CayleyF2().radii_ladder(3))
@@ -608,8 +608,22 @@ def test_weight_level_guard():
     w = default_weight(lad)
     op = build_truncated(Lattice(1), adjacency(), 9.0)
     with pytest.raises(ValueError, match="longer ladder"):
-        w.values_for_levels(op.levels)
-    assert w.values_for_levels([0, 1, 2])[0] == 0.5
+        w.values_on(op)
+    near = build_truncated(Lattice(1), adjacency(), 2.0)
+    assert w.values_on(near).tolist() == [0.5, 1 / 4, 1 / 4, 1 / 6, 1 / 6]
+
+
+def test_weight_built_on_another_ladder_is_refused():
+    # level counts 1, 5, 13, 25, 41 (l1) against 1, 5, 9, 13, 21 (l2): from
+    # level 2 on each operator level would read another level's weight
+    w = default_weight(Lattice(2, 1.0).ladder_to_radius(400))
+    op = build_truncated(Lattice(2, 2.0), adjacency(), 20)
+    with pytest.raises(ValueError, match="another ladder"):
+        product_eigenvalues(op, w, gaussian(0, 1))
+    with pytest.raises(ValueError, match="another ladder"):
+        _modulated_gap(None, op, gaussian(0, 1), w, None)
+    own = default_weight(Lattice(2, 2.0).ladder_to_radius(20))
+    assert len(product_eigenvalues(op, own, gaussian(0, 1))) == op.n
 
 
 def radial_weight(ladder, values_of_radius, kind="custom"):
@@ -624,9 +638,7 @@ def test_weight_monotonicity_enforced():
         radial_weight(lad, lambda r: np.ones_like(r))  # not decreasing
     with pytest.raises(ValueError):
         radial_weight(lad, lambda r: -1.0 / (1.0 + r))
-    w = radial_weight(lad, lambda r: 1.0 / (1.0 + r) ** 2)
-    with pytest.raises(ValueError, match="no closed form"):
-        w.value_at_radius(1.0)
+    radial_weight(lad, lambda r: 1.0 / (1.0 + r) ** 2)  # decreasing: valid
 
 
 def test_weak_l1_certificates():

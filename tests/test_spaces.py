@@ -51,24 +51,24 @@ def test_lattice_metric_axioms(p):
 
 def test_z1_ball_points():
     space = Lattice(1)
-    pts = space.ball_points(2.0)
-    assert sorted(x for (x,), _ in pts) == [-2, -1, 0, 1, 2]
+    sites, _, dists = space.ball_arrays(2.0)
+    assert sorted(sites[:, 0].tolist()) == [-2, -1, 0, 1, 2]
     # base point first, then shells in increasing distance
-    assert pts[0] == ((0,), 0.0)
-    assert [d for _, d in pts] == sorted(d for _, d in pts)
+    assert sites[0].tolist() == [0] and dists[0] == 0.0
+    assert np.all(np.diff(dists) >= 0)
 
 
 @pytest.mark.parametrize("p,radius", [(1.0, 6.0), (2.0, 5.5), (math.inf, 4.0),
                                       (2.5, 5.0)])
 def test_z2_ball_matches_brute_force(p, radius):
     space = Lattice(2, p=p)
-    got = {pt for pt, _ in space.ball_points(radius)}
+    got = {tuple(pt) for pt in space.ball_arrays(radius)[0].tolist()}
     assert got == brute_ball(2, p, radius)
 
 
 def test_ball_with_base_offset():
     space = Lattice(2, p=1.0, base=(3, -2))
-    got = {pt for pt, _ in space.ball_points(3.0)}
+    got = {tuple(pt) for pt in space.ball_arrays(3.0)[0].tolist()}
     want = {(3 + a, -2 + b) for (a, b) in brute_ball(2, 1.0, 3.0)}
     assert got == want
 
@@ -150,7 +150,7 @@ def test_lattice_norms_and_validation():
 def test_lattice_budget_enforced(monkeypatch):
     monkeypatch.setenv("DOSLAB_BUDGET", "1000")
     with pytest.raises(BudgetExceeded) as exc:
-        Lattice(2).ball_points(2000.0)
+        Lattice(2).ball_arrays(2000.0)
     assert exc.value.requested > exc.value.allowed
 
 
@@ -269,8 +269,8 @@ def test_graph_distance_and_subgraph():
 
 def test_graph_ball_points_are_labels():
     g = Graph.from_edges(cycle_edges(8), base=2)
-    pts = g.ball_points(1.0)
-    assert sorted(lbl for lbl, _ in pts) == [1, 2, 3]
+    idx, _, _ = g.ball_arrays(1.0)
+    assert sorted(g.labels[idx].tolist()) == [1, 2, 3]
 
 
 def test_ingest_graph_round_trip(tmp_path):

@@ -75,7 +75,7 @@ def test_product_eigenvalues_diagonal_case():
     w = default_weight(space.radii_ladder(35))
     g = gaussian(0.3, 0.7)
     seq = product_eigenvalues(op, w, g)
-    direct = g(op.potential) * w.values_for_levels(op.levels)
+    direct = g(op.potential) * w.values_on(op)
     want = np.sort(np.abs(direct))[::-1]
     assert np.allclose(np.abs(seq), want,
                        atol=1e-14)
@@ -102,7 +102,7 @@ def test_product_eigenvalues_folded_equals_dense():
     op = build_truncated(space, spec, 128.0)
     assert len(op.blocks) == 2
     lam, vec = np.linalg.eigh(op.H.toarray())
-    s = np.sqrt(w.values_for_levels(op.levels))
+    s = np.sqrt(w.values_on(op))
     want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
     got = product_eigenvalues(op, w, g)
     assert np.allclose(np.sort(np.abs(got)), np.sort(np.abs(want)),
