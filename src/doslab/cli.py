@@ -180,7 +180,7 @@ def _operator(cfg: dict, radius: float, path: str):
         raise ConfigError(f"needs a free-group ball of radius {radius:g}, "
                           f"above the maximum {space.MAX_RADIUS}", path)
     g = fn_from(cfg["g"]) if "g" in cfg else None
-    return space, hamiltonian_from(cfg["hamiltonian"]), g
+    return space, hamiltonian_from(cfg["hamiltonian"], space), g
 
 
 def _weighted(cfg: dict):
@@ -404,8 +404,8 @@ def _cmd_equivariance(cfg) -> int:
 
 def _cmd_ergodic(cfg) -> int:
     from .ergodic import ergodic_average
-    rep = ergodic_average(space_from(cfg["space"]),
-                          hamiltonian_from(cfg["hamiltonian"]),
+    space = space_from(cfg["space"])
+    rep = ergodic_average(space, hamiltonian_from(cfg["hamiltonian"], space),
                           fn_from(cfg["g"]), folner_from(cfg["folner"]),
                           cfg["realizations"], cfg["seed"],
                           margin=cfg["margin"], index=cfg["index"])

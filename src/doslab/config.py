@@ -375,9 +375,13 @@ def space_from(cfg: dict):
     return _make("space", cfg)
 
 
-def hamiltonian_from(cfg: dict):
-    return _make("hamiltonian.hopping", cfg["hopping"], potential=_make(
+def hamiltonian_from(cfg: dict, space):
+    """The spec of ``cfg``, refused unless it fits the built ``space``."""
+    from .hamiltonians import check_fit
+    spec = _make("hamiltonian.hopping", cfg["hopping"], potential=_make(
         "hamiltonian.potential", cfg["potential"]))
+    _wrap("hamiltonian", lambda: check_fit(space, spec))
+    return spec
 
 
 def fn_from(cfg: dict):

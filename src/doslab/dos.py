@@ -287,7 +287,7 @@ def dixmier_lhs(space, spec, fn, w: WeightFunction, R_outer: float,
     certify_weight(w)
     if operator is None:
         operator = build_truncated(space, spec, R_outer)
-    prods = product_eigenvalues(operator, w, fn=fn)
+    prods = product_eigenvalues(operator, w.values_on(operator), fn=fn)
     series = log_cesaro(prods)
     if window is None:
         window = truncation_fit_window(len(series))

@@ -28,9 +28,8 @@ from ._rng import derive_seed
 from .budget import charge
 from .dos import DEFAULT_MARGIN, dos_approximant
 from .errors import PreconditionFailed
-from .hamiltonians import (HamiltonianSpec, WeightFunction, build_truncated,
-                           site_rows)
-from .spaces import Lattice, lattice_ball_count
+from .hamiltonians import HamiltonianSpec, WeightFunction, build_truncated
+from .spaces import Lattice, lattice_ball_count, site_rows
 from .spectral import function_diagonal
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -10,11 +10,13 @@ decomposition
 where column j of ``Q_b`` is the signed indicator of orbit j scaled to unit
 length, so Q_b is orthonormal with at most one nonzero per row.  A block
 stores no Q_b, only the orbit of each point and the orbit sizes that
-``gather`` and ``scatter`` read.  ``_hopping`` assembles every space and
-applies the Laplacian rule once, ``site_rows`` is the one lattice site
-index, and ``_orbit_block`` builds every block from one orbit label and
-sign per point; only ``Block`` reads the orbits back.  A generic operator
-has one orbit per point, so Q = I.  A 1-d lattice operator whose potential
+``gather`` and ``scatter`` read.  ``_hopping`` assembles every space from
+the pairs the space itself gives (``neighbours``, or a lattice's
+``offset_pairs`` for a kernel) and applies the Laplacian rule once;
+``check_fit`` refuses a spec its space cannot carry.  ``_orbit_block``
+builds every block from one orbit label and sign per point; only
+``Block`` reads the orbits back.  A generic operator has one orbit per
+point, so Q = I.  A 1-d lattice operator whose potential
 is even about the base point b commutes with x -> 2b - x and splits into
 even and odd blocks on the orbits of |x - b|, which halves every
 eigensolve; any other 1-d lattice operator with hopping is one block in
@@ -43,9 +45,9 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from ._rng import site_keys, uniform_stream
+from ._rng import uniform_stream
 from .budget import charge_entries
-from .spaces import Graph, Lattice, RadiiLadder
+from .spaces import Lattice, RadiiLadder
 
 
 @dataclass(frozen=True)
@@ -422,89 +424,57 @@ class TruncatedOperator:
         return tuple((b.solver, b.matrix.shape[0]) for b in self.blocks)
 
 
-def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
-    pot = spec.potential
-    if pot.kind == "zero":
-        return np.zeros(len(points))
+def check_fit(space, spec: HamiltonianSpec) -> None:
+    """Refuse a spec that needs more than ``space`` has: a periodic
+    potential and a kernel need a lattice of their own dimension."""
+    pot, hop = spec.potential, spec.hopping
     if pot.kind == "periodic":
         if not isinstance(space, Lattice):
             raise ValueError("periodic potential requires a lattice space")
         if len(pot.period) != space.d:
             raise ValueError(f"periodic potential has period {pot.period}, "
                              f"the lattice has d = {space.d}")
+    if hop.kind == "kernel":
+        if not isinstance(space, Lattice):
+            raise ValueError("kernel hopping needs a lattice space, not "
+                             f"{space.kind!r}")
+        for off in hop.offsets:
+            if len(off) != space.d:
+                raise ValueError(f"kernel offset {off} has {len(off)} "
+                                 f"components, the lattice has d = {space.d}")
+
+
+def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
+    pot = spec.potential
+    if pot.kind == "zero":
+        return np.zeros(len(points))
+    if pot.kind == "periodic":
         values = np.asarray(pot.values).reshape(pot.period)
         idx = tuple(np.mod(points[:, a], pot.period[a]) for a in range(space.d))
         return values[idx].astype(np.float64)
-    # iid_uniform, the one kind left
-    if isinstance(space, Lattice):
-        counters = site_keys(points)
-    elif isinstance(space, Graph):
-        counters = space.labels[points].astype(np.uint64)
-    else:
-        counters = points.astype(np.uint64)
-    u = uniform_stream(pot.seed, counters)
+    u = uniform_stream(pot.seed, space.site_ids(points))
     return pot.low + (pot.high - pot.low) * u
-
-
-def site_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Row of each lattice site of ``sites`` in ``points``, -1 where the
-    site is not among them."""
-    keys = site_keys(points)
-    order = np.argsort(keys)
-    sorted_keys, wanted = keys[order], site_keys(sites)
-    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
-    return np.where(sorted_keys[pos] == wanted, order[pos], -1)
 
 
 def _hopping(space, spec: HamiltonianSpec, points: np.ndarray):
     """(rows, cols, values) of the hopping part between ball points.
 
-    A kernel is looked up on the lattice, offset by offset.  Adjacency is
-    the space's neighbour pairs among the ball points: unit offsets on
-    Z^d, edges on a graph, parent links on F2.  The Laplacian negates them
-    and puts each point's degree in the untruncated space on the diagonal
-    (2d, the graph's row length, 4), boundary points included.
+    A kernel takes the lattice's pairs at its offsets, each with its
+    amplitude.  Adjacency is the space's neighbour pairs among the ball
+    points, each of value 1.  The Laplacian negates them and puts each
+    point's degree in the untruncated space on the diagonal, boundary
+    points included.
     """
-    hop, n = spec.hopping, len(points)
-    if isinstance(space, Lattice):
-        d = space.d
-        if hop.kind == "kernel":
-            for off in hop.offsets:
-                if len(off) != d:
-                    raise ValueError(f"kernel offset {off} has {len(off)} "
-                                     f"components, the lattice has d = {d}")
-            offsets, amps = hop.offsets, hop.amplitudes
-        else:
-            offsets = np.concatenate((np.eye(d), -np.eye(d)))
-            amps = np.ones(2 * d)
-        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, d)
-        # entry o * n + i is site i moved by offset o
-        cols = site_rows(points, (points + offsets[:, None, :]).reshape(-1, d))
-        hit = np.flatnonzero(cols >= 0)
-        rows, cols = hit % n, cols[hit]
-        vals = np.asarray(amps, dtype=np.float64)[hit // n]
-        degree = 2.0 * d
-    elif hop.kind == "kernel":
-        raise ValueError("kernel hopping needs a lattice space, not "
-                         f"{space.kind!r}")
-    elif isinstance(space, Graph):
-        sub = space.adjacency_matrix()[points][:, points].tocoo()
-        rows, cols, vals = sub.row, sub.col, sub.data
-        degree = np.diff(space.indptr)[points].astype(np.float64)
-    else:
-        # CayleyF2, the one kind left: a word's parent drops its last letter
-        order = np.argsort(points)
-        child = np.flatnonzero(points > 1)
-        parent = order[np.searchsorted(points[order], points[child] >> 2)]
-        rows = np.concatenate((child, parent))
-        cols = np.concatenate((parent, child))
-        vals = np.ones(len(rows))
-        degree = 4.0
-    if hop.kind == "laplacian":
-        diag = np.arange(n)
-        rows, cols = np.concatenate((rows, diag)), np.concatenate((cols, diag))
-        vals = np.concatenate((-vals, np.broadcast_to(degree, (n,))))
-    return rows, cols, vals
+    hop = spec.hopping
+    if hop.kind == "kernel":
+        rows, cols, which = space.offset_pairs(points, hop.offsets)
+        return rows, cols, np.asarray(hop.amplitudes, dtype=np.float64)[which]
+    rows, cols, degree = space.neighbours(points)
+    if hop.kind == "adjacency":
+        return rows, cols, np.ones(len(rows))
+    diag = np.arange(len(points))
+    return (np.concatenate((rows, diag)), np.concatenate((cols, diag)),
+            np.concatenate((np.full(len(rows), -1.0), degree)))
 
 
 def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
@@ -540,8 +510,10 @@ def build_truncated(space, spec: HamiltonianSpec,
     lattice operator with hopping takes the orbits of x - b (coordinate
     order), and everything else one orbit per point, in ball order.  An H
     with a row sum of |H| past float64 (so past any Gershgorin bound) is
-    refused.
+    refused, and so is a spec that does not fit the space (``check_fit``),
+    before the ball is enumerated.
     """
+    check_fit(space, spec)
     points, keys, dists = space.ball_arrays(radius)
     uniq = np.unique(keys)
     levels = np.searchsorted(uniq, keys).astype(np.int64)

@@ -16,6 +16,18 @@ Enumeration conventions
   a 1e-9 rounding grid.
 * Ladder index 0 is reserved for the base point (count 1, radius 0); the
   stored arrays start at the first positive radius.
+
+What every space provides
+-------------------------
+``ball_arrays(radius)`` gives the ball's points, dedupe keys and distances;
+``ladder_to_radius`` and ``radii_ladder`` its realised radii and ball
+counts.  ``neighbours(points)`` gives the neighbour pairs among ball points
+and each point's degree in the untruncated space, and ``site_ids(points)``
+the key a random field is drawn at.  Operator assembly asks nothing else
+of a point, so each point format (lattice coordinates, graph node
+indices, packed free-group words) is read only in this module.  A
+lattice adds ``offset_pairs`` (pairs at any offsets, for kernels), and
+``site_rows`` here is the one lattice site index.
 """
 from __future__ import annotations
 
@@ -26,6 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from ._rng import site_keys
 from .budget import charge
 from .errors import GraphParseError
 
@@ -81,13 +94,10 @@ class RadiiLadder:
 
     def to_rows(self):
         """Rows (k, r_k, ball_count, shell_count, ratio) with ratio = N_k/N_{k-1}."""
-        shells = self.shells
         prev = np.concatenate(([1], self.counts[:-1]))
-        out = []
-        for i in range(len(self)):
-            out.append((i + 1, float(self.radii[i]), int(self.counts[i]),
-                        int(shells[i]), self.counts[i] / prev[i]))
-        return out
+        return list(zip(range(1, len(self) + 1), self.radii.tolist(),
+                        self.counts.tolist(), self.shells.tolist(),
+                        (self.counts / prev).tolist()))
 
 
 @dataclass
@@ -178,8 +188,8 @@ def _lex_order(keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
 class Lattice:
     """Z^d with the l_p metric (p >= 1, numpy.inf allowed) around a base point.
 
-    The hopping structure used by operator builders is the nearest-neighbour
-    lattice graph regardless of p; the exponent only shapes balls and ladders.
+    ``neighbours`` is the nearest-neighbour lattice graph regardless of p;
+    the exponent only shapes balls and ladders.
     """
 
     kind = "lattice"
@@ -308,6 +318,37 @@ class Lattice:
     def distance(self, x: Sequence[int], y: Sequence[int]) -> float:
         return float(self.norms(np.subtract(x, y))[0])
 
+    def offset_pairs(self, points: np.ndarray, offsets):
+        """(rows, cols, which): point ``rows[k]`` moved by
+        ``offsets[which[k]]`` is point ``cols[k]``, for every such pair
+        among ``points``, offset by offset."""
+        # moved[o, i] is site i moved by offset o; flat entry o * n + i
+        moved = points + np.reshape(offsets, (-1, 1, self.d)).astype(np.int64)
+        cols = site_rows(points, moved.reshape(-1, self.d))
+        hit = np.flatnonzero(cols >= 0)
+        return hit % len(points), cols[hit], hit // len(points)
+
+    def neighbours(self, points: np.ndarray):
+        """(rows, cols, degree): the pairs at the unit offsets +-e_a among
+        ``points``, both ways, and the degree 2d of every point."""
+        unit = np.concatenate((np.eye(self.d), -np.eye(self.d)))
+        rows, cols, _ = self.offset_pairs(points, unit)
+        return rows, cols, np.full(len(points), 2.0 * self.d)
+
+    def site_ids(self, points: np.ndarray) -> np.ndarray:
+        """The packed coordinates of the sites ``points`` (``site_keys``)."""
+        return site_keys(points)
+
+
+def site_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Row of each lattice site of ``sites`` in ``points``, -1 where the
+    site is not among them."""
+    keys = site_keys(points)
+    order = np.argsort(keys)
+    sorted_keys, wanted = keys[order], site_keys(sites)
+    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
+    return np.where(sorted_keys[pos] == wanted, order[pos], -1)
+
 
 class Graph:
     """Finite connected graph with the hop metric.
@@ -432,6 +473,16 @@ class Graph:
             raise ValueError(f"nodes {x} and {y} are not connected")
         return float(d)
 
+    def neighbours(self, points: np.ndarray):
+        """(rows, cols, degree): the edges among the nodes ``points``, both
+        ways, and each node's row length in the whole graph."""
+        sub = self.adjacency_matrix()[points][:, points].tocoo()
+        return sub.row, sub.col, np.diff(self.indptr)[points].astype(float)
+
+    def site_ids(self, points: np.ndarray) -> np.ndarray:
+        """The input labels of the nodes ``points``."""
+        return self.labels[points].astype(np.uint64)
+
 
 _F2_LETTERS = "abAB"
 
@@ -497,6 +548,21 @@ class CayleyF2:
 
     def ladder_to_radius(self, radius: float) -> RadiiLadder:
         return self.radii_ladder(int(math.floor(radius + 1e-9)))
+
+    def neighbours(self, points: np.ndarray):
+        """(rows, cols, degree): parent links among the packed words
+        ``points`` (a word's parent drops its last letter), both ways, and
+        the degree 4 of every word.  Every parent of a ball word is in the
+        ball."""
+        order = np.argsort(points)
+        child = np.flatnonzero(points > 1)
+        parent = order[np.searchsorted(points[order], points[child] >> 2)]
+        return (np.concatenate((child, parent)),
+                np.concatenate((parent, child)), np.full(len(points), 4.0))
+
+    def site_ids(self, points: np.ndarray) -> np.ndarray:
+        """The packed words themselves."""
+        return points.astype(np.uint64)
 
     @staticmethod
     def decode(packed: int) -> str:

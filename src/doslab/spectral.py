@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hamiltonians import TruncatedOperator, WeightFunction
+from .hamiltonians import TruncatedOperator
 
 # ---------------------------------------------------------------------------
 # spectral test functions
@@ -128,7 +128,8 @@ def function_diagonal(op: TruncatedOperator, fn: Callable) -> FunctionDiagonal:
 
 def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
     """Eigenvalues of fn(H) M_w for strictly positive w, ordered by
-    decreasing modulus.
+    decreasing modulus.  ``w`` holds one value per point of ``op``, as
+    ``WeightFunction.values_on(op)`` gives it.
 
     The product shares its spectrum with W^(1/2) fn(M_b) W^(1/2) on each
     block (``Block.product_eigenvalues``).  M_w maps each block to itself
@@ -136,12 +137,9 @@ def product_eigenvalues(op: TruncatedOperator, w, fn: Callable) -> np.ndarray:
     parity-folded operator); ``Block.gather`` refuses any other w rather
     than average it.
     """
-    if isinstance(w, WeightFunction):
-        w_pts = w.values_on(op)
-    else:
-        w_pts = np.asarray(w, dtype=np.float64)
-        if w_pts.shape != (op.n,):
-            raise ValueError("weight vector length does not match operator")
+    w_pts = np.asarray(w, dtype=np.float64)
+    if w_pts.shape != (op.n,):
+        raise ValueError("weight vector length does not match operator")
     weights = [block.gather(w_pts) for block in op.blocks]
     if any(np.any(wb <= 0) for wb in weights):
         raise ValueError("weights must be strictly positive")

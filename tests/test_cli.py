@@ -675,6 +675,25 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
              "g": {"kind": "polynomial", "coeffs": [0, 0, 1e308]},
              "radii": [10, 20, 40], "margin": 10},
      "polynomial g is not finite"),
+    ("dos", {"space": {"kind": "lattice", "d": 2},
+             "hamiltonian": {"hopping": {"kind": "kernel",
+                                         "offsets": [[1], [-1]],
+                                         "amplitudes": [1.0, 1.0]}},
+             "radii": [2, 4], "margin": 1},
+     "hamiltonian: kernel offset (1,) has 1 components, the lattice has "
+     "d = 2"),
+    ("dos", {"space": {"kind": "f2"},
+             "hamiltonian": {"hopping": {"kind": "kernel",
+                                         "offsets": [[1], [-1]],
+                                         "amplitudes": [1.0, 1.0]}},
+             "radii": [2, 4], "margin": 1},
+     "hamiltonian: kernel hopping needs a lattice space, not 'cayley_f2'"),
+    ("dos", {"space": {"kind": "f2"},
+             "hamiltonian": {"hopping": {"kind": "adjacency"},
+                             "potential": {"kind": "periodic",
+                                           "values": [0.0, 1.0]}},
+             "radii": [2, 4], "margin": 1},
+     "hamiltonian: periodic potential requires a lattice space"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,

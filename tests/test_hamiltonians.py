@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from doslab._rng import site_keys
-from doslab.dos import _modulated_gap, dos_approximant, ids_histogram
+from doslab.dos import (_modulated_gap, dixmier_lhs, dos_approximant,
+                        ids_histogram)
 from doslab.errors import BudgetExceeded
 from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
                                  WeightFunction, adjacency, build_truncated,
@@ -298,14 +299,34 @@ def test_iid_potential_determinism_and_range():
     assert not np.array_equal(a.potential, other.potential)
 
 
-def test_iid_values_are_functions_of_the_site():
-    """The field is attached to sites, not to enumeration order."""
+def _cluster_from_two_bases():
+    c = largest_cluster(percolate_bonds(2, 30, 0.6, 4))
+    other = int(np.flatnonzero(c.base_distances() == 3)[0])
+    return (c, 4.0), (Graph(c.indptr, c.indices, other, c.labels), 4.0)
+
+
+def _lattice_site(space, point):
+    return tuple(point.tolist())
+
+
+@pytest.mark.parametrize("small, big, site", [
+    ((Lattice(1), 5.0), (Lattice(1), 9.0), _lattice_site),
+    ((Lattice(2, 1.0), 3.0), (Lattice(2, 1.0), 6.0), _lattice_site),
+    (*_cluster_from_two_bases(), lambda space, node: int(space.labels[node])),
+    ((CayleyF2(), 3.0), (CayleyF2(), 5.0), lambda space, word: int(word)),
+], ids=["chain", "l1-plane", "cluster-two-bases", "f2"])
+def test_iid_values_are_functions_of_the_site(small, big, site):
+    """The field is attached to sites, not to enumeration order or to the
+    base point: wherever two balls share a site, it gets one value."""
     spec = diagonal_spec(iid_potential(0.0, 1.0, seed=4))
-    small = build_truncated(Lattice(1), spec, 5.0)
-    big = build_truncated(Lattice(1), spec, 9.0)
-    lookup = {int(x): v for x, v in zip(big.points[:, 0], big.potential)}
-    for x, v in zip(small.points[:, 0], small.potential):
-        assert v == lookup[int(x)]
+    (a, r_a), (b, r_b) = small, big
+    op_a, op_b = build_truncated(a, spec, r_a), build_truncated(b, spec, r_b)
+    lookup = {site(b, x): v for x, v in zip(op_b.points, op_b.potential)}
+    shared = [(lookup[site(a, x)], v)
+              for x, v in zip(op_a.points, op_a.potential)
+              if site(a, x) in lookup]
+    assert len(shared) > 2
+    assert all(u == v for u, v in shared)
 
 
 def test_potential_validation():
@@ -619,11 +640,12 @@ def test_weight_built_on_another_ladder_is_refused():
     w = default_weight(Lattice(2, 1.0).ladder_to_radius(400))
     op = build_truncated(Lattice(2, 2.0), adjacency(), 20)
     with pytest.raises(ValueError, match="another ladder"):
-        product_eigenvalues(op, w, gaussian(0, 1))
+        dixmier_lhs(None, None, gaussian(0, 1), w, None, operator=op)
     with pytest.raises(ValueError, match="another ladder"):
         _modulated_gap(None, op, gaussian(0, 1), w, None)
     own = default_weight(Lattice(2, 2.0).ladder_to_radius(20))
-    assert len(product_eigenvalues(op, own, gaussian(0, 1))) == op.n
+    assert len(product_eigenvalues(op, own.values_on(op),
+                                   gaussian(0, 1))) == op.n
 
 
 def radial_weight(ladder, values_of_radius, kind="custom"):
@@ -677,3 +699,27 @@ def test_only_hamiltonians_reads_the_block_solver():
     assert readers == []
     assert "Block" not in spectral_imports
     assert not any(name.split(".")[0] == "scipy" for name in spectral_imports)
+
+
+def test_only_spaces_reads_a_spaces_arrays():
+    """Each point format has one owner: the modules that build and use
+    operators ask a space for neighbours and site ids, and neither import
+    the graph or free-group classes or the lattice key packer nor read a
+    graph's CSR arrays or labels (``indices`` is left out, as
+    ``SlopeFit.indices`` shares the name)."""
+    import ast
+    import pathlib
+
+    import doslab
+    package = pathlib.Path(doslab.__file__).parent
+    found = []
+    for name in ("hamiltonians.py", "spectral.py", "dos.py", "ergodic.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{name}:{node.lineno} imports {a.name}"
+                          for a in node.names
+                          if a.name in ("Graph", "CayleyF2", "site_keys")]
+            if isinstance(node, ast.Attribute) and node.attr in ("indptr",
+                                                                 "labels"):
+                found.append(f"{name}:{node.lineno} reads .{node.attr}")
+    assert found == []

@@ -74,7 +74,7 @@ def test_product_eigenvalues_diagonal_case():
     op = build_truncated(space, spec, 30.0)
     w = default_weight(space.radii_ladder(35))
     g = gaussian(0.3, 0.7)
-    seq = product_eigenvalues(op, w, g)
+    seq = product_eigenvalues(op, w.values_on(op), g)
     direct = g(op.potential) * w.values_on(op)
     want = np.sort(np.abs(direct))[::-1]
     assert np.allclose(np.abs(seq), want,
@@ -86,7 +86,7 @@ def test_product_eigenvalues_constant_one_gives_weight_spectrum():
     op = build_truncated(space, adjacency(), 400.0)
     lad = space.radii_ladder(405)
     w = default_weight(lad)
-    got = product_eigenvalues(op, w, constant_one())
+    got = product_eigenvalues(op, w.values_on(op), constant_one())
     # 1(H) = identity, so the products are the weight values with their
     # shell multiplicities
     want = np.repeat(w.level_values, np.diff(
@@ -104,7 +104,7 @@ def test_product_eigenvalues_folded_equals_dense():
     lam, vec = np.linalg.eigh(op.H.toarray())
     s = np.sqrt(w.values_on(op))
     want = np.linalg.eigvalsh(s[:, None] * ((vec * g(lam)) @ vec.T) * s)
-    got = product_eigenvalues(op, w, g)
+    got = product_eigenvalues(op, w.values_on(op), g)
     assert np.allclose(np.sort(np.abs(got)), np.sort(np.abs(want)),
                        atol=1e-10)
 
