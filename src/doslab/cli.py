@@ -37,9 +37,9 @@ from fractions import Fraction
 
 from . import __version__
 from .budget import ENV_VAR
-from .config import (SCHEMAS, config_digest, fn_from, folner_from,
-                     hamiltonian_from, jsonable, space_from, validate,
-                     weight_from)
+from .config import (FOLNER_SHAPES, KINDS, SCHEMAS, config_digest, fn_from,
+                     folner_from, hamiltonian_from, jsonable, space_from,
+                     validate, weight_from)
 from .errors import (BudgetExceeded, ConfigError, NotEstablished,
                      PreconditionFailed)
 
@@ -176,7 +176,8 @@ def _operator(cfg: dict, radius: float, path: str):
     key), refusing an operator radius the space cannot reach."""
     from .spaces import CayleyF2
     space = space_from(cfg["space"])
-    if isinstance(space, CayleyF2) and radius > space.MAX_RADIUS:
+    if (isinstance(space, CayleyF2)
+            and space.key_limit(radius) > space.MAX_RADIUS):
         raise ConfigError(f"needs a free-group ball of radius {radius:g}, "
                           f"above the maximum {space.MAX_RADIUS}", path)
     g = fn_from(cfg["g"]) if "g" in cfg else None
@@ -443,7 +444,7 @@ def _cmd_folner(cfg) -> int:
 # command table: schema name -> (help, handler, flags); each flag is
 # (flag, dotted config key, argparse type or tuple of choices)
 
-_SPACE_FLAGS = (("--space", "space.kind", ("lattice", "f2")),
+_SPACE_FLAGS = (("--space", "space.kind", tuple(KINDS["space"])),
                 ("--d", "space.d", int), ("--p", "space.p", _p_norm))
 
 _COMMANDS = {
@@ -474,7 +475,7 @@ _COMMANDS = {
     "ergodic": ("disorder-averaged window means", _cmd_ergodic,
                 (("--seed", "seed", int),)),
     "folner": ("deviation and temperedness tables", _cmd_folner, (
-        ("--shape", "folner.shape", ("cube", "ball", "lacunary")),
+        ("--shape", "folner.shape", FOLNER_SHAPES),
         ("--d", "folner.d", int), ("--schedule", "folner.schedule", _int_list),
         ("--nmax", "nmax", int))),
 }

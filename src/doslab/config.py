@@ -105,6 +105,26 @@ def array(item: Callable, min_len: int = 0, max_len: int | None = None):
     return check
 
 
+def grid(item: Callable, max_depth: int):
+    """A rectangular nested array of ``item`` values, 1 to ``max_depth``
+    arrays deep.  The first entry down each level fixes the shape, read
+    in a loop that stops past ``max_depth``, so no input nests deep enough
+    to exhaust the stack; an array off that shape is refused at its
+    indexed path."""
+    def check(v, path):
+        shape, first = [], v
+        while isinstance(first, list) and first and len(shape) <= max_depth:
+            shape.append(len(first))
+            first = first[0]
+        if len(shape) > max_depth:
+            raise ConfigError(f"nests deeper than {max_depth} arrays", path)
+        each = item
+        for n in reversed(shape or [1]):
+            each = array(each, min_len=n, max_len=n)
+        return each(v, path)
+    return check
+
+
 def table(fields: dict | None = None, kinds: dict | None = None):
     """An object with exactly the keys of ``fields``, or of ``kinds[kind]``
     besides the required ``kind``."""
@@ -143,9 +163,11 @@ def validate(cfg: dict, fields: dict) -> dict:
 # shared descriptor schemas
 
 # Lattice._box enumerates a d-axis grid and numpy broadcasts at most 32
-# axes (so 3^d ball counts stay int64); _rng.site_keys packs coordinates
-# (and so base points, shifts and kernel offsets) with |x| < 2^20
-_DIMENSION = integer(lo=1, hi=32)
+# axes (so 3^d ball counts stay int64); a periodic potential has one axis
+# per lattice dimension; _rng.site_keys packs coordinates (and so base
+# points, shifts and kernel offsets) with |x| < 2^20
+_AXES = 32
+_DIMENSION = integer(lo=1, hi=_AXES)
 _SITE = integer(lo=1 - (1 << 20), hi=(1 << 20) - 1)
 
 _CENTER, _WIDTH = Field(number(), 0.0), Field(number(lo=0.0), 1.0)
@@ -166,7 +188,7 @@ KINDS = {
     },
     "hamiltonian.potential": {
         "zero": {},
-        "periodic": {"values": Field(array(number(), min_len=1))},
+        "periodic": {"values": Field(grid(number(), _AXES))},
         "iid_uniform": {"low": Field(number(), 0.0),
                         "high": Field(number(), 1.0),
                         "seed": Field(integer(lo=0), 0)},
@@ -198,8 +220,10 @@ TOLERANCE = table({
     "condition_c": Field(number(lo=0.0), 0.01),
 })
 
+FOLNER_SHAPES = ("cube", "ball", "lacunary")
+
 FOLNER = table({
-    "shape": Field(string(("cube", "ball", "lacunary"))),
+    "shape": Field(string(FOLNER_SHAPES)),
     "d": Field(_DIMENSION, 1),
     "schedule": Field(array(integer(lo=0), min_len=1)),
 })

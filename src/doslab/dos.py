@@ -79,7 +79,10 @@ class DosEstimate:
 
 
 def _ball_prefix_counts(op: TruncatedOperator, radii: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(op.level_radii, radii + 1e-9, side="right") - 1
+    """Points of ``op`` in the space's ball of each radius: the count
+    through the last level whose key is within the radius's key limit."""
+    idx = np.searchsorted(op.level_keys, op.space.key_limit(radii),
+                          side="right") - 1
     if np.any(idx < 0):
         raise ValueError("requested radius below the base level")
     return op.level_counts[idx]
@@ -91,7 +94,9 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
 
     The Hamiltonian is built once on the ball of radius max(radii)+margin
     so the requested balls sit away from the truncation boundary; a
-    prebuilt ``operator`` of at least that radius is reused as is.
+    prebuilt ``operator`` whose ball holds that one (its space's
+    ``key_limit`` is at least as large) is reused as is.  Each ball count
+    is the count of the space's own ball of that radius.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
     if len(radii) == 0:
@@ -106,7 +111,8 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
     outer = float(radii[-1]) + float(margin)
     if operator is None:
         operator = build_truncated(space, spec, outer)
-    elif operator.radius + 1e-9 < outer:
+    elif (operator.space.key_limit(operator.radius)
+          < operator.space.key_limit(outer)):
         raise ValueError(
             f"supplied operator truncated at {operator.radius}, need >= {outer}")
     diag = function_diagonal(operator, fn)

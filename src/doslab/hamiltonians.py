@@ -399,16 +399,19 @@ class TruncatedOperator:
 
     ``H`` is the exact truncated matrix (CSR, ball order) and ``blocks``
     its block decomposition.  ``levels[i]`` maps point i to its ladder
-    level (0 = base point), and ``level_radii``/``level_counts`` include
-    the level-0 entry, so weight profiles and ball prefixes can be
-    evaluated without float comparisons.
+    level (0 = base point); ``level_keys`` holds each level's dedupe key
+    and ``level_counts`` the ball count through it, both from the level-0
+    entry on.  ``space`` is the space the ball was cut from: its
+    ``key_limit`` turns a radius into a level, so weight profiles and
+    ball prefixes are evaluated without float comparisons.
     """
 
     radius: float
+    space: object
     points: np.ndarray
     dists: np.ndarray
     levels: np.ndarray
-    level_radii: np.ndarray
+    level_keys: np.ndarray
     level_counts: np.ndarray
     potential: np.ndarray
     H: sparse.csr_array
@@ -515,13 +518,10 @@ def build_truncated(space, spec: HamiltonianSpec,
     """
     check_fit(space, spec)
     points, keys, dists = space.ball_arrays(radius)
-    uniq = np.unique(keys)
-    levels = np.searchsorted(uniq, keys).astype(np.int64)
+    uniq, levels = np.unique(keys, return_inverse=True)
     # canonical order sorts by distance first, so levels is non-decreasing
     # and the cumulative count per level is a plain searchsorted
     level_counts = np.searchsorted(levels, np.arange(len(uniq)), side="right")
-    level_radii = np.zeros(len(uniq))
-    level_radii[levels] = dists
     v = _potential_values(space, spec, points)
     n = len(points)
     parts = [(np.arange(n), np.arange(n), v)]
@@ -547,8 +547,9 @@ def build_truncated(space, spec: HamiltonianSpec,
             orbits = np.abs(orbits)
     blocks = tuple(_orbit_block(H, orbits, s) for s in signs)
     return TruncatedOperator(
-        radius=float(radius), points=points, dists=dists, levels=levels,
-        level_radii=level_radii, level_counts=level_counts.astype(np.int64),
+        radius=float(radius), space=space, points=points, dists=dists,
+        levels=levels, level_keys=uniq,
+        level_counts=level_counts.astype(np.int64),
         potential=v, H=H, blocks=blocks)
 
 

@@ -12,22 +12,28 @@ Enumeration conventions
   canonical order is lexicographic coordinates for lattices, node index
   for graphs and packed-word order for free-group elements.
 * Distances are deduplicated on exact integer keys where the metric allows
-  it (l_1, l_2 via squared distances, l_inf); other exponents fall back to
-  a 1e-9 rounding grid.
+  it (l_1, l_2 via squared distances, l_inf, hop counts); other exponents
+  fall back to a 1e-9 rounding grid.
 * Ladder index 0 is reserved for the base point (count 1, radius 0); the
   stored arrays start at the first positive radius.
 
 What every space provides
 -------------------------
-``ball_arrays(radius)`` gives the ball's points, dedupe keys and distances;
-``ladder_to_radius`` and ``radii_ladder`` its realised radii and ball
-counts.  ``neighbours(points)`` gives the neighbour pairs among ball points
-and each point's degree in the untruncated space, and ``site_ids(points)``
-the key a random field is drawn at.  Operator assembly asks nothing else
-of a point, so each point format (lattice coordinates, graph node
-indices, packed free-group words) is read only in this module.  A
-lattice adds ``offset_pairs`` (pairs at any offsets, for kernels), and
-``site_rows`` here is the one lattice site index.
+``key_limit(radius)`` is the one ball rule: the largest dedupe key inside
+the closed ball of a float radius, elementwise over an array of radii.
+Every radius-to-ball decision asks it: ``ball_arrays`` and
+``ladder_to_radius`` here, the lattice box (the smallest box that holds
+every key up to the limit), and the ball prefixes of a truncated
+operator, which keeps its level keys and its space.
+``ball_arrays(radius)`` gives the ball's points, dedupe keys and
+distances; ``ladder_to_radius`` and ``radii_ladder`` its realised radii
+and ball counts.  ``neighbours(points)`` gives the neighbour pairs among
+ball points and each point's degree in the untruncated space, and
+``site_ids(points)`` the key a random field is drawn at.  Operator
+assembly asks nothing else of a point, so each point format (lattice
+coordinates, graph node indices, packed free-group words) is read only
+in this module.  A lattice adds ``offset_pairs`` (pairs at any offsets,
+for kernels), and ``site_rows`` here is the one lattice site index.
 """
 from __future__ import annotations
 
@@ -43,6 +49,18 @@ from .budget import charge
 from .errors import GraphParseError
 
 _GENERAL_P_GRID = 1e-9
+
+
+# radii past 2^31 count as 2^31, so that every key limit (a squared
+# radius on l_2) fits in int64; even a chain ball that wide has 4e9
+# points, about 86 times the default point budget
+_FAR = 2.0 ** 31
+
+
+def _floor_keys(x):
+    """floor(x + 1e-9) as int64 keys, elementwise: the slack keeps a key
+    that ``x`` misses by rounding inside."""
+    return np.floor(x + 1e-9).astype(np.int64)[()]
 
 
 @dataclass
@@ -212,35 +230,44 @@ class Lattice:
     def _norm_keys(self, offsets: np.ndarray):
         """Dedupe key (int64) and float distance for each offset row."""
         a = np.abs(offsets)
+        if self.p not in (1.0, 2.0, math.inf):
+            with np.errstate(over="ignore"):
+                v = (a.astype(np.float64) ** self.p).sum(axis=1) ** (1.0 / self.p)
+            if not np.isfinite(v).all():
+                raise ValueError(f"p = {self.p:g}: l_p lengths leave the float range")
+            return np.rint(v / _GENERAL_P_GRID).astype(np.int64), v
         if self.p == 1.0:
             k = a.sum(axis=1)
-            return k, k.astype(np.float64)
-        if math.isinf(self.p):
-            k = a.max(axis=1)
-            return k, k.astype(np.float64)
-        if self.p == 2.0:
+        elif self.p == 2.0:
             k = (a.astype(np.int64) ** 2).sum(axis=1)
-            return k, np.sqrt(k.astype(np.float64))
-        with np.errstate(over="ignore"):
-            v = (a.astype(np.float64) ** self.p).sum(axis=1) ** (1.0 / self.p)
-        if not np.isfinite(v).all():
-            raise ValueError(f"p = {self.p:g}: l_p lengths leave the float range")
-        return np.rint(v / _GENERAL_P_GRID).astype(np.int64), v
+        else:
+            k = a.max(axis=1)
+        return k, self._key_radius(k)
 
-    def _key_limit(self, radius: float) -> int:
-        """Largest dedupe key still inside the closed ball of ``radius``."""
-        r = float(radius)
-        if self.p == 1.0 or math.isinf(self.p):
-            return int(math.floor(r + 1e-9))
-        if self.p == 2.0:
-            return int(math.floor(r * r * (1 + 1e-12) + 1e-9))
-        return int(round((r + _GENERAL_P_GRID) / _GENERAL_P_GRID))
+    def key_limit(self, radius):
+        """Largest dedupe key still inside the closed ball of ``radius``,
+        elementwise over an array of radii."""
+        r = np.minimum(radius, _FAR)
+        if self.p not in (1.0, 2.0, math.inf):
+            grid = _GENERAL_P_GRID
+            return np.rint((r + grid) / grid).astype(np.int64)[()]
+        return _floor_keys(r * r * (1 + 1e-12) if self.p == 2.0 else r)
+
+    def _key_radius(self, keys):
+        """The distance each dedupe key stands for."""
+        k = np.asarray(keys, dtype=np.float64)
+        if self.p not in (1.0, 2.0, math.inf):
+            return k * _GENERAL_P_GRID
+        return np.sqrt(k) if self.p == 2.0 else k
 
     def _box_half(self, radius: float) -> int:
-        """Half side of the box around the ball, its points charged."""
+        """Half side of the smallest box that holds every key up to
+        ``key_limit``, its points charged: the largest axis offset whose
+        key is within the limit (half a key of slack keeps the inverse
+        clear of rounding)."""
         if math.isinf(radius):
             raise ValueError("radius must be finite")
-        half = int(math.floor(radius + 1e-9))
+        half = int(math.floor(self._key_radius(self.key_limit(radius) + 0.5)))
         charge((2 * half + 1) ** self.d,
                f"ball of radius {radius:g} in {self!r}")
         return half
@@ -256,7 +283,7 @@ class Lattice:
         canonical order; keys and dists are measured from the base."""
         offsets = self._box(radius)
         keys, dists = self._norm_keys(offsets)
-        mask = keys <= self._key_limit(radius)
+        mask = keys <= self.key_limit(radius)
         offsets, keys, dists = offsets[mask], keys[mask], dists[mask]
         order = _lex_order(keys, offsets)
         sites = offsets[order] + np.asarray(self.base, dtype=np.int64)
@@ -277,7 +304,7 @@ class Lattice:
         axis = np.zeros((len(k), self.d), dtype=np.int64)
         axis[:, 0] = k
         keys = self._norm_keys(axis)[0]
-        inside = keys <= self._key_limit(radius)
+        inside = keys <= self.key_limit(radius)
         keys, k = keys[inside], k[inside]
         return keys, lattice_ball_count(self.d, self.p, k)
 
@@ -286,20 +313,13 @@ class Lattice:
         if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
             uniq, counts = self._closed_form_levels(radius)
         else:
-            offsets = self._box(radius)
-            keys, _ = self._norm_keys(offsets)
-            keys = keys[keys <= self._key_limit(radius)]
-            uniq, cnt = np.unique(keys, return_counts=True)
+            keys = self._norm_keys(self._box(radius))[0]
+            uniq, cnt = np.unique(keys[keys <= self.key_limit(radius)],
+                                  return_counts=True)
             counts = np.cumsum(cnt)
         if uniq[0] != 0:
             raise AssertionError("base point missing from its own ball")
-        if self.p == 2.0:
-            radii = np.sqrt(uniq[1:].astype(np.float64))
-        elif self.p == 1.0 or math.isinf(self.p):
-            radii = uniq[1:].astype(np.float64)
-        else:
-            radii = uniq[1:].astype(np.float64) * _GENERAL_P_GRID
-        return RadiiLadder(radii, counts[1:])
+        return RadiiLadder(self._key_radius(uniq[1:]), counts[1:])
 
     def radii_ladder(self, k_max: int) -> RadiiLadder:
         """First ``k_max`` positive realised radii with their ball counts."""
@@ -350,7 +370,16 @@ def site_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[pos] == wanted, order[pos], -1)
 
 
-class Graph:
+class _HopMetric:
+    """The ball rule of a hop metric, whose dedupe key is the distance."""
+
+    def key_limit(self, radius):
+        """Largest hop count inside the closed ball of ``radius``,
+        elementwise over an array of radii."""
+        return _floor_keys(np.minimum(radius, _FAR))
+
+
+class Graph(_HopMetric):
     """Finite connected graph with the hop metric.
 
     Nodes are relabelled 0..n-1 in increasing original-label order;
@@ -438,11 +467,8 @@ class Graph:
     def ball_arrays(self, radius: float):
         charge(self.n_nodes, "graph ball enumeration")
         dist = self.base_distances()
-        r = int(math.floor(radius + 1e-9))
-        keep = np.flatnonzero((dist >= 0) & (dist <= r))
-        keys = dist[keep]
-        order = np.lexsort((keep, keys))
-        keep = keep[order]
+        keep = np.flatnonzero((dist >= 0) & (dist <= self.key_limit(radius)))
+        keep = keep[np.argsort(dist[keep], kind="stable")]
         return keep, dist[keep], dist[keep].astype(np.float64)
 
     def radii_ladder(self, k_max: int) -> RadiiLadder:
@@ -461,10 +487,8 @@ class Graph:
         return RadiiLadder(uniq.astype(np.float64), counts)
 
     def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        dist = self.base_distances()
-        r = int(math.floor(radius + 1e-9))
-        reach = int(dist.max())
-        return self.radii_ladder(min(r, reach))
+        reach = int(self.base_distances().max())
+        return self.radii_ladder(min(int(self.key_limit(radius)), reach))
 
     def distance(self, x: int, y: int) -> float:
         (i,), (j,) = (np.flatnonzero(self.labels == v) for v in (x, y))
@@ -491,7 +515,7 @@ def _f2_inverse(letter: int) -> int:
     return letter ^ 2
 
 
-class CayleyF2:
+class CayleyF2(_HopMetric):
     """Cayley graph of the free group on two generators.
 
     Elements are reduced words over a, b, A (= a^-1), B (= b^-1); the metric
@@ -527,7 +551,7 @@ class CayleyF2:
         charge(2 * 3 ** radius - 1, f"free-group ball of radius {radius}")
 
     def ball_arrays(self, radius: float):
-        r = int(math.floor(radius + 1e-9))
+        r = int(self.key_limit(radius))
         self._charge_ball(r)
         levels = [np.array([1], dtype=np.int64)]  # sentinel-only = identity
         last = np.array([-1], dtype=np.int8)
@@ -547,7 +571,7 @@ class CayleyF2:
         return RadiiLadder(k.astype(np.float64), 2 * 3 ** k - 1)
 
     def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        return self.radii_ladder(int(math.floor(radius + 1e-9)))
+        return self.radii_ladder(int(self.key_limit(radius)))
 
     def neighbours(self, points: np.ndarray):
         """(rows, cols, degree): parent links among the packed words

@@ -386,6 +386,71 @@ def test_dos_csv_matches_library(tmp_path):
     assert meta["diagonal_routes"] == [["eigh", 101], ["eigh", 100]]
 
 
+def test_dos_ball_count_is_the_spaces_ball(tmp_path):
+    """4e-10 short of 7 the chain's l_2 ball ends at 6 (key 48 < 49), in
+    the DOS table as in the space's own ladder."""
+    out = tmp_path / "dos.csv"
+    cfg = write_config(tmp_path, {
+        "space": {"kind": "lattice"}, "hamiltonian": FREE_CHAIN,
+        "g": {"kind": "one"}, "radii": [6.9999999996], "out": str(out)})
+    assert cli.main(["dos", "--config", cfg]) == 0
+    assert read_csv(out)[1] == [["6.9999999996", "13", "1.0"]]
+
+
+def test_periodic_potential_takes_a_grid(tmp_path):
+    """A d = 2 periodic potential is a nested array; the CLI table of the
+    l_1 checkerboard is the library's, byte for byte."""
+    from doslab.dos import dos_approximant
+    from doslab.hamiltonians import adjacency, periodic_potential
+    from doslab.spaces import Lattice
+    from doslab.spectral import gaussian
+    out = tmp_path / "dos.csv"
+    checkerboard = [[0, 1], [1, 0]]
+    cfg = write_config(tmp_path, {
+        "space": {"kind": "lattice", "d": 2, "p": 1},
+        "hamiltonian": {"hopping": {"kind": "adjacency"},
+                        "potential": {"kind": "periodic",
+                                      "values": checkerboard}},
+        "g": {"kind": "gaussian", "center": 0.5, "sigma": 0.7},
+        "radii": [2, 3, 5], "margin": 4, "out": str(out)})
+    assert cli.main(["dos", "--config", cfg]) == 0
+    est = dos_approximant(Lattice(2, 1.0),
+                          adjacency(periodic_potential(checkerboard)),
+                          gaussian(0.5, 0.7), [2.0, 3.0, 5.0], margin=4.0)
+    assert read_csv(out)[1] == [[repr(r), str(c), repr(v)]
+                                for r, c, v in est.rows()]
+
+
+def test_periodic_values_validate_as_a_rectangular_grid():
+    def values(v):
+        cfg = validate({**_VALID["dos"], "hamiltonian": {
+            "hopping": {"kind": "none"},
+            "potential": {"kind": "periodic", "values": v}}}, SCHEMAS["dos"])
+        return cfg["hamiltonian"]["potential"]["values"]
+    # a flat array validates as before, so its config digest stays put
+    assert values([0, 1]) == [0.0, 1.0]
+    assert values([[0, 1], [1, 0.5]]) == [[0.0, 1.0], [1.0, 0.5]]
+    for bad, path, message in [
+            ([[0, 1], [1]], "values[1]", "needs at least 2 entries"),
+            ([[0, 1], 1], "values[1]", "expected an array"),
+            ([0, [1]], "values[1]", "expected a number"),
+            ([], "values", "needs at least 1 entries"),
+            (0, "values", "expected an array"),
+            ([[[0]] * 2] * 2 + [0], "values[2]", "expected an array")]:
+        with pytest.raises(ConfigError, match=message) as err:
+            values(bad)
+        assert err.value.path == "hamiltonian.potential." + path
+    deep = 0
+    for _ in range(2000):
+        deep = [deep]
+    with pytest.raises(ConfigError, match="nests deeper than 32 arrays"):
+        values(deep)
+    deep = 0
+    for _ in range(32):
+        deep = [deep]
+    assert np.shape(values(deep)) == (1,) * 32
+
+
 @pytest.mark.parametrize("command, extra", [
     ("dos", {}), ("equivariance", {"shift": [1]})])
 def test_library_warning_is_one_stderr_line(tmp_path, capsys, command, extra):
@@ -694,6 +759,12 @@ def test_failed_precondition_exits_one(tmp_path, capsys):
                                            "values": [0.0, 1.0]}},
              "radii": [2, 4], "margin": 1},
      "hamiltonian: periodic potential requires a lattice space"),
+    ("dos", {"space": {"kind": "lattice", "d": 2},
+             "hamiltonian": {"hopping": {"kind": "adjacency"},
+                             "potential": {"kind": "periodic",
+                                           "values": [[0.0, 1.0], [1.0]]}},
+             "radii": [2, 4], "margin": 1},
+     "hamiltonian.potential.values[1]: needs at least 2 entries"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, command, payload,

@@ -17,10 +17,12 @@ from doslab.errors import NotEstablished, PreconditionFailed
 from doslab.hamiltonians import (WeightFunction, adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
                                  lattice_weight, periodic_potential)
+from doslab.percolation import largest_cluster, percolate_bonds
 from doslab.reference import arcsine_ids, block_indicator, lp_ball_volume
 from doslab.spaces import CayleyF2, Lattice
-from doslab.spectral import (SlopeFit, bump, dyadic_window_counts, gaussian,
-                             log_cesaro, polynomial, run_length_series)
+from doslab.spectral import (SlopeFit, bump, constant_one,
+                             dyadic_window_counts, gaussian, log_cesaro,
+                             polynomial, run_length_series)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,28 @@ def test_dos_matches_masked_diagonal_of_g_of_h():
     for r, v in zip(radii, est.values):
         mask = op.dists <= r + 1e-9
         assert v == pytest.approx(float(diag[mask].mean()), abs=1e-11)
+
+
+@pytest.mark.parametrize("space", [
+    Lattice(1), Lattice(2, 1.0), Lattice(2, 2.0), Lattice(2, 3.0),
+    Lattice(2, math.inf), Lattice(3, 2.0),
+    largest_cluster(percolate_bonds(2, 20, 0.7, 3)), CayleyF2()],
+    ids=["Z", "Z2-l1", "Z2-l2", "Z2-l3", "Z2-linf", "Z3-l2", "cluster", "F2"])
+def test_ball_counts_follow_the_space(space):
+    """A DOS average divides by the space's own ball.  At every realised
+    radius, 4e-10 either side of it, midway to the next and, from the
+    second radius on, 1.5e-9 short of it (where the l_3 key grid rounds
+    up), the ball count of ``dos_approximant`` is the count of
+    ``ball_arrays`` and of ``ladder_to_radius``."""
+    realised = space.ladder_to_radius(3.0).radii
+    radii = np.sort(np.concatenate((
+        realised, realised - 4e-10, realised + 4e-10, realised[1:] - 1.5e-9,
+        (realised[:-1] + realised[1:]) / 2.0)))
+    est = dos_approximant(space, adjacency(), constant_one(), radii,
+                          margin=1.0)
+    for r, count in zip(radii, est.ball_counts):
+        assert count == len(space.ball_arrays(r)[0]), r
+        assert count == space.ladder_to_radius(r).counts[-1], r
 
 
 def test_dos_margin_invariance():

@@ -13,7 +13,8 @@ from doslab.dos import (_modulated_gap, dixmier_lhs, dos_approximant,
                         ids_histogram)
 from doslab.errors import BudgetExceeded
 from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
-                                 WeightFunction, adjacency, build_truncated,
+                                 TruncatedOperator, WeightFunction,
+                                 adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
                                  kernel, laplacian, lattice_weight,
                                  periodic_potential, weak_l1_bound)
@@ -476,10 +477,11 @@ def test_fold_auto_kicks_in_for_large_even_operators():
 
 
 def test_levels_and_counts_are_consistent():
-    op = build_truncated(Lattice(2), adjacency(), 5.0)
-    assert op.level_radii[0] == 0.0 and op.level_counts[0] == 1
-    for i in range(op.n):
-        assert op.dists[i] == op.level_radii[op.levels[i]]
+    space = Lattice(2)
+    op = build_truncated(space, adjacency(), 5.0)
+    assert op.level_keys[0] == 0 and op.level_counts[0] == 1
+    _, keys, _ = space.ball_arrays(5.0)
+    assert np.array_equal(keys, op.level_keys[op.levels])
     # level_counts is the cumulative point count per level
     assert np.array_equal(op.level_counts,
                           np.searchsorted(op.levels, np.arange(
@@ -723,3 +725,24 @@ def test_only_spaces_reads_a_spaces_arrays():
                                                                  "labels"):
                 found.append(f"{name}:{node.lineno} reads .{node.attr}")
     assert found == []
+
+
+def test_only_spaces_decides_ball_membership():
+    """One ball rule: no module but ``spaces`` holds the 1e-9 slack that
+    decides whether a float radius reaches a point, and an operator keeps
+    its level keys, not float level radii, for others to compare with."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    import doslab
+    package = pathlib.Path(doslab.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             if path.name != "spaces.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and node.value == 1e-9]
+    assert found == []
+    fields = {f.name for f in dataclasses.fields(TruncatedOperator)}
+    assert "level_radii" not in fields and {"level_keys", "space"} <= fields

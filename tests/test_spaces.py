@@ -154,6 +154,24 @@ def test_lattice_budget_enforced(monkeypatch):
     assert exc.value.requested > exc.value.allowed
 
 
+@pytest.mark.filterwarnings("error")
+def test_key_limit_is_elementwise_and_far_radii_stay_refusable():
+    """``key_limit`` maps an array of radii to int64 keys one by one, and
+    a radius far past any budget neither warns nor wraps around: the
+    lattice still refuses its box and F2 its radius."""
+    radii = [0.0, 1.0, 1.4, 1.5, 2.9999999996, 3.0]
+    keys = Lattice(2).key_limit(np.array(radii))
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [Lattice(2).key_limit(r) for r in radii]
+    assert keys.tolist() == [0, 1, 1, 2, 8, 9]  # squared l_2 lengths
+    assert CayleyF2().key_limit(radii).tolist() == [0, 1, 1, 1, 3, 3]
+    for space in (Lattice(2), Lattice(2, 1.0), Lattice(2, 3.0)):
+        with pytest.raises(BudgetExceeded):
+            space.ball_arrays(1e300)
+    with pytest.raises(ValueError, match="beyond supported maximum 30"):
+        CayleyF2().ladder_to_radius(1e300)
+
+
 # ---------------------------------------------------------------------------
 # radii ladder container
 
