@@ -35,11 +35,11 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import __version__
+from . import FOLNER_SHAPES, __version__
 from .budget import ENV_VAR
-from .config import (FOLNER_SHAPES, KINDS, SCHEMAS, config_digest, fn_from,
-                     folner_from, hamiltonian_from, jsonable, space_from,
-                     validate, weight_from)
+from .config import (KINDS, SCHEMAS, config_digest, fn_from, folner_from,
+                     hamiltonian_from, jsonable, space_from, validate,
+                     weight_from)
 from .errors import (BudgetExceeded, ConfigError, NotEstablished,
                      PreconditionFailed)
 
@@ -194,12 +194,15 @@ def _weighted(cfg: dict):
     return (space, spec, g, w, cfg["r_outer"]), ladder, window
 
 
+def _fields(obj, *names) -> dict:
+    """Artifact entries named after the result fields they hold."""
+    return {name: getattr(obj, name) for name in names}
+
+
 def _measurability_dict(est) -> dict:
-    m = est.measurability
-    return {"verdict": m.verdict, "slope_drift": m.slope_drift,
-            "drift_tol": m.drift_tol, "residual_growth": m.residual_growth,
-            "residual_tol": m.residual_tol,
-            "half_slopes": list(est.half_slopes)}
+    return {**_fields(est.measurability, "verdict", "slope_drift",
+                      "drift_tol", "residual_growth", "residual_tol"),
+            **_fields(est, "half_slopes")}
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +235,10 @@ def _cmd_space_check_c(cfg) -> int:
           f"{report.tail_mean_ratio:.4f}, max tail deviation "
           f"{report.max_tail_deviation:.4g})")
     _write_json(cfg["out"], cfg, {
-        "verdict": report.verdict, "threshold": report.threshold,
-        "tail_fraction": report.tail_fraction,
-        "max_tail_deviation": report.max_tail_deviation,
-        "min_tail_deviation": report.min_tail_deviation,
-        "tail_mean_ratio": report.tail_mean_ratio,
-        "trend_maxima": report.trend_maxima, "levels": len(ladder)})
+        **_fields(report, "verdict", "threshold", "tail_fraction",
+                  "max_tail_deviation", "min_tail_deviation",
+                  "tail_mean_ratio", "trend_maxima"),
+        "levels": len(ladder)})
     return 0
 
 
@@ -257,19 +258,15 @@ def _cmd_percolate(cfg) -> int:
     }
     if cfg["tmax"] is not None:
         growth = percolation.chemical_ball_growth(cluster, cfg["tmax"])
-        report["plateau_stat"] = growth.plateau_stat
-        report["plateau_window"] = growth.plateau_window
+        plateau = _fields(growth, "plateau_stat", "plateau_window")
         ladder = cluster.radii_ladder(cfg["tmax"])
         c_rep = condition_c_report(ladder, threshold=cfg["threshold"])
-        report["condition_c"] = {
-            "verdict": c_rep.verdict, "threshold": c_rep.threshold,
-            "max_tail_deviation": c_rep.max_tail_deviation,
-            "tail_mean_ratio": c_rep.tail_mean_ratio}
+        report.update(plateau, condition_c=_fields(
+            c_rep, "verdict", "threshold", "max_tail_deviation",
+            "tail_mean_ratio"))
         _write_csv(cfg["growth_out"], ("t", "ball_count", "normalized"),
                    zip(growth.t.tolist(), growth.ball_counts.tolist(),
-                       growth.normalized.tolist()), cfg,
-                   extra={"plateau_stat": growth.plateau_stat,
-                          "plateau_window": growth.plateau_window})
+                       growth.normalized.tolist()), cfg, extra=plateau)
         print(f"plateau {growth.plateau_stat:.4f}, condition-C "
               f"{c_rep.verdict}")
     print(f"cluster {cluster.n_nodes} of {report['sites']} sites "
@@ -288,12 +285,9 @@ def _cmd_dos(cfg) -> int:
     print(f"tail mean {est.tail_mean:.6f}, tail spread {est.tail_spread:.2e}"
           f"{' (diverged)' if est.diverged else ''}")
     _write_csv(cfg["out"], ("r", "ball_count", "average"), est.rows(), cfg,
-               extra={"tail_mean": est.tail_mean,
-                      "tail_spread": est.tail_spread,
-                      "diverged": est.diverged, "margin": est.margin,
-                      "outer_radius": est.outer_radius,
-                      "solvers": est.solvers,
-                      "diagonal_routes": est.diagonal_routes})
+               extra=_fields(est, "tail_mean", "tail_spread", "diverged",
+                             "margin", "outer_radius", "solvers",
+                             "diagonal_routes"))
     return 0
 
 
@@ -305,8 +299,7 @@ def _cmd_ids(cfg) -> int:
           f"{hist.energies[-1]:.4f}]")
     _write_csv(cfg["out"], ("energy", "fraction"),
                zip(hist.energies.tolist(), hist.fractions.tolist()), cfg,
-               extra={"radius": hist.radius, "count": hist.n,
-                      "solvers": hist.solvers})
+               extra={**_fields(hist, "radius", "solvers"), "count": hist.n})
     return 0
 
 
@@ -316,10 +309,9 @@ def _cmd_dixmier(cfg) -> int:
     est = dixmier_lhs(*operator, window=window)
     print(f"slope {est.value:.6f} ({est.measurability.verdict})")
     _write_json(cfg["out"], cfg, {
-        "slope": est.value, "window": list(est.fit.window),
-        "lam_counts": est.lam_counts, "lam_values": est.lam_values,
-        "measurability": _measurability_dict(est),
-        "solvers": est.solvers, "product_rank": est.product_rank})
+        **_fields(est, "lam_counts", "lam_values", "solvers", "product_rank"),
+        **_fields(est.fit, "window"), "slope": est.value,
+        "measurability": _measurability_dict(est)})
     return 0
 
 
@@ -339,20 +331,16 @@ def _cmd_theorem_check(cfg) -> int:
           f"{'ok' if check.modulated_ok else 'too large'}")
     print(f"measurability: {check.lhs.measurability.verdict}")
     _write_json(cfg["out"], cfg, {
+        **_fields(check, "relative_gap", "product", "modulated_gap_slope",
+                  "modulated_scale", "modulated_ok", "margin"),
+        **_fields(check.lhs, "solvers", "product_rank"),
         "passed": ok, "tolerance": tol,
-        "relative_gap": check.relative_gap,
         "lhs_slope": check.lhs_value,
         "weight_slope": check.weight_fit.slope,
         "dos_tail_mean": check.rhs_limit,
-        "product": check.product,
-        "modulated_gap_slope": check.modulated_gap_slope,
-        "modulated_scale": check.modulated_scale,
-        "modulated_ok": check.modulated_ok,
         "condition_c_verdict": check.condition_c.verdict,
         "measurability": _measurability_dict(check.lhs),
-        "solvers": check.lhs.solvers,
-        "product_rank": check.lhs.product_rank,
-        "r_outer": check.R_outer, "margin": check.margin})
+        "r_outer": check.R_outer})
     return 0 if ok else 2
 
 
@@ -382,7 +370,7 @@ def _cmd_vp_trace(cfg) -> int:
           f"relative error {rel:.4f}")
     _write_json(cfg["out"], cfg, {
         "d": cfg["d"], "p": cfg["p"], "radius": cfg["radius"],
-        "slope": fit.slope, "ball_volume": target, "relative_error": rel,
+        **_fields(fit, "slope"), "ball_volume": target, "relative_error": rel,
         "terms": int(ladder.counts[-1])})
     return 0
 
@@ -397,9 +385,8 @@ def _cmd_equivariance(cfg) -> int:
     _write_csv(cfg["out"], ("r", "average", "shifted_average", "abs_diff"),
                zip(rep.radii.tolist(), rep.values.tolist(),
                    rep.shifted_values.tolist(), rep.diffs.tolist()), cfg,
-               extra={"shift": list(rep.shift), "max_diff": rep.max_diff,
-                      "tail_diff": rep.tail_diff,
-                      "nonincreasing": rep.nonincreasing})
+               extra=_fields(rep, "shift", "max_diff", "tail_diff",
+                             "nonincreasing"))
     return 0
 
 
@@ -417,11 +404,9 @@ def _cmd_ergodic(cfg) -> int:
                  float(rep.z_scores[j])) for j in range(rep.n_realizations)),
                cfg)
     _write_json(cfg["out"], cfg, {
-        "mean": rep.mean, "std": rep.std, "sem": rep.sem,
-        "realizations": rep.n_realizations,
-        "n_within_3std": rep.n_within_3std,
-        "window_size": rep.window_size, "seeds": list(rep.seeds),
-        "solvers": rep.solvers, "diagonal_routes": rep.diagonal_routes})
+        **_fields(rep, "mean", "std", "sem", "n_within_3std", "window_size",
+                  "seeds", "solvers", "diagonal_routes"),
+        "realizations": rep.n_realizations})
     return 0
 
 
@@ -436,7 +421,7 @@ def _cmd_folner(cfg) -> int:
             for i, n in enumerate(rep.schedule))
     _write_csv(cfg["out"], ("n", "cardinality", "deviation_max",
                             "tempered_ratio"), rows, cfg,
-               extra={"c_estimate": rep.c_estimate, "shape": rep.shape})
+               extra=_fields(rep, "c_estimate", "shape"))
     return 0
 
 

@@ -5,9 +5,14 @@ rejected, missing required keys are reported, and every error carries the
 dotted path of the offending entry so a failing run points at the exact
 field.  The ``kind`` of an object in ``KINDS`` picks its other keys: the
 keyword parameters of the one constructor (``_makers``) that builds it.
+The command schemas in ``SCHEMAS`` are built from shared fields, each
+stated once (the operator, its profile ``g``, the radii with their
+margin, the weighted trace, the fit window), and every schema ends with
+the output path ``out``.
 Validation returns a fully defaulted dict; ``config_digest`` hashes
-that dict (minus output paths) so artifacts can be matched to the
-experiment that produced them independently of where they were written.
+that dict minus its output paths, the keys whose field is an output path
+in some schema, so artifacts can be matched to the experiment that
+produced them independently of where they were written.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
+from . import FOLNER_SHAPES
 from .errors import ConfigError
 
 _MISSING = object()
@@ -220,29 +226,37 @@ TOLERANCE = table({
     "condition_c": Field(number(lo=0.0), 0.01),
 })
 
-FOLNER_SHAPES = ("cube", "ball", "lacunary")
-
 FOLNER = table({
     "shape": Field(string(FOLNER_SHAPES)),
     "d": Field(_DIMENSION, 1),
     "schedule": Field(array(integer(lo=0), min_len=1)),
 })
 
+# the fields several commands share, each stated once
+_SPACE_FIELDS = {"space": Field(SPACE)}
+_OPERATOR = {**_SPACE_FIELDS, "hamiltonian": Field(HAMILTONIAN)}
+_PROFILE = {**_OPERATOR, "g": Field(FN)}
+_MARGIN = Field(number(lo=0.0), 50.0)
+_RADII = {"radii": Field(increasing(array(number(lo=0.0), min_len=1))),
+          "margin": _MARGIN}
+_WEIGHTED = {**_PROFILE,
+             "weight": Field(WEIGHT, {"kind": "default"}),
+             "r_outer": Field(number(lo=1.0))}
+_WINDOW = Field(array(integer(lo=1), min_len=2, max_len=2), None)
 _OUT = Field(string(), None)
 
-SCHEMAS = {
+# each command's fields, followed by the output path ``out``
+SCHEMAS = {name: {**fields, "out": _OUT} for name, fields in {
     "space-ladder": {
-        "space": Field(SPACE),
+        **_SPACE_FIELDS,
         "kmax": Field(integer(lo=1), None),
         "radius": Field(number(lo=0.0), None),
-        "out": _OUT,
     },
     "space-check-c": {
-        "space": Field(SPACE),
+        **_SPACE_FIELDS,
         "kmax": Field(integer(lo=10), 100),
         "threshold": Field(number(lo=0.0), 0.01),
         "tail_fraction": Field(number(lo=0.0, hi=1.0), 0.2),
-        "out": _OUT,
     },
     "percolate": {
         "d": Field(integer(lo=1, hi=3), 2),
@@ -251,84 +265,47 @@ SCHEMAS = {
         "seed": Field(integer(lo=0), 0),
         "tmax": Field(integer(lo=2), None),
         "threshold": Field(number(lo=0.0), 0.05),
-        "out": _OUT,
         "growth_out": _OUT,
         "sample_out": _OUT,
     },
-    "dos": {
-        "space": Field(SPACE),
-        "hamiltonian": Field(HAMILTONIAN),
-        "g": Field(FN),
-        "radii": Field(increasing(array(number(lo=0.0), min_len=1))),
-        "margin": Field(number(lo=0.0), 50.0),
-        "out": _OUT,
-    },
-    "ids": {
-        "space": Field(SPACE),
-        "hamiltonian": Field(HAMILTONIAN),
-        "radius": Field(number(lo=0.0)),
-        "out": _OUT,
-    },
-    "dixmier": {
-        "space": Field(SPACE),
-        "hamiltonian": Field(HAMILTONIAN),
-        "g": Field(FN),
-        "weight": Field(WEIGHT, {"kind": "default"}),
-        "r_outer": Field(number(lo=1.0)),
-        "window": Field(array(integer(lo=1), min_len=2, max_len=2), None),
-        "out": _OUT,
-    },
+    "dos": {**_PROFILE, **_RADII},
+    "ids": {**_OPERATOR, "radius": Field(number(lo=0.0))},
+    "dixmier": {**_WEIGHTED, "window": _WINDOW},
     "theorem-check": {
-        "space": Field(SPACE),
-        "hamiltonian": Field(HAMILTONIAN),
-        "g": Field(FN),
-        "weight": Field(WEIGHT, {"kind": "default"}),
-        "r_outer": Field(number(lo=1.0)),
-        "margin": Field(number(lo=0.0), 50.0),
-        "window": Field(array(integer(lo=1), min_len=2, max_len=2), None),
+        **_WEIGHTED,
+        "margin": _MARGIN,
+        "window": _WINDOW,
         "tolerance": Field(TOLERANCE, {"relative_gap": 0.1,
                                        "condition_c": 0.01}),
-        "out": _OUT,
     },
-    "counterexample": {
-        "mmax": Field(integer(lo=0, hi=14), 12),
-        "out": _OUT,
-    },
+    "counterexample": {"mmax": Field(integer(lo=0, hi=14), 12)},
     "vp-trace": {
         "d": Field(_DIMENSION, 1),
         "p": Field(number(lo=1.0, allow_inf=True), 2.0),
         "radius": Field(number(lo=1.0)),
-        "out": _OUT,
     },
     "equivariance": {
-        "space": Field(SPACE),
-        "hamiltonian": Field(HAMILTONIAN),
-        "g": Field(FN),
+        **_PROFILE,
         "shift": Field(array(_SITE, min_len=1)),
-        "radii": Field(increasing(array(number(lo=0.0), min_len=1))),
-        "margin": Field(number(lo=0.0), 50.0),
-        "out": _OUT,
+        **_RADII,
     },
     "ergodic": {
-        "space": Field(SPACE),
-        "hamiltonian": Field(HAMILTONIAN),
-        "g": Field(FN),
+        **_PROFILE,
         "folner": Field(FOLNER),
         "realizations": Field(integer(lo=2)),
         "seed": Field(integer(lo=0), 0),
         "margin": Field(number(lo=1.0), 50.0),
         "index": Field(integer(), -1),
-        "out": _OUT,
         "csv_out": _OUT,
     },
     "folner": {
         "folner": Field(FOLNER),
         "nmax": Field(integer(lo=3), None),
-        "out": _OUT,
     },
-}
+}.items()}
 
-_OUTPUT_KEYS = ("out", "growth_out", "sample_out", "csv_out")
+_OUTPUT_KEYS = frozenset(key for fields in SCHEMAS.values()
+                         for key, f in fields.items() if f is _OUT)
 
 
 def jsonable(x):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import FOLNER_SHAPES
 from ._rng import derive_seed
 from .budget import charge
 from .dos import DEFAULT_MARGIN, dos_approximant
@@ -149,7 +150,7 @@ class FolnerSequence:
     schedule: tuple
 
     def __post_init__(self):
-        if self.shape not in ("cube", "ball", "lacunary"):
+        if self.shape not in FOLNER_SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
         if len(self.schedule) == 0:
             raise ValueError("empty schedule")

@@ -63,6 +63,15 @@ def _floor_keys(x):
     return np.floor(x + 1e-9).astype(np.int64)[()]
 
 
+def _ladder_levels(radius: float, levels: int) -> int:
+    """The number of ladder ``levels`` within ``radius``, refused when there
+    are none: the radius is below the first realised distance."""
+    if levels < 1:
+        raise ValueError(
+            f"radius: {radius:g} is below the first realised distance")
+    return levels
+
+
 @dataclass
 class RadiiLadder:
     """Realised distances from the base point with cumulative ball counts.
@@ -317,6 +326,7 @@ class Lattice:
             uniq, cnt = np.unique(keys[keys <= self.key_limit(radius)],
                                   return_counts=True)
             counts = np.cumsum(cnt)
+        _ladder_levels(radius, len(uniq) - 1)
         if uniq[0] != 0:
             raise AssertionError("base point missing from its own ball")
         return RadiiLadder(self._key_radius(uniq[1:]), counts[1:])
@@ -488,7 +498,8 @@ class Graph(_HopMetric):
 
     def ladder_to_radius(self, radius: float) -> RadiiLadder:
         reach = int(self.base_distances().max())
-        return self.radii_ladder(min(int(self.key_limit(radius)), reach))
+        hops = _ladder_levels(radius, int(self.key_limit(radius)))
+        return self.radii_ladder(min(hops, reach))
 
     def distance(self, x: int, y: int) -> float:
         (i,), (j,) = (np.flatnonzero(self.labels == v) for v in (x, y))
@@ -571,7 +582,8 @@ class CayleyF2(_HopMetric):
         return RadiiLadder(k.astype(np.float64), 2 * 3 ** k - 1)
 
     def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        return self.radii_ladder(int(self.key_limit(radius)))
+        return self.radii_ladder(
+            _ladder_levels(radius, int(self.key_limit(radius))))
 
     def neighbours(self, points: np.ndarray):
         """(rows, cols, degree): parent links among the packed words

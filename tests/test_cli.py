@@ -527,6 +527,62 @@ def test_theorem_check_exit_codes(tmp_path):
     assert data["lhs_slope"] == pytest.approx(0.465259, abs=1e-4)
 
 
+LATTICE_POWER_CHAIN = {
+    "space": {"kind": "lattice", "d": 1}, "hamiltonian": FREE_CHAIN,
+    "g": {"kind": "gaussian", "center": 0.0, "sigma": 1.0},
+    "weight": {"kind": "lattice_power"}, "r_outer": 1024.0}
+
+
+def _lattice_power_operator():
+    from doslab.hamiltonians import adjacency, lattice_weight
+    from doslab.spaces import Lattice
+    from doslab.spectral import gaussian
+    space = Lattice(1)
+    ladder = space.ladder_to_radius(1024.0)
+    w = lattice_weight(space, ladder)
+    return (space, adjacency(), gaussian(0.0, 1.0), w, 1024.0), ladder
+
+
+def test_dixmier_lattice_power_weight_matches_library(tmp_path):
+    from doslab.dos import dixmier_lhs
+    out = tmp_path / "dix.json"
+    cfg = write_config(tmp_path, {**LATTICE_POWER_CHAIN, "out": str(out)})
+    assert cli.main(["dixmier", "--config", cfg]) == 0
+    data = json.loads(out.read_text())
+    want = dixmier_lhs(*_lattice_power_operator()[0])
+    assert data["slope"] == want.value
+    assert data["lam_values"] == want.lam_values.tolist()
+    assert data["measurability"]["half_slopes"] == list(want.half_slopes)
+    assert data["product_rank"] == want.product_rank
+
+
+def test_theorem_check_lattice_power_weight_matches_library(tmp_path):
+    from doslab.dos import main_theorem_check
+    out = tmp_path / "check.json"
+    cfg = write_config(tmp_path, {**LATTICE_POWER_CHAIN, "margin": 30.0,
+                                  "out": str(out)})
+    rc = cli.main(["theorem-check", "--config", cfg])
+    operator, ladder = _lattice_power_operator()
+    want = main_theorem_check(*operator, margin=30.0, ladder=ladder)
+    assert rc == (0 if want.passed(0.1) else 2)
+    data = json.loads(out.read_text())
+    assert data["lhs_slope"] == want.lhs_value
+    assert data["weight_slope"] == want.weight_fit.slope
+    assert data["dos_tail_mean"] == want.rhs_limit
+    assert data["relative_gap"] == want.relative_gap
+    assert data["modulated_gap_slope"] == want.modulated_gap_slope
+
+
+@pytest.mark.parametrize("command", ["dixmier", "theorem-check"])
+def test_lattice_power_weight_on_f2_is_one_error_line(tmp_path, capsys,
+                                                      command):
+    cfg = write_config(tmp_path, {
+        **LATTICE_POWER_CHAIN, "space": {"kind": "f2"}, "r_outer": 6.0})
+    assert cli.main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "doslab: error: weight: lattice weight requires a lattice space\n")
+
+
 def test_equivariance_csv_aligned_shift(tmp_path):
     out = tmp_path / "eq.csv"
     cfg = write_config(tmp_path, {
@@ -881,6 +937,34 @@ def test_space_ladder_refuses_kmax_with_radius(capsys):
         "doslab: error: radius: kmax and radius are exclusive; set one\n")
 
 
+@pytest.mark.parametrize("space", [["--d", "2", "--p", "2"],
+                                   ["--space", "f2"]])
+def test_space_ladder_to_a_radius_matches_kmax(tmp_path, space):
+    """``--radius r_k`` writes the same table as ``--kmax k``."""
+    by_k, by_r = tmp_path / "k.csv", tmp_path / "r.csv"
+    assert cli.main(["space", "ladder", *space, "--kmax", "7",
+                     "--out", str(by_k)]) == 0
+    r_k = read_csv(by_k)[1][-1][1]
+    assert cli.main(["space", "ladder", *space, "--radius", r_k,
+                     "--out", str(by_r)]) == 0
+    assert by_r.read_bytes() == by_k.read_bytes()
+
+
+def test_space_ladder_needs_kmax_or_radius(capsys):
+    assert cli.main(["space", "ladder", "--d", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "doslab: error: kmax: either kmax or radius is required\n")
+
+
+@pytest.mark.parametrize("argv, radius", [
+    ([], "0"), (["--d", "2", "--p", "2"], "0.9"), (["--space", "f2"], "0.5")])
+def test_space_ladder_radius_below_the_first_distance(capsys, argv, radius):
+    assert cli.main(["space", "ladder", *argv, "--radius", radius]) == 1
+    assert capsys.readouterr().err == (
+        f"doslab: error: radius: {radius} is below the first realised "
+        "distance\n")
+
+
 @pytest.mark.parametrize("flags, env", [(["--budget", "10"], "50000000"),
                                         ([], "10")])
 def test_over_budget_run_ends_in_one_error_line(monkeypatch, capsys, flags,
@@ -940,3 +1024,21 @@ def test_thread_cap_lands_in_environment(monkeypatch, capsys):
     assert os.environ["NUMEXPR_NUM_THREADS"] == "3"
     assert cli.main(["counterexample", "--mmax", "2", "--threads", "0"]) == 1
     assert "threads: must be >= 1" in capsys.readouterr().err
+
+
+def test_folner_shapes_are_listed_once():
+    """The shape tuple is stated in the package ``__init__`` alone; the
+    library, the config and the CLI all read that one copy."""
+    import ast
+    import doslab
+    src = os.path.dirname(doslab.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [name for node in ast.walk(tree)
+                      if isinstance(node, ast.Tuple) and {
+                          getattr(e, "value", None) for e in node.elts}
+                      == {"cube", "ball", "lacunary"}]
+    assert found == ["__init__.py"]

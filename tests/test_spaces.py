@@ -262,6 +262,26 @@ def test_path_and_cycle_ladders():
     assert np.array_equal(lad.counts, [3, 5, 7, 9, 11, 12])
 
 
+@pytest.mark.parametrize("space, radius", [
+    (Lattice(1), 0.0), (Lattice(2), 0.9), (Lattice(2, 3.0), 0.5),
+    (CayleyF2(), 0.5), (Graph.from_edges(cycle_edges(12), base=0), 0.5)])
+def test_ladder_radius_below_the_first_distance_is_refused(space, radius):
+    """Every space gives the one refusal that names ``radius``, where a
+    lattice used to say "empty ladder" and a hop metric "k_max"."""
+    with pytest.raises(ValueError) as err:
+        space.ladder_to_radius(radius)
+    assert str(err.value) == (f"radius: {radius:g} is below the first "
+                              "realised distance")
+
+
+def test_graph_ladder_to_radius_stops_at_the_radius_or_the_graph():
+    g = Graph.from_edges(cycle_edges(12), base=0)
+    for radius, k in ((1.0, 1), (2.5, 2), (6.0, 6), (40.0, 6)):
+        lad, want = g.ladder_to_radius(radius), g.radii_ladder(k)
+        assert np.array_equal(lad.radii, want.radii)
+        assert np.array_equal(lad.counts, want.counts)
+
+
 def test_graph_distance_and_subgraph():
     g = Graph.from_edges(cycle_edges(10), base=0)
     assert g.distance(0, 5) == 5.0
