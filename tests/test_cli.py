@@ -306,6 +306,78 @@ def test_folner_peak_memory():
     assert peak_mb < 120.0
 
 
+_THREAD_RUNS = (
+    # one dense block, n = 1,457
+    ("ids", {"space": {"kind": "f2"}, "hamiltonian": FREE_CHAIN,
+             "radius": 6}, "ids.csv"),
+    # two tridiagonal parity blocks with vectors, n = 2,201
+    ("dixmier", {"space": {"kind": "lattice", "d": 1},
+                 "hamiltonian": {**FREE_CHAIN, "potential": {
+                     "kind": "periodic", "values": [0.0, 1.0]}},
+                 "g": {"kind": "bump", "center": 0.0, "halfwidth": 1.5},
+                 "r_outer": 1100.0}, "dixmier.json"))
+
+
+def _numbers(name: str, data: bytes) -> dict:
+    """The values of one artifact by CSV column or JSON key path (list
+    positions dropped): numbers as floats, anything else as text."""
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(data.decode().splitlines())
+        return {key: [float(v) for v in col]
+                for key, col in zip(header, zip(*rows))}
+    found = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}")
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, path)
+        else:
+            number = isinstance(value, (int, float)) and not isinstance(
+                value, bool)
+            found.setdefault(path, []).append(
+                float(value) if number else repr(value))
+    walk(json.loads(data), "")
+    return found
+
+
+def test_thread_count_moves_values_by_rounding_only(tmp_path):
+    """Bytes are stable for a fixed config and BLAS thread count: a rerun
+    at 2 threads writes the same files.  Across thread counts the BLAS
+    reorders its sums, so the values agree to 1e-12 of each column's or
+    key's largest value, and everything else is equal."""
+    for command, payload, name in _THREAD_RUNS:
+        files = {}
+        for run in ("1", "2", "2 again"):
+            out_dir = tmp_path / f"{command} {run}"
+            out_dir.mkdir()
+            cfg = write_config(tmp_path, {**payload,
+                                          "out": str(out_dir / name)},
+                               f"{command} {run}.json")
+            child, _ = run_in_child(command, "--config", cfg,
+                                    "--threads", run.split()[0])
+            assert child.returncode == 0, child.stderr
+            files[run] = {p.name: p.read_bytes()
+                          for p in sorted(out_dir.iterdir())}
+        assert files["2"] == files["2 again"]
+        assert files["1"].keys() == files["2"].keys()
+        for artifact, data in files["1"].items():
+            one, two = (_numbers(artifact, data),
+                        _numbers(artifact, files["2"][artifact]))
+            assert one.keys() == two.keys()
+            for key, want in one.items():
+                got = two[key]
+                if any(isinstance(v, str) for v in want):
+                    assert got == want, (artifact, key)
+                    continue
+                scale = max(np.abs(want).max(), np.finfo(float).tiny)
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-12 * scale,
+                                           err_msg=f"{artifact} {key}")
+
+
 def test_large_chain_dos_allocates_no_dense_block(tmp_path):
     """An iid chain of n = 100,101 sites has no parity fold, so it is one
     tridiagonal block whose eigenvectors would take 1e10 entries.  A

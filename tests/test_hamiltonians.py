@@ -571,7 +571,8 @@ def test_dense_block_solves_are_accurate_and_ignore_call_order(name):
 def test_one_reduction_per_dense_operator(monkeypatch):
     """ids, the DOS approximant and the product spectrum of one dense
     operator share one ``dsytrd``; a diagonal block's routes call neither
-    the reduction nor any cubic solver."""
+    the reduction nor any dense kernel."""
+    import scipy.linalg.blas as blas
     import scipy.linalg.lapack as lapack
     calls = []
     dsytrd = lapack.dsytrd
@@ -589,8 +590,11 @@ def test_one_reduction_per_dense_operator(monkeypatch):
         raise AssertionError("a diagonal block ran a dense solver")
 
     for module, name in ((lapack, "dsytrd"), (lapack, "dsyevd"),
-                         (lapack, "dstevd"), (np.linalg, "eigh"),
-                         (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+                         (lapack, "dstevd"), (lapack, "dsyevr"),
+                         (lapack, "dpotrf"), (blas, "dsyrk"),
+                         (blas, "dgemv"), (blas, "dgemm"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (scipy.linalg, "eigh")):
         monkeypatch.setattr(module, name, refuse)
     op = build_truncated(Lattice(2), diagonal_spec(iid_potential(0, 1, 4)),
                          6.0)
@@ -701,6 +705,36 @@ def test_only_hamiltonians_reads_the_block_solver():
     assert readers == []
     assert "Block" not in spectral_imports
     assert not any(name.split(".")[0] == "scipy" for name in spectral_imports)
+
+
+def test_every_dense_kernel_runs_on_scipys_blas():
+    """numpy and scipy each bundle their own BLAS with its own thread pool;
+    the package calls only scipy's, so the two never contend.  Of
+    ``np.linalg`` it reads only the exception type."""
+    import ast
+    import pathlib
+
+    import doslab
+    package = pathlib.Path(doslab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None)
+                names = [f"{module}.{a.name}" if module else a.name
+                         for a in node.names]
+                found += [f"{path.name}:{node.lineno} imports {name}"
+                          for name in names
+                          if name.startswith("numpy.linalg")]
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")
+                    and node.attr != "LinAlgError"):
+                found.append(f"{path.name}:{node.lineno} calls "
+                             f"np.linalg.{node.attr}")
+    assert found == []
 
 
 def test_only_spaces_reads_a_spaces_arrays():

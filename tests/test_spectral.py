@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from doslab.hamiltonians import (_chebyshev_plan, adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
                                  kernel, laplacian, periodic_potential)
-from doslab.spaces import Graph, Lattice
+from doslab.spaces import CayleyF2, Graph, Lattice
 from doslab.spectral import (bump, constant_one, dyadic_counts,
                              dyadic_window_counts, eigen_sequence,
                              function_diagonal, gaussian,
@@ -524,8 +524,14 @@ def test_smallest_chains_pick_their_route(radius, solvers):
 
 
 def _product_operator(kind):
-    """Free, period-2 and iid chains (parity and tridiagonal blocks) and a
-    random graph whose one block takes the dense route."""
+    """Free, period-2 and iid chains (parity and tridiagonal blocks), and a
+    random graph and a free-group ball whose one block takes the dense
+    route."""
+    if kind == "f2":
+        op = build_truncated(CayleyF2(), adjacency(iid_potential(-1.0, 1.0, 6)),
+                             4.0)
+        assert op.solvers == (("dense", 161),)
+        return op
     if kind == "graph":
         rng = np.random.default_rng(5)
         edges = [(i, (i + 1) % 90) for i in range(90)]
@@ -553,16 +559,24 @@ def _profile(case, lam):
         return lambda x: (x - center) * bump(center, width)(x)
     if case == "outside":
         return bump(float(lam[-1]) + 10.0, 0.5)
+    if case in ("top", "top-negative"):
+        cut = float(lam[-2] + lam[-1]) / 2.0
+        sign = 1.0 if case == "top" else -1.0
+        return lambda x: sign * np.where(x > cut, 1.0 + x * x, 0.0)
     return gaussian(center, 1.0)
 
 
-@pytest.mark.parametrize("case", ["bump", "signed", "outside", "gaussian"])
-@pytest.mark.parametrize("kind", ["free", "period-2", "iid", "graph"])
+@pytest.mark.parametrize("case", ["bump", "signed", "outside", "gaussian",
+                                  "top", "top-negative"])
+@pytest.mark.parametrize("kind", ["free", "period-2", "iid", "graph", "f2"])
 def test_factored_products_match_the_dense_reference(kind, case):
     """Only the k eigenvectors with g(lam) != 0 enter the product; the
     other n - k eigenvalues come out as exact zeros.  A bump has 0 < k < n,
     a signed bump takes the Cholesky route, a bump off the spectrum has
-    k = 0 and a gaussian k = n.  The values are compared sorted: a signed
+    k = 0 and a gaussian k = n.  A g that is nonzero only above the two
+    largest eigenvalues' midpoint has k = 1 (a 1 x 1 Gram matrix; on a
+    parity-folded chain the other block has k = 0), and its negative
+    takes the Cholesky route.  The values are compared sorted: a signed
     g on a spectrum symmetric under lam -> -lam gives +-a pairs whose
     moduli differ in the last bit, so their order by modulus is rounding."""
     op = _product_operator(kind)
@@ -570,7 +584,8 @@ def test_factored_products_match_the_dense_reference(kind, case):
     g = _profile(case, lam)
     k = int(np.count_nonzero(g(lam)))
     assert {"bump": 0 < k < op.n, "signed": 0 < k < op.n,
-            "outside": k == 0, "gaussian": k == op.n}[case]
+            "outside": k == 0, "gaussian": k == op.n, "top": k == 1,
+            "top-negative": k == 1}[case]
     if case == "signed":
         assert np.any(g(lam) < 0) and np.any(g(lam) > 0)
     w = np.random.default_rng(1).uniform(0.05, 2.0, op.levels.max() + 1)

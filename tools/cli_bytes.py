@@ -5,7 +5,9 @@ the file name up to its first dot (``space-check-c.f2.json`` runs
 ``doslab space check-c``), in a child process with ``--threads 1``, inside
 a fresh temporary directory, so the config's relative output paths land
 there.  A run is identical when its exit code, stdout, stderr and every
-file it wrote (names and bytes) match.
+file it wrote (names and bytes) match.  For each output that differs, the
+numbers in its text are paired in order and the largest absolute and
+relative difference between them is printed.
 
 A revision's ``src/`` is read with ``git archive`` into a temporary
 directory, so no worktree is made and nothing under ``.git`` is written.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tarfile
@@ -34,6 +37,24 @@ def _extract_src(rev: str, into: pathlib.Path) -> pathlib.Path:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(into, filter="data")
     return into / "src"
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _largest_difference(a: bytes, b: bytes) -> str:
+    """The largest absolute and relative difference between the numbers of
+    two outputs, paired in order of appearance."""
+    x, y = ([float(t) for t in _NUMBER.findall(v)] for v in (a, b))
+    if len(x) != len(y):
+        return f"{len(x)} numbers against {len(y)}"
+    diffs = [(abs(p - q), abs(p - q) / max(abs(p), abs(q)))
+             for p, q in zip(x, y) if p != q]
+    if not diffs:
+        return f"same {len(x)} numbers"
+    return (f"{len(diffs)} of {len(x)} numbers differ, largest by "
+            f"{max(d for d, _ in diffs):.3g} absolute, "
+            f"{max(r for _, r in diffs):.3g} relative")
 
 
 def _command(config: pathlib.Path) -> list[str]:
@@ -75,6 +96,10 @@ def main(argv: list[str]) -> int:
             differ += bool(diff)
             status = f"differs: {', '.join(diff)}" if diff else "identical"
             print(f"{config.name:24s} exit {a['exit code']}  {status}")
+            for key in diff:
+                if isinstance(a.get(key), bytes) and isinstance(b.get(key),
+                                                                bytes):
+                    print(f"    {key}: {_largest_difference(a[key], b[key])}")
     print(f"{len(configs) - differ} of {len(configs)} runs identical")
     return 1 if differ else 0
 
