@@ -6,9 +6,11 @@ sample seed, and the edge is open iff its uniform is below p.  Samples are
 therefore pure functions of (d, L, p, seed), reruns are bit-identical, and
 raising p only adds open edges (monotone coupling on shared uniforms).
 
-The open bonds form one sparse adjacency matrix.  Clusters are its
-connected components, and the largest cluster becomes a graph space, a
-slice of that matrix, whose hop metric is the chemical distance.
+The open bonds form one banded sparse adjacency matrix, which each call
+that needs it builds from the open-edge mask (nothing is cached).
+Clusters are its connected components, each labelled by its smallest
+vertex, and the largest cluster becomes a graph space, the slice of that
+matrix on its members, whose hop metric is the chemical distance.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from scipy import sparse
 
 from ._rng import uniform_stream
 from .budget import charge
-from .spaces import Graph
+from .spaces import Graph, induced_csr
 
 _MAGIC = b"DLPC"
 _HEADER = struct.Struct("<4sQQQQ")
@@ -55,13 +57,11 @@ class PercolationSample:
 
 def _valid_edge_mask(d: int, L: int) -> np.ndarray:
     """Edges leaving the box (tail coordinate L-1 along its axis) are void."""
-    shape = (L,) * d
-    n = L ** d
-    coords = np.stack(np.unravel_index(np.arange(n), shape), axis=-1)
-    mask = np.empty(n * d, dtype=bool)
+    mask = np.ones((L,) * d + (d,), dtype=bool)
     for axis in range(d):
-        mask[axis::d] = coords[:, axis] < L - 1
-    return mask
+        # the edge along ``axis`` of every vertex at coordinate L-1 on it
+        mask[(slice(None),) * axis + (L - 1, Ellipsis, axis)] = False
+    return mask.reshape(-1)
 
 
 def percolate_bonds(d: int, L: int, p: float, seed: int) -> PercolationSample:
@@ -81,29 +81,41 @@ def percolate_bonds(d: int, L: int, p: float, seed: int) -> PercolationSample:
 
 
 def _open_bonds(d: int, L: int, open_mask: np.ndarray) -> sparse.csr_array:
-    """Symmetric adjacency of the open bonds, n x n with n = L^d.
+    """Symmetric adjacency of the open bonds, n x n with n = L^d, with
+    sorted rows and no duplicate entries.
 
     Edge id ``v*d + axis`` joins its tail v to the head one C-order step
-    along ``axis``; this is the one place that rule is written down.
+    along ``axis``; this is the one place that rule is written down.  The
+    bonds along an axis fill the two diagonals at -step and +step, so the
+    matrix is banded: its CSR is read off the 2d diagonals, each row in
+    ascending column order, with no COO sort and no duplicate merge.
     """
     n = L ** d
-    edge = np.flatnonzero(open_mask)
-    tails = edge // d
-    heads = tails + L ** np.arange(d - 1, -1, -1, dtype=np.int64)[edge % d]
-    return sparse.csr_array(
-        (np.ones(2 * len(edge), dtype=np.int8),
-         (np.concatenate((tails, heads)), np.concatenate((heads, tails)))),
-        shape=(n, n))
+    steps = L ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    tails = open_mask.reshape(n, d).T
+    # diagonal k holds the entry of row j - offsets[k] in column j
+    bands = np.zeros((2 * d, n), dtype=bool)
+    bands[:d] = tails
+    for axis, step in enumerate(steps):
+        bands[d + axis, step:] = tails[axis, :-step]
+    return sparse.dia_array((bands, np.concatenate((-steps, steps))),
+                            shape=(n, n)).tocsr()
 
 
 def _cluster_labels(d: int, L: int, open_mask: np.ndarray) -> np.ndarray:
     """Each vertex labelled by the smallest vertex of its cluster."""
     # csgraph imports scipy.sparse.linalg, which costs every process ~8 MB
     from scipy.sparse.csgraph import connected_components
-    _, comp = connected_components(_open_bonds(d, L, open_mask),
-                                   directed=False)
-    _, smallest = np.unique(comp, return_index=True)
-    return smallest[comp].astype(np.int64)
+    # the matrix is symmetric, so its strong components are the clusters
+    # and the directed search needs no transpose; float data is what
+    # csgraph works in, so it converts nothing
+    bonds = _open_bonds(d, L, open_mask)
+    bonds.data = np.ones(bonds.nnz)
+    n_comp, comp = connected_components(bonds, directed=True,
+                                        connection="strong")
+    smallest = np.full(n_comp, len(comp), dtype=np.int64)
+    np.minimum.at(smallest, comp, np.arange(len(comp)))
+    return smallest[comp]
 
 
 def largest_cluster(sample: PercolationSample) -> Graph:
@@ -113,21 +125,23 @@ def largest_cluster(sample: PercolationSample) -> Graph:
     base point is the cluster vertex closest (euclidean, then
     lexicographic) to the box center.
     """
-    roots, counts = np.unique(sample.labels, return_counts=True)
-    members = np.flatnonzero(sample.labels == roots[int(np.argmax(counts))])
+    sizes = np.bincount(sample.labels)
+    members = np.flatnonzero(sample.labels == np.argmax(sizes))
     coords = sample.vertex_coords(members)
     center = (sample.L - 1) / 2.0
-    d2 = ((coords - center) ** 2).sum(axis=1)
-    order = np.lexsort(tuple(coords[:, a] for a in range(sample.d - 1, -1, -1))
-                       + (d2,))
+    offset = coords - center
+    d2 = np.einsum("ij,ij->i", offset, offset)
+    # members ascend in C order, which is lexicographic coordinate order,
+    # so the first closest member is the lexicographically smallest
+    base = int(np.argmin(d2))
     # every open bond out of a member ends in the same cluster, so the
     # slice keeps all of the cluster's edges and it is connected
-    adj = _open_bonds(sample.d, sample.L, sample.open_mask)[members][:, members]
-    adj.sort_indices()
-    return Graph(adj.indptr, adj.indices, int(order[0]), members, coords,
+    adj = induced_csr(_open_bonds(sample.d, sample.L, sample.open_mask),
+                      members)
+    return Graph(adj.indptr, adj.indices, base, members, coords,
                  meta={"d": sample.d, "L": sample.L, "p": sample.p,
                        "seed": sample.seed, "cluster_size": int(len(members)),
-                       "n_clusters": int(len(roots))})
+                       "n_clusters": int(np.count_nonzero(sizes))})
 
 
 @dataclass

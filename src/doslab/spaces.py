@@ -389,6 +389,27 @@ class _HopMetric:
         return _floor_keys(np.minimum(radius, _FAR))
 
 
+def induced_csr(adj: sparse.csr_array, keep: np.ndarray) -> sparse.csr_array:
+    """Rows and columns ``keep`` (distinct indices, in any order) of a
+    square CSR matrix, with sorted rows; row i of the result is keep[i].
+
+    The rows are gathered whole and their columns renumbered through a
+    position map, dropping those outside ``keep``.  An increasing ``keep``
+    renumbers monotonically, so its rows stay sorted and need no sort.
+    """
+    pos = np.full(adj.shape[0], -1, dtype=adj.indices.dtype)
+    pos[keep] = np.arange(len(keep), dtype=pos.dtype)
+    rows = adj[keep]
+    data, cols, indptr = rows.data, pos[rows.indices], rows.indptr
+    inside = cols >= 0
+    if not inside.all():
+        kept = np.concatenate(([0], np.cumsum(inside)))
+        data, cols, indptr = data[inside], cols[inside], kept[indptr]
+    sub = sparse.csr_array((data, cols, indptr), shape=(len(keep),) * 2)
+    sub.sort_indices()
+    return sub
+
+
 class Graph(_HopMetric):
     """Finite connected graph with the hop metric.
 
@@ -449,24 +470,40 @@ class Graph(_HopMetric):
             shape=(self.n_nodes,) * 2)
 
     def subgraph(self, keep: np.ndarray) -> "Graph":
-        """The induced subgraph on ``keep``; node i of the result is keep[i]."""
+        """The induced subgraph on ``keep`` (distinct node indices, in any
+        order); node i of the result is keep[i]."""
         keep = np.asarray(keep, dtype=np.int64)
         new_base = np.flatnonzero(keep == self.base_index)
         if len(new_base) == 0:
             raise ValueError("base node not in kept set")
-        sub = self.adjacency_matrix()[keep][:, keep]
-        sub.sort_indices()
+        sub = induced_csr(self.adjacency_matrix(), keep)
         coords = self.coords[keep] if self.coords is not None else None
         return Graph(sub.indptr, sub.indices, int(new_base[0]),
                      self.labels[keep], coords, dict(self.meta))
 
     def bfs_from(self, start_index: int) -> np.ndarray:
-        """Hop distances from node ``start_index``; -1 where unreachable."""
+        """Hop distances from node ``start_index``; -1 where unreachable.
+
+        One ``breadth_first_order`` along each row's edges (directed, which
+        on the symmetric adjacency of a graph changes nothing).  In that
+        order each level is a contiguous run and the children of earlier
+        nodes come first, so the level that starts at position s ends at
+        1 + the number of children of the nodes before s: one cumulative
+        count of children, then one lookup per level.
+        """
         # csgraph imports scipy.sparse.linalg, which costs every process ~8 MB
-        from scipy.sparse.csgraph import shortest_path
-        dist = shortest_path(self.adjacency_matrix(), unweighted=True,
-                             indices=start_index)
-        return np.where(np.isinf(dist), -1, dist).astype(np.int64)
+        from scipy.sparse.csgraph import breadth_first_order
+        order, parent = breadth_first_order(self.adjacency_matrix(),
+                                            start_index, directed=True)
+        children = np.bincount(parent[order[1:]],
+                               minlength=self.n_nodes)[order]
+        end_of = np.concatenate(([1], np.cumsum(children) + 1)).item
+        starts = [0]
+        while starts[-1] < len(order):
+            starts.append(end_of(starts[-1]))
+        dist = np.full(self.n_nodes, -1, dtype=np.int64)
+        dist[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        return dist
 
     def base_distances(self) -> np.ndarray:
         """Hop distances from the base node (computed once, then cached)."""
@@ -502,8 +539,11 @@ class Graph(_HopMetric):
         return self.radii_ladder(min(hops, reach))
 
     def distance(self, x: int, y: int) -> float:
-        (i,), (j,) = (np.flatnonzero(self.labels == v) for v in (x, y))
-        d = self.bfs_from(int(i))[j]
+        i, j = (np.flatnonzero(self.labels == v) for v in (x, y))
+        for node, index in ((x, i), (y, j)):
+            if len(index) == 0:
+                raise ValueError(f"node {node} is not in the graph")
+        d = self.bfs_from(int(i[0]))[j[0]]
         if d < 0:
             raise ValueError(f"nodes {x} and {y} are not connected")
         return float(d)

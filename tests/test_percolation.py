@@ -9,9 +9,12 @@ import struct
 import numpy as np
 import pytest
 
-from doslab.percolation import (chemical_ball_growth,
-                                largest_cluster, load_sample, percolate_bonds,
-                                sample_digest, save_sample)
+from scipy import sparse
+
+from doslab.percolation import (_open_bonds, _valid_edge_mask,
+                                chemical_ball_growth, largest_cluster,
+                                load_sample, percolate_bonds, sample_digest,
+                                save_sample)
 from doslab.spaces import Graph
 
 
@@ -48,6 +51,21 @@ def smallest_member_labels(roots):
     return np.array([smallest[r] for r in roots.tolist()], dtype=np.int64)
 
 
+def coo_open_bonds(d, L, open_mask):
+    """The open-bond matrix built from (row, col) pairs: a COO sort and a
+    duplicate merge."""
+    n = L ** d
+    edge = np.flatnonzero(open_mask)
+    tails = edge // d
+    heads = tails + np.array([L ** (d - 1 - a) for a in range(d)])[edge % d]
+    adj = sparse.coo_array(
+        (np.ones(2 * len(edge)),
+         (np.concatenate((tails, heads)), np.concatenate((heads, tails)))),
+        shape=(n, n)).tocsr()
+    adj.sum_duplicates()
+    return adj
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         percolate_bonds(0, 10, 0.5, 1)
@@ -67,6 +85,17 @@ def test_extreme_p_values():
     empty = percolate_bonds(2, 10, 0.0, 7)
     assert empty.open_fraction() == 0.0
     assert largest_cluster(empty).n_nodes == 1
+
+
+@pytest.mark.parametrize("d,L", [(2, 20), (3, 8), (2, 21), (3, 7)])
+def test_full_box_base_is_the_smallest_central_vertex(d, L):
+    """An even box has 2^d vertices equally close to its centre and the
+    base is the lexicographically smallest; an odd box has one centre."""
+    g = largest_cluster(percolate_bonds(d, L, 1.0, 1))
+    assert g.n_nodes == L ** d
+    d2 = ((g.coords - (L - 1) / 2.0) ** 2).sum(axis=1)
+    assert np.count_nonzero(d2 == d2.min()) == (2 ** d if L % 2 == 0 else 1)
+    assert tuple(g.coords[g.base_index]) == ((L - 1) // 2,) * d
 
 
 def test_full_box_chemical_balls_are_l1_balls():
@@ -111,6 +140,43 @@ def test_union_find_matches_scipy_components(d, L, p, seed):
     s = percolate_bonds(d, L, p, seed)
     want = smallest_member_labels(union_find_labels(d, L, s.open_mask))
     assert np.array_equal(s.labels, want)
+
+
+@pytest.mark.parametrize("d,L", [(1, 40), (2, 12), (3, 6)])
+@pytest.mark.parametrize("fill", ["random", "open", "closed"])
+def test_open_bonds_match_the_coo_reference(d, L, fill):
+    n, valid = L ** d, _valid_edge_mask(d, L)
+    draw = {"random": np.random.default_rng(d * L).random(n * d) < 0.5,
+            "open": np.ones(n * d, dtype=bool),
+            "closed": np.zeros(n * d, dtype=bool)}[fill]
+    got = _open_bonds(d, L, draw & valid)
+    want = coo_open_bonds(d, L, draw & valid)
+    assert got.shape == (n, n)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    # rows ascend strictly: sorted, and no entry is repeated
+    for v in range(n):
+        assert np.all(np.diff(got.indices[got.indptr[v]:got.indptr[v + 1]]) > 0)
+
+
+@pytest.mark.parametrize("d,L,p,seed", [(1, 300, 0.95, 1), (2, 30, 0.55, 2),
+                                        (3, 10, 0.35, 3), (2, 25, 1.0, 4)])
+def test_cluster_graph_is_the_sorted_slice_of_the_bond_matrix(d, L, p, seed):
+    s = percolate_bonds(d, L, p, seed)
+    g = largest_cluster(s)
+    want = coo_open_bonds(d, L, s.open_mask)[g.labels][:, g.labels]
+    want.sort_indices()
+    assert np.array_equal(g.indptr, want.indptr)
+    assert np.array_equal(g.indices, want.indices)
+
+
+def test_cluster_bfs_matches_scipy_shortest_path():
+    from scipy.sparse.csgraph import shortest_path
+    g = largest_cluster(percolate_bonds(2, 120, 0.6, 4))
+    for start in (g.base_index, 0, g.n_nodes - 1):
+        want = shortest_path(g.adjacency_matrix(), unweighted=True,
+                             indices=start)
+        assert np.array_equal(g.bfs_from(start), want.astype(np.int64))
 
 
 def test_labels_are_roots_of_their_own_cluster():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from doslab.errors import BudgetExceeded, GraphParseError
 from doslab.spaces import (CayleyF2, Graph, Lattice, RadiiLadder,
@@ -253,6 +254,29 @@ def test_graph_bfs_against_dict_oracle(edges, base):
         assert got[i] == dist[lbl]
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30),
+       edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                      max_size=80),
+       start=st.integers(0, 29), symmetric=st.booleans())
+def test_graph_bfs_matches_scipy_shortest_path(n, edges, start, symmetric):
+    """Disconnected, directed and self-looped graphs alike: hop distances
+    along each row's edges, -1 where unreachable, as int64."""
+    from scipy.sparse.csgraph import shortest_path
+    rows, cols = (np.array([e[k] % n for e in edges], dtype=np.int64)
+                  for k in (0, 1))
+    if symmetric:
+        rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    adj = sparse.coo_array((np.ones(len(rows)), (rows, cols)),
+                           shape=(n, n)).tocsr()
+    adj.sum_duplicates()
+    g = Graph(adj.indptr, adj.indices, start % n)
+    want = shortest_path(adj, unweighted=True, indices=start % n)
+    got = g.bfs_from(start % n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.where(np.isinf(want), -1, want))
+
+
 def test_path_and_cycle_ladders():
     pg = Graph.from_edges([(i, i + 1) for i in range(10)], base=5)
     lad = pg.radii_ladder(5)
@@ -303,6 +327,15 @@ def test_graph_distance_and_subgraph():
             {(lbl - 1) % 10, (lbl + 1) % 10} & kept
     with pytest.raises(ValueError, match="base node"):
         g.subgraph(keep[keep != g.base_index])
+
+
+def test_graph_distance_refuses_nodes_outside_the_graph():
+    g = Graph.from_edges(cycle_edges(6) + [(10, 11)], base=0)
+    for x, y, missing in ((0, 17, 17), (-1, 2, -1), (10, 0, 10)):
+        with pytest.raises(ValueError, match=f"^node {missing} is not in "
+                                             "the graph$"):
+            g.distance(x, y)
+    assert g.distance(5, 2) == 3.0
 
 
 def test_graph_ball_points_are_labels():
