@@ -330,39 +330,47 @@ class TheoremCheck:
     lhs: DixmierEstimate
     weight_fit: SlopeFit
     dos: DosEstimate
-    rhs_limit: float
     product: float
     relative_gap: float
     condition_c: CRatioReport
     modulated_gap_slope: float
-    modulated_scale: float
     modulated_ok: bool
     R_outer: float
-    margin: float
 
     @property
     def lhs_value(self) -> float:
         return self.lhs.fit.slope
+
+    @property
+    def rhs_limit(self) -> float:
+        return self.dos.tail_mean
+
+    @property
+    def modulated_scale(self) -> float:
+        return self.lhs.fit.scale
+
+    @property
+    def margin(self) -> float:
+        return self.dos.margin
 
     def passed(self, tolerance: float) -> bool:
         return self.relative_gap <= tolerance and self.modulated_ok
 
 
 def _modulated_gap(series: CesaroSeries, operator: TruncatedOperator,
-                   fn, w: WeightFunction, fit: SlopeFit) -> tuple:
+                   fn, w: WeightFunction, fit: SlopeFit) -> float:
+    """Log-scale slope of |partial sums of g(H) M_w - of diag(g(H)) w|."""
     diag = function_diagonal(operator, fn).values
     w_sites = w.values_on(operator)
     diag_sums = np.cumsum(diag * w_sites)
     counts = fit.indices
     gap = np.abs(series.at(counts) - diag_sums[counts - 1])
-    slope = float(np.polyfit(np.log(2.0 + counts), gap, 1)[0])
-    return slope, fit.scale
+    return float(np.polyfit(np.log(2.0 + counts), gap, 1)[0])
 
 
 def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
                        margin: float = DEFAULT_MARGIN,
                        ladder: RadiiLadder | None = None,
-                       radii=None,
                        operator: TruncatedOperator | None = None,
                        dos_operator: TruncatedOperator | None = None,
                        c_threshold: float = 0.01,
@@ -384,9 +392,7 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
             "space, so the gap would be meaningless")
     certify_weight(w)
 
-    if radii is None:
-        radii = ladder.radii
-    dos = dos_approximant(space, spec, fn, radii, margin=margin,
+    dos = dos_approximant(space, spec, fn, ladder.radii, margin=margin,
                           operator=dos_operator)
     if dos.diverged:
         raise NotEstablished(
@@ -399,15 +405,14 @@ def main_theorem_check(space, spec, fn, w: WeightFunction, R_outer: float,
                       window=window)
     weight_fit = weight_dixmier_trace(w, window=window)
 
-    rhs_limit = dos.tail_mean
-    product = weight_fit.slope * rhs_limit
+    product = weight_fit.slope * dos.tail_mean
     gap = abs(lhs.fit.slope - product) / max(abs(product), GAP_FLOOR)
 
-    mod_slope, mod_scale = _modulated_gap(lhs.series, operator, fn, w, lhs.fit)
+    mod_slope = _modulated_gap(lhs.series, operator, fn, w, lhs.fit)
     return TheoremCheck(
-        lhs=lhs, weight_fit=weight_fit, dos=dos, rhs_limit=rhs_limit,
+        lhs=lhs, weight_fit=weight_fit, dos=dos,
         product=product, relative_gap=float(gap),
         condition_c=c_report, modulated_gap_slope=mod_slope,
-        modulated_scale=mod_scale,
-        modulated_ok=bool(mod_slope <= MODULATED_SLOPE_TOL * max(mod_scale, 1e-3)),
-        R_outer=float(R_outer), margin=float(margin))
+        modulated_ok=bool(
+            mod_slope <= MODULATED_SLOPE_TOL * max(lhs.fit.scale, 1e-3)),
+        R_outer=float(R_outer))

@@ -536,17 +536,15 @@ def build_truncated(space, spec: HamiltonianSpec,
     about b takes the orbits of |x - b|: the even block holds all of them,
     the odd block those with x != b, signed by sign(x - b).  Any other 1-d
     lattice operator with hopping takes the orbits of x - b (coordinate
-    order), and everything else one orbit per point, in ball order.  An H
-    with a row sum of |H| past float64 (so past any Gershgorin bound) is
-    refused, and so is a spec that does not fit the space (``check_fit``),
-    before the ball is enumerated.
+    order), and everything else one orbit per point, in ball order.  The
+    level table is the space's own (``levels``), and each point's level is
+    its key's place in it.  An H with a row sum of |H| past float64 (so
+    past any Gershgorin bound) is refused, and so is a spec that does not
+    fit the space (``check_fit``), before the ball is enumerated.
     """
     check_fit(space, spec)
     points, keys, dists = space.ball_arrays(radius)
-    uniq, levels = np.unique(keys, return_inverse=True)
-    # canonical order sorts by distance first, so levels is non-decreasing
-    # and the cumulative count per level is a plain searchsorted
-    level_counts = np.searchsorted(levels, np.arange(len(uniq)), side="right")
+    level_keys, level_counts = space.levels(radius)
     v = _potential_values(space, spec, points)
     n = len(points)
     parts = [(np.arange(n), np.arange(n), v)]
@@ -573,8 +571,8 @@ def build_truncated(space, spec: HamiltonianSpec,
     blocks = tuple(_orbit_block(H, orbits, s) for s in signs)
     return TruncatedOperator(
         radius=float(radius), space=space, points=points, dists=dists,
-        levels=levels, level_keys=uniq,
-        level_counts=level_counts.astype(np.int64),
+        levels=np.searchsorted(level_keys, keys), level_keys=level_keys,
+        level_counts=level_counts,
         potential=v, H=H, blocks=blocks)
 
 

@@ -171,10 +171,9 @@ def chemical_ball_growth(cluster: Graph, t_max: int) -> GrowthTable:
     if t_max > L // 2:
         raise ValueError(f"t_max={t_max} exceeds L/2={L // 2}; "
                          "chemical balls would hit the box boundary")
-    dist = cluster.base_distances()
-    dist = dist[dist >= 0]
     t = np.arange(1, t_max + 1, dtype=np.int64)
-    counts = np.cumsum(np.bincount(dist, minlength=t_max + 1))[1:t_max + 1]
+    counts = cluster.levels(float(t_max))[1]  # to the eccentricity at most
+    counts = np.pad(counts, (0, t_max + 1 - len(counts)), mode="edge")[1:]
     normalized = counts / t.astype(np.float64) ** d
     lo = int(math.ceil(t_max / 2))
     window = normalized[lo - 1:]

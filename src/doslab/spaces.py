@@ -21,19 +21,20 @@ What every space provides
 -------------------------
 ``key_limit(radius)`` is the one ball rule: the largest dedupe key inside
 the closed ball of a float radius, elementwise over an array of radii.
-Every radius-to-ball decision asks it: ``ball_arrays`` and
-``ladder_to_radius`` here, the lattice box (the smallest box that holds
-every key up to the limit), and the ball prefixes of a truncated
-operator, which keeps its level keys and its space.
+Every radius-to-ball decision asks it: ``ball_arrays`` and ``levels``
+here, the lattice box (the smallest box that holds every key up to the
+limit), and the ball prefixes of a truncated operator, which keeps its
+level keys and its space.
 ``ball_arrays(radius)`` gives the ball's points, dedupe keys and
-distances; ``ladder_to_radius`` and ``radii_ladder`` its realised radii
-and ball counts.  ``neighbours(points)`` gives the neighbour pairs among
-ball points and each point's degree in the untruncated space, and
+distances; ``levels(radius)``, the one ball-count path, its realised keys
+(base first) with cumulative counts, which both ladders and a truncated
+operator read.  ``neighbours(points)`` gives the neighbour pairs among ball
+points and each point's degree in the untruncated space, and
 ``site_ids(points)`` the key a random field is drawn at.  Operator
-assembly asks nothing else of a point, so each point format (lattice
-coordinates, graph node indices, packed free-group words) is read only
+assembly asks nothing else of a point, so each point format is read only
 in this module.  A lattice adds ``offset_pairs`` (pairs at any offsets,
-for kernels), and ``site_rows`` here is the one lattice site index.
+for kernels) and ``site_rows``, the one lattice site index; a graph builds
+its CSR ``adj`` once, for every search and slice.
 """
 from __future__ import annotations
 
@@ -61,15 +62,6 @@ def _floor_keys(x):
     """floor(x + 1e-9) as int64 keys, elementwise: the slack keeps a key
     that ``x`` misses by rounding inside."""
     return np.floor(x + 1e-9).astype(np.int64)[()]
-
-
-def _ladder_levels(radius: float, levels: int) -> int:
-    """The number of ladder ``levels`` within ``radius``, refused when there
-    are none: the radius is below the first realised distance."""
-    if levels < 1:
-        raise ValueError(
-            f"radius: {radius:g} is below the first realised distance")
-    return levels
 
 
 @dataclass
@@ -212,6 +204,32 @@ def _lex_order(keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(cols) + (keys,))
 
 
+# Both ladders read ``levels`` alone; the classes perfbench traces bind them.
+
+def ladder_to_radius(space, radius: float) -> RadiiLadder:
+    """Realised radii up to ``radius`` with their ball counts: the space's
+    ``levels`` without the base level, refused when that leaves none."""
+    keys, counts = space.levels(radius)
+    if len(keys) < 2:
+        raise ValueError(
+            f"radius: {radius:g} is below the first realised distance")
+    if keys[0] != 0:
+        raise AssertionError("base point missing from its own ball")
+    return RadiiLadder(space._key_radius(keys[1:]), counts[1:])
+
+
+def _hop_radii_ladder(space, k_max: int) -> RadiiLadder:
+    """First ``k_max`` positive hop distances with their ball counts,
+    refused past the eccentricity of the base."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    keys, counts = space.levels(float(k_max))
+    if len(keys) <= k_max:
+        raise ValueError(f"graph eccentricity from base is {int(keys[-1])}; "
+                         f"cannot build k_max={k_max} ladder")
+    return RadiiLadder(space._key_radius(keys[1:]), counts[1:])
+
+
 class Lattice:
     """Z^d with the l_p metric (p >= 1, numpy.inf allowed) around a base point.
 
@@ -228,7 +246,9 @@ class Lattice:
             raise ValueError("p must be >= 1")
         self.d = int(d)
         self.p = float(p)
-        self.base = tuple(int(b) for b in (base or (0,) * d))
+        # the realised distances are 0, 1, 2, ... with closed-form counts
+        self._integer_radii = self.d == 1 or self.p in (1.0, math.inf)
+        self.base = tuple(int(b) for b in ((0,) * d if base is None else base))
         if len(self.base) != self.d:
             raise ValueError("base point dimension mismatch")
 
@@ -305,40 +325,28 @@ class Lattice:
             raise ValueError("offset dimension mismatch")
         return self._norm_keys(arr)[1]
 
-    def _closed_form_levels(self, radius: float):
-        """Keys and ball counts of the integer radii k = 0..R, for d = 1 or
-        p in {1, inf}, where those are the realised distances.  The budget
-        is charged as for the enumerated box."""
-        k = np.arange(self._box_half(radius) + 1, dtype=np.int64)
-        axis = np.zeros((len(k), self.d), dtype=np.int64)
-        axis[:, 0] = k
-        keys = self._norm_keys(axis)[0]
-        inside = keys <= self.key_limit(radius)
-        keys, k = keys[inside], k[inside]
-        return keys, lattice_ball_count(self.d, self.p, k)
+    def levels(self, radius: float):
+        """(keys, counts): the keys realised within ``radius``, base first,
+        with the ball count through each, in closed form on integer radii
+        and else counted off the box, which is charged either way."""
+        limit = self.key_limit(radius)
+        if self._integer_radii:
+            k = np.arange(self._box_half(radius) + 1, dtype=np.int64)
+            keys = self._norm_keys(k[:, None])[0]
+            inside = keys <= limit
+            return keys[inside], lattice_ball_count(self.d, self.p, k[inside])
+        keys = self._norm_keys(self._box(radius))[0]
+        keys, cnt = np.unique(keys[keys <= limit], return_counts=True)
+        return keys, np.cumsum(cnt)
 
-    def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        """Realised radii up to ``radius`` with their ball counts."""
-        if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
-            uniq, counts = self._closed_form_levels(radius)
-        else:
-            keys = self._norm_keys(self._box(radius))[0]
-            uniq, cnt = np.unique(keys[keys <= self.key_limit(radius)],
-                                  return_counts=True)
-            counts = np.cumsum(cnt)
-        _ladder_levels(radius, len(uniq) - 1)
-        if uniq[0] != 0:
-            raise AssertionError("base point missing from its own ball")
-        return RadiiLadder(self._key_radius(uniq[1:]), counts[1:])
+    ladder_to_radius = ladder_to_radius
 
     def radii_ladder(self, k_max: int) -> RadiiLadder:
         """First ``k_max`` positive realised radii with their ball counts."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.d == 1 or self.p == 1.0 or math.isinf(self.p):
-            # realised distances are exactly the integers 0..R
-            return self.ladder_to_radius(float(k_max))
-        radius = max(4.0, math.ceil(1.2 * k_max ** (1.0 / self.d)))
+        radius = (float(k_max) if self._integer_radii
+                  else max(4.0, math.ceil(1.2 * k_max ** (1.0 / self.d))))
         while True:
             ladder = self.ladder_to_radius(radius)
             if len(ladder) >= k_max:
@@ -381,12 +389,19 @@ def site_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
 
 
 class _HopMetric:
-    """The ball rule of a hop metric, whose dedupe key is the distance."""
+    """The ball rule and the ladders of a hop metric, whose dedupe key is
+    the distance."""
 
     def key_limit(self, radius):
         """Largest hop count inside the closed ball of ``radius``,
         elementwise over an array of radii."""
         return _floor_keys(np.minimum(radius, _FAR))
+
+    def _key_radius(self, keys):
+        return np.asarray(keys, dtype=np.float64)
+
+    ladder_to_radius = ladder_to_radius
+    radii_ladder = _hop_radii_ladder
 
 
 def induced_csr(adj: sparse.csr_array, keep: np.ndarray) -> sparse.csr_array:
@@ -424,11 +439,15 @@ class Graph(_HopMetric):
                  labels: np.ndarray | None = None,
                  coords: np.ndarray | None = None,
                  meta: dict | None = None):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.n_nodes = len(self.indptr) - 1
-        if not 0 <= base_index < self.n_nodes:
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        self.n_nodes = n = len(indptr) - 1
+        if not 0 <= base_index < n:
             raise ValueError("base index out of range")
+        index = sparse.get_index_dtype(maxval=max(n, len(indices)))
+        self.adj = sparse.csr_array(
+            (np.ones(len(indices)), indices.astype(index, copy=False),
+             indptr.astype(index, copy=False)), shape=(n, n))
+        self.indptr, self.indices = self.adj.indptr, self.adj.indices
         self.base_index = int(base_index)
         self.labels = (np.arange(self.n_nodes, dtype=np.int64)
                        if labels is None else np.asarray(labels, dtype=np.int64))
@@ -463,12 +482,6 @@ class Graph(_HopMetric):
         comp.meta["total_nodes"] = int(n)
         return comp
 
-    def adjacency_matrix(self) -> sparse.csr_array:
-        """The n x n 0/1 adjacency matrix over node indices."""
-        return sparse.csr_array(
-            (np.ones(len(self.indices)), self.indices, self.indptr),
-            shape=(self.n_nodes,) * 2)
-
     def subgraph(self, keep: np.ndarray) -> "Graph":
         """The induced subgraph on ``keep`` (distinct node indices, in any
         order); node i of the result is keep[i]."""
@@ -476,7 +489,7 @@ class Graph(_HopMetric):
         new_base = np.flatnonzero(keep == self.base_index)
         if len(new_base) == 0:
             raise ValueError("base node not in kept set")
-        sub = induced_csr(self.adjacency_matrix(), keep)
+        sub = induced_csr(self.adj, keep)
         coords = self.coords[keep] if self.coords is not None else None
         return Graph(sub.indptr, sub.indices, int(new_base[0]),
                      self.labels[keep], coords, dict(self.meta))
@@ -493,8 +506,8 @@ class Graph(_HopMetric):
         """
         # csgraph imports scipy.sparse.linalg, which costs every process ~8 MB
         from scipy.sparse.csgraph import breadth_first_order
-        order, parent = breadth_first_order(self.adjacency_matrix(),
-                                            start_index, directed=True)
+        order, parent = breadth_first_order(self.adj, start_index,
+                                            directed=True)
         children = np.bincount(parent[order[1:]],
                                minlength=self.n_nodes)[order]
         end_of = np.concatenate(([1], np.cumsum(children) + 1)).item
@@ -518,25 +531,16 @@ class Graph(_HopMetric):
         keep = keep[np.argsort(dist[keep], kind="stable")]
         return keep, dist[keep], dist[keep].astype(np.float64)
 
-    def radii_ladder(self, k_max: int) -> RadiiLadder:
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
+    def levels(self, radius: float):
+        """(keys, counts): the hop counts 0..min(R, eccentricity) with the
+        ball count through each, one ``bincount`` of the base distances."""
         charge(self.n_nodes, "graph ladder enumeration")
         dist = self.base_distances()
-        dist = dist[dist >= 0]
-        uniq, cnt = np.unique(dist, return_counts=True)
-        counts = np.cumsum(cnt)
-        if len(uniq) - 1 < k_max:
-            raise ValueError(
-                f"graph eccentricity from base is {int(uniq[-1])}; "
-                f"cannot build k_max={k_max} ladder")
-        uniq, counts = uniq[1:k_max + 1], counts[1:k_max + 1]
-        return RadiiLadder(uniq.astype(np.float64), counts)
+        hops = np.bincount(dist[(dist >= 0) & (dist <= self.key_limit(radius))])
+        return np.arange(len(hops), dtype=np.int64), np.cumsum(hops)
 
-    def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        reach = int(self.base_distances().max())
-        hops = _ladder_levels(radius, int(self.key_limit(radius)))
-        return self.radii_ladder(min(hops, reach))
+    ladder_to_radius = ladder_to_radius
+    radii_ladder = _hop_radii_ladder
 
     def distance(self, x: int, y: int) -> float:
         i, j = (np.flatnonzero(self.labels == v) for v in (x, y))
@@ -551,7 +555,7 @@ class Graph(_HopMetric):
     def neighbours(self, points: np.ndarray):
         """(rows, cols, degree): the edges among the nodes ``points``, both
         ways, and each node's row length in the whole graph."""
-        sub = self.adjacency_matrix()[points][:, points].tocoo()
+        sub = induced_csr(self.adj, points).tocoo()
         return sub.row, sub.col, np.diff(self.indptr)[points].astype(float)
 
     def site_ids(self, points: np.ndarray) -> np.ndarray:
@@ -582,15 +586,12 @@ class CayleyF2(_HopMetric):
     MAX_RADIUS = 30  # packed words stay within int64 far beyond the point budget
 
     def _frontier_children(self, words: np.ndarray, last: np.ndarray):
-        outs_w, outs_l = [], []
-        for letter in range(4):
-            mask = last != _f2_inverse(letter)
-            outs_w.append(words[mask] * 4 + letter)
-            outs_l.append(np.full(int(mask.sum()), letter, dtype=np.int8))
-        w = np.concatenate(outs_w)
-        l = np.concatenate(outs_l)
-        order = np.argsort(w, kind="stable")
-        return w[order], l[order]
+        """Reduced children of a sorted frontier, with their last letters:
+        in (parent, letter) order they are sorted, as 4 w1 + 3 < 4 w2."""
+        letters = np.arange(4, dtype=np.int8)
+        keep = last[:, None] != _f2_inverse(letters)
+        return ((words[:, None] * 4 + letters)[keep],
+                np.broadcast_to(letters, keep.shape)[keep])
 
     def _charge_ball(self, radius: int) -> None:
         """Refuse a radius out of range; charge the ball's 2*3^r - 1 points."""
@@ -614,16 +615,12 @@ class CayleyF2(_HopMetric):
                          [len(level) for level in levels])
         return words, keys, keys.astype(np.float64)
 
-    def radii_ladder(self, k_max: int) -> RadiiLadder:
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        self._charge_ball(k_max)
-        k = np.arange(1, k_max + 1, dtype=np.int64)
-        return RadiiLadder(k.astype(np.float64), 2 * 3 ** k - 1)
-
-    def ladder_to_radius(self, radius: float) -> RadiiLadder:
-        return self.radii_ladder(
-            _ladder_levels(radius, int(self.key_limit(radius))))
+    def levels(self, radius: float):
+        """(keys, counts): word lengths 0..R and 2*3^k - 1, charged first."""
+        r = int(self.key_limit(radius))
+        self._charge_ball(max(r, 0))
+        k = np.arange(r + 1, dtype=np.int64)
+        return k, 2 * 3 ** k - 1
 
     def neighbours(self, points: np.ndarray):
         """(rows, cols, degree): parent links among the packed words

@@ -174,7 +174,7 @@ def test_cluster_bfs_matches_scipy_shortest_path():
     from scipy.sparse.csgraph import shortest_path
     g = largest_cluster(percolate_bonds(2, 120, 0.6, 4))
     for start in (g.base_index, 0, g.n_nodes - 1):
-        want = shortest_path(g.adjacency_matrix(), unweighted=True,
+        want = shortest_path(g.adj, unweighted=True,
                              indices=start)
         assert np.array_equal(g.bfs_from(start), want.astype(np.int64))
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from doslab.errors import BudgetExceeded, GraphParseError
+from doslab.hamiltonians import adjacency, build_truncated
+from doslab.percolation import largest_cluster, percolate_bonds
 from doslab.spaces import (CayleyF2, Graph, Lattice, RadiiLadder,
                            condition_c_report, ingest_graph)
 
@@ -72,6 +74,14 @@ def test_ball_with_base_offset():
     got = {tuple(pt) for pt in space.ball_arrays(3.0)[0].tolist()}
     want = {(3 + a, -2 + b) for (a, b) in brute_ball(2, 1.0, 3.0)}
     assert got == want
+
+
+def test_numpy_base_point_gives_the_tuple_base_balls():
+    space = Lattice(2, base=np.array([3, -2]))
+    assert space.base == (3, -2)
+    for got, want in zip(space.ball_arrays(3.5),
+                         Lattice(2, base=(3, -2)).ball_arrays(3.5)):
+        assert np.array_equal(got, want)
 
 
 def test_closed_form_counts_d2():
@@ -304,6 +314,41 @@ def test_graph_ladder_to_radius_stops_at_the_radius_or_the_graph():
         lad, want = g.ladder_to_radius(radius), g.radii_ladder(k)
         assert np.array_equal(lad.radii, want.radii)
         assert np.array_equal(lad.counts, want.counts)
+    with pytest.raises(ValueError) as err:
+        g.radii_ladder(7)
+    assert str(err.value) == ("graph eccentricity from base is 6; cannot "
+                              "build k_max=7 ladder")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Lattice(1), lambda: Lattice(2, 1.0), lambda: Lattice(2, 2.0),
+    lambda: Lattice(2, 2.5), lambda: Lattice(2, math.inf), CayleyF2,
+    lambda: Graph.from_edges(cycle_edges(12), base=0),
+    lambda: largest_cluster(percolate_bonds(2, 40, 0.6, 3))],
+    ids=["z1", "z2-l1", "z2-l2", "z2-l2.5", "z2-linf", "f2", "cycle",
+         "cluster"])
+def test_levels_are_the_one_ball_level_table(make):
+    """``levels`` is the ball's distinct keys with cumulative counts; a
+    truncated operator carries exactly that table, and the ladder to a
+    radius is the table without its base level."""
+    space = make()
+    for radius in (0.0, 1.0, 2.5, 5.0):
+        keys, counts = space.levels(radius)
+        _, ball_keys, dists = space.ball_arrays(radius)
+        want, first, cnt = np.unique(ball_keys, return_index=True,
+                                     return_counts=True)
+        assert keys.dtype == counts.dtype == np.int64
+        assert np.array_equal(keys, want)
+        assert np.array_equal(counts, np.cumsum(cnt))
+        op = build_truncated(space, adjacency(), radius)
+        assert np.array_equal(op.level_keys, keys)
+        assert np.array_equal(op.level_counts, counts)
+        assert np.array_equal(op.level_keys[op.levels], ball_keys)
+        if radius >= 1.0:
+            lad = space.ladder_to_radius(radius)
+            assert np.array_equal(lad.counts, counts[1:])
+            assert np.allclose(lad.radii, dists[first][1:], rtol=0.0,
+                               atol=1e-9)
 
 
 def test_graph_distance_and_subgraph():
