@@ -30,7 +30,10 @@ from a single ``dsytrd``; both then run the same tridiagonal kernels.  Only
 before; the sparse H has no size ceiling.  Each block caches its form and
 eigendecomposition, so every spectral quantity of one operator shares them.
 Each block also picks the route of every quantity from its solver (only
-``Block`` reads it), and ``doslab.spectral`` only joins blocks.
+``Block`` reads it), and ``doslab.spectral`` only joins blocks.  On a
+tridiagonal block diag g(M_b) may take the Chebyshev route, which reads the
+series off a band of T_j(M_b) for j <= K/2 by the doubling identities; it
+runs elementwise numpy passes only and calls no BLAS, so it shares no pool.
 
 Every dense kernel runs on scipy's BLAS and LAPACK (``_lapack``,
 ``_blas``), never on ``numpy.linalg`` or a numpy matrix product: numpy and
@@ -268,7 +271,7 @@ class Block:
 
         A diagonal block gives fn(diag M_b), route ``("diagonal", n)``.  A
         tridiagonal block that passes the rule of ``_chebyshev_plan`` takes
-        the probed Chebyshev route, ``("chebyshev", K, tail)``.  Every other
+        the Chebyshev route, ``("chebyshev", K, tail)``.  Every other
         block gives (V*V) fn(lam) from the cached M_b = V diag(lam) V^T
         (one ``dgemv``), route ``("eigh", n)``, the route the tests hold
         the other to.  The rule reads only M_b and fn, never whether
@@ -338,10 +341,10 @@ def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
     """(c_0..c_{K-1}, lo, hi, tail) for the Chebyshev route on a
     tridiagonal block, or None when the route rule sends it to ``eigh``.
 
-    The route is the kernel polynomial method with probing vectors
-    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006); Tang & Saad, Numer.
-    Linear Algebra Appl. 19 (2012)).  [lo, hi] is the Gershgorin interval
-    of M_b, so it holds the spectrum.  The c_k interpolate fn at
+    The route is the kernel polynomial method (Weisse et al., Rev. Mod.
+    Phys. 78, 275 (2006)), read off a band by ``_chebyshev_diagonal``.
+    [lo, hi] is the Gershgorin interval of M_b, so it holds the
+    spectrum.  The c_k interpolate fn at
     N = 4 floor(sqrt(n)) Chebyshev points of [lo, hi]; they come from a
     DCT-II through ``numpy.fft``, whose rounding stays near 1e-17 a
     coefficient where an N x N cosine product leaves a floor above the
@@ -355,8 +358,8 @@ def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
     between them, the interval's ends included, and p_K must match it
     there to CHEBYSHEV_TOL scale as well; a g that is zero at every
     sample gives no relative bound at all.  The route is taken only when
-    both checks pass with K^2 <= n, where its n K^2 work stays below the
-    n^2 entries of the eigenvectors.
+    both checks pass with K^2 <= n, so that its band of about n K^2 / 8
+    entries stays well below the n^2 entries of the eigenvectors.
     """
     n = block.matrix.shape[0]
     d, e = block.diagonal, np.abs(block._form[1])
@@ -389,33 +392,57 @@ def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
 
 def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
                         hi: float) -> np.ndarray:
-    """diag p(M_b) for p = sum_k c_k T_k on [lo, hi], by probing.
+    """diag p(M_b) for p = sum_k c_k T_k on [lo, hi], by band doubling.
 
-    T = (M_b - centre I) / half is M_b rescaled to [-1, 1], one CSR.  T_k(T)
-    has bandwidth k < K on a tridiagonal block, so the K probes
-    z_j = sum_{i = j mod K} e_i never overlap in a band: entry (i, i mod K)
-    of T_k(T) Z is T_k(T)[i, i].  The three-term recurrence
-    Y_k = 2T Y_{k-1} - Y_{k-2} runs on the n x K block Z as sparse
-    products, which read only M_b's nonzeros and not its band; K probes
-    recover the diagonal exactly in n K^2 work, without eigenvectors.
+    T = (M_b - centre I) / half is the tridiagonal M_b rescaled to [-1, 1],
+    and T_j = T_j(T) is symmetric with bandwidth j.  The doubling identities
+    T_2j = 2 T_j^2 - I and T_2j+1 = 2 T_j T_j+1 - T (Weisse et al. 2006,
+    sec. II) give diag T_2j = 2 rowsum(T_j o T_j) - 1 and diag T_2j+1 =
+    2 rowsum(T_j o T_j+1) - diag T, so p's diagonal is 2 rowsum(A) -
+    sum c_even - (sum c_odd) diag T with A = sum_j T_j o (c_2j T_j +
+    c_2j+1 T_j+1), and only T_j for j <= K/2 are needed.  They come from
+    T_j+1 = 2T T_j - T_j-1 on the band alone: row 1 + d of a (rows, n + 1)
+    array holds entry (i, i + d) in column i, row 0 holds (i, i - 1), and
+    column n stays zero.  Flattened, (i - 1, i + d) and (i + 1, i + d) then
+    sit n places after and before (i, i + d), so the product with T is a
+    three-point stencil; the same flat layout read with row length n puts
+    the lower entries (i + d, i) = (i, i + d) of row i + d in column i + d.
+    That is about n K^2 / 8 entries in all, without eigenvectors.
     """
     n, terms = block.matrix.shape[0], len(c)
-    diag = np.full(n, c[0])
-    if terms == 1:
-        return diag
+    width = n + 1
     centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    t = (block.matrix - centre * sparse.eye_array(n, format="csr")) / half
-    sites = np.arange(n)
-    own = sites * terms + sites % terms  # flat index of (i, i mod K)
-    prev = np.zeros((n, terms))
-    prev.flat[own] = 1.0
-    cur = t @ prev
-    diag += c[1] * cur.ravel()[own]
-    two_t = 2.0 * t
-    for ck in c[2:]:
-        prev, cur = cur, two_t @ cur - prev
-        diag += ck * cur.ravel()[own]
-    return diag
+    # 2T's entries (i, i), (i, i - 1) and (i, i + 1) in column i
+    mid, left, right = np.zeros(width), np.zeros(width), np.zeros(width)
+    mid[:n] = 2.0 * (block.diagonal - centre) / half
+    left[1:n] = 2.0 * block._form[1] / half
+    right[:n - 1] = left[1:n]
+    # row 0, diagonals 0..K/2 and one zero row that the stencil reads
+    rows = terms // 2 + 3
+    prev, cur = np.zeros((rows, width)), np.zeros((rows, width))
+    prev[1, :n] = 1.0
+    cur[:3] = np.stack((left, mid, right)) / 2.0
+    acc = np.zeros((rows - 2, width))
+    for j in range((terms + 1) // 2):
+        # prev holds T_j and cur T_j+1 (read only while 2j + 1 < K)
+        band = slice(1, j + 2)
+        pair = c[2 * j] * prev[band]
+        if 2 * j + 1 < terms:
+            pair += c[2 * j + 1] * cur[band]
+        acc[:j + 1] += prev[band] * pair
+        if 2 * j + 3 < terms:
+            # T_j+2 = 2T T_j+1 - T_j on diagonals 0..j+2, over T_j
+            flat, top = cur.ravel(), (j + 4) * width
+            nxt = prev[1:j + 4]
+            nxt *= -1.0
+            nxt += mid * cur[1:j + 4]
+            nxt += left * flat[width + n:top + n].reshape(j + 3, width)
+            nxt += right * flat[1:top - n].reshape(j + 3, width)
+            prev[0, 1:] = prev[2, :n]  # (i, i - 1) is (i - 1, i)
+        prev, cur = cur, prev
+    lower = acc.ravel()[n:n * len(acc)].reshape(len(acc) - 1, n)
+    rowsum = acc[:, :n].sum(axis=0) + lower.sum(axis=0)
+    return 2.0 * rowsum - c[::2].sum() - c[1::2].sum() * (mid[:n] / 2.0)
 
 
 @dataclass

@@ -20,7 +20,8 @@ Enumeration conventions
 What every space provides
 -------------------------
 ``key_limit(radius)`` is the one ball rule: the largest dedupe key inside
-the closed ball of a float radius, elementwise over an array of radii.
+the closed ball of a float radius, elementwise over an array of radii; a
+negative or NaN radius is refused.
 Every radius-to-ball decision asks it: ``ball_arrays`` and ``levels``
 here, the lattice box (the smallest box that holds every key up to the
 limit), and the ball prefixes of a truncated operator, which keeps its
@@ -56,6 +57,15 @@ _GENERAL_P_GRID = 1e-9
 # radius on l_2) fits in int64; even a chain ball that wide has 4e9
 # points, about 86 times the default point budget
 _FAR = 2.0 ** 31
+
+
+def _capped(radius):
+    """``radius`` as floats capped at _FAR, refused unless every entry is
+    >= 0 (a NaN is not)."""
+    r = np.asarray(radius, dtype=np.float64)
+    if not np.all(r >= 0):
+        raise ValueError("radius must be >= 0")
+    return np.minimum(r, _FAR)
 
 
 def _floor_keys(x):
@@ -276,7 +286,7 @@ class Lattice:
     def key_limit(self, radius):
         """Largest dedupe key still inside the closed ball of ``radius``,
         elementwise over an array of radii."""
-        r = np.minimum(radius, _FAR)
+        r = _capped(radius)
         if self.p not in (1.0, 2.0, math.inf):
             grid = _GENERAL_P_GRID
             return np.rint((r + grid) / grid).astype(np.int64)[()]
@@ -395,7 +405,7 @@ class _HopMetric:
     def key_limit(self, radius):
         """Largest hop count inside the closed ball of ``radius``,
         elementwise over an array of radii."""
-        return _floor_keys(np.minimum(radius, _FAR))
+        return _floor_keys(_capped(radius))
 
     def _key_radius(self, keys):
         return np.asarray(keys, dtype=np.float64)
@@ -595,8 +605,6 @@ class CayleyF2(_HopMetric):
 
     def _charge_ball(self, radius: int) -> None:
         """Refuse a radius out of range; charge the ball's 2*3^r - 1 points."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
         if radius > self.MAX_RADIUS:
             raise ValueError(f"radius {radius} beyond supported maximum "
                              f"{self.MAX_RADIUS}")
@@ -618,7 +626,7 @@ class CayleyF2(_HopMetric):
     def levels(self, radius: float):
         """(keys, counts): word lengths 0..R and 2*3^k - 1, charged first."""
         r = int(self.key_limit(radius))
-        self._charge_ball(max(r, 0))
+        self._charge_ball(r)
         k = np.arange(r + 1, dtype=np.int64)
         return k, 2 * 3 ** k - 1
 

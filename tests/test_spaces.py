@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from doslab.dos import dos_approximant
 from doslab.errors import BudgetExceeded, GraphParseError
 from doslab.hamiltonians import adjacency, build_truncated
 from doslab.percolation import largest_cluster, percolate_bonds
 from doslab.spaces import (CayleyF2, Graph, Lattice, RadiiLadder,
                            condition_c_report, ingest_graph)
+from doslab.spectral import gaussian
 
 
 def brute_ball(d, p, radius):
@@ -349,6 +351,30 @@ def test_levels_are_the_one_ball_level_table(make):
             assert np.array_equal(lad.counts, counts[1:])
             assert np.allclose(lad.radii, dists[first][1:], rtol=0.0,
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Lattice(1), lambda: Lattice(2, 1.0), lambda: Lattice(2, 2.0),
+    lambda: Lattice(2, 2.5), lambda: Lattice(2, 3.0),
+    lambda: Lattice(2, math.inf), CayleyF2,
+    lambda: largest_cluster(percolate_bonds(2, 40, 0.6, 3))],
+    ids=["z1", "z2-l1", "z2-l2", "z2-l2.5", "z2-l3", "z2-linf", "f2",
+         "cluster"])
+def test_negative_or_nan_radius_is_refused(make):
+    """Every space refuses a negative or NaN radius with one message, where
+    a squared l_2 radius used to act as its absolute value, Z^1 gave 3
+    points and NaN failed in a float-to-int cast or a point budget."""
+    space = make()
+    for radius in (-1.0, -0.5, -1e-12, math.nan):
+        for ask in (space.ball_arrays, space.levels, space.key_limit):
+            with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+                ask(radius)
+        with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+            space.key_limit(np.array([0.0, 1.0, radius]))
+    for radii in ([-1.0, 2.0], [math.nan]):
+        with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+            dos_approximant(space, adjacency(), gaussian(0.0, 1.0), radii,
+                            margin=1.0)
 
 
 def test_graph_distance_and_subgraph():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from doslab.hamiltonians import (_chebyshev_plan, adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
@@ -730,3 +731,30 @@ def test_cubic_diagonal_equals_the_dense_polynomial(chain, radius):
     want = np.diag(p)
     np.testing.assert_allclose(result.values, want, rtol=0.0,
                                atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("chain", ["free", "period-2", "iid"])
+def test_monomial_diagonals_equal_sparse_matrix_powers(chain):
+    """g = x^m is its own (m + 1)-term Chebyshev series, so wherever every
+    block has n >= (m + 1)^2 the route is Chebyshev with K = m + 1, and
+    diag g(H) equals the diagonal of the sparse power H^m.  The radius-100
+    chains (blocks of 100-201 points) take K = 1..10, odd and even, so the
+    doubling loop ends after a T_j+1 step and without one; the short chains
+    have blocks of 4-20 points.  On the free chain a site at least j from
+    the edge closes binom(2j, j) walks of length 2j and none of odd
+    length."""
+    spec = adjacency(_CHAINS[chain])
+    short = range(2, 10) if chain == "iid" else range(4, 20)
+    for radius in (100, *short):
+        op = build_truncated(Lattice(1), spec, float(radius))
+        least = min(block.matrix.shape[0] for block in op.blocks)
+        edge = radius - np.abs(op.points[:, 0])
+        power = sparse.eye_array(op.n, format="csr")
+        for m in range(min(math.isqrt(least), 10)):
+            result = function_diagonal(op, polynomial([0.0] * m + [1.0]))
+            assert {r[:2] for r in result.routes} == {("chebyshev", m + 1)}
+            _close(result.values, power.diagonal())
+            if chain == "free":
+                walks = math.comb(m, m // 2) if m % 2 == 0 else 0
+                _close(result.values[edge >= m // 2], walks)
+            power = power @ op.H
