@@ -103,7 +103,7 @@ def dos_approximant(space, spec, fn, radii, margin: float = DEFAULT_MARGIN,
         raise ValueError("need at least one radius")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    if margin < 0:
+    if not margin >= 0:
         raise ValueError("margin must be >= 0")
     if margin == 0:
         warnings.warn("margin 0: ball averages touch the truncation boundary "

@@ -304,10 +304,15 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
                     index: int = -1) -> ErgodicReport:
     """Folner-window averages of diag g(H) across disorder realizations.
 
-    Realization j rebuilds the operator with the potential's field reseeded
+    Realization j builds the operator with the potential's field reseeded
     by child seed j, truncated to a ball covering the window plus margin.
-    z-scores use the cross-realization standard deviation (for a degenerate
-    field the std is zero and the z-scores are reported as zero).
+    Only the potential differs between realizations, so every build after
+    the first takes the first one's ``frame`` (ball, levels, hopping
+    triplets and orbit order); each still runs the rest of
+    ``build_truncated``, its own fold decision included.  Nothing outlives
+    the call.  z-scores use the cross-realization standard deviation (for
+    a degenerate field the std is zero and the z-scores are reported as
+    zero).
     """
     if not isinstance(space, Lattice):
         raise ValueError("ergodic averaging needs a lattice space")
@@ -315,7 +320,7 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
         raise PreconditionFailed("ergodic averaging needs an iid potential")
     if realizations < 2:
         raise ValueError("need at least 2 realizations")
-    if margin < 1:
+    if not margin >= 1:
         raise ValueError(
             "margin too small: the truncation must strictly contain the "
             "folner window")
@@ -329,11 +334,12 @@ def ergodic_average(space: Lattice, spec: HamiltonianSpec, fn,
     seeds = tuple(derive_seed(seed, j) for j in range(realizations))
     averages = np.empty(realizations)
     routes = []
-    idx = None
+    op = idx = None
     for j, child in enumerate(seeds):
         spec_j = HamiltonianSpec(
             spec.hopping, replace(spec.potential, seed=child))
-        op = build_truncated(space, spec_j, radius)
+        op = build_truncated(space, spec_j, radius,
+                             frame=None if op is None else op.frame)
         if idx is None:
             idx = _window_indices(op, window)
         diag = function_diagonal(op, fn)

@@ -13,14 +13,20 @@ stores no Q_b, only the orbit of each point and the orbit sizes that
 ``gather`` and ``scatter`` read.  ``_hopping`` assembles every space from
 the pairs the space itself gives (``neighbours``, or a lattice's
 ``offset_pairs`` for a kernel) and applies the Laplacian rule once;
-``check_fit`` refuses a spec its space cannot carry.  ``_orbit_block``
-builds every block from one orbit label and sign per point; only
-``Block`` reads the orbits back.  A generic operator has one orbit per
-point, so Q = I.  A 1-d lattice operator whose potential
+``check_fit`` refuses a spec its space cannot carry.  What depends on
+(space, hopping, radius) alone, the ball with its levels, the hopping
+triplets and the 1-d orbit order, is one read-only ``Frame``; each
+operator keeps the one it was built on, and a build that differs only in
+its potential can take it (``ergodic_average`` does within one call).
+``_orbit_block`` builds every block from one orbit label and sign per
+point; only ``Block`` reads the orbits back.  A generic operator has one
+orbit per point, so Q = I.  A 1-d lattice operator whose potential
 is even about the base point b commutes with x -> 2b - x and splits into
 even and odd blocks on the orbits of |x - b|, which halves every
 eigensolve; any other 1-d lattice operator with hopping is one block in
 coordinate order.  A nearest-neighbour chain gives tridiagonal blocks.
+Where every orbit is one point, Q_b is a permutation and the block is H
+gathered into orbit order; only the two blocks of a fold are products.
 
 Each block picks its solver once from its own nonzero pattern (see
 ``Block``): a block without off-diagonal entries is its own eigenbasis, a
@@ -407,7 +413,10 @@ def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
     sit n places after and before (i, i + d), so the product with T is a
     three-point stencil; the same flat layout read with row length n puts
     the lower entries (i + d, i) = (i, i + d) of row i + d in column i + d.
-    That is about n K^2 / 8 entries in all, without eigenvectors.
+    That is about n K^2 / 8 entries in all, without eigenvectors.  Each
+    step's products go into two buffers allocated once (``out=``), in the
+    order a plain expression would take them, so no step allocates a
+    temporary array.
     """
     n, terms = block.matrix.shape[0], len(c)
     width = n + 1
@@ -423,21 +432,22 @@ def _chebyshev_diagonal(block: Block, c: np.ndarray, lo: float,
     prev[1, :n] = 1.0
     cur[:3] = np.stack((left, mid, right)) / 2.0
     acc = np.zeros((rows - 2, width))
+    pair, product = np.empty((2, rows - 2, width))  # per-step products
     for j in range((terms + 1) // 2):
         # prev holds T_j and cur T_j+1 (read only while 2j + 1 < K)
-        band = slice(1, j + 2)
-        pair = c[2 * j] * prev[band]
+        band, p, t = slice(1, j + 2), pair[:j + 1], product[:j + 1]
+        np.multiply(c[2 * j], prev[band], out=p)
         if 2 * j + 1 < terms:
-            pair += c[2 * j + 1] * cur[band]
-        acc[:j + 1] += prev[band] * pair
+            p += np.multiply(c[2 * j + 1], cur[band], out=t)
+        acc[:j + 1] += np.multiply(prev[band], p, out=t)
         if 2 * j + 3 < terms:
             # T_j+2 = 2T T_j+1 - T_j on diagonals 0..j+2, over T_j
-            flat, top = cur.ravel(), (j + 4) * width
+            flat, top, t = cur.ravel(), (j + 4) * width, product[:j + 3]
             nxt = prev[1:j + 4]
             nxt *= -1.0
-            nxt += mid * cur[1:j + 4]
-            nxt += left * flat[width + n:top + n].reshape(j + 3, width)
-            nxt += right * flat[1:top - n].reshape(j + 3, width)
+            nxt += np.multiply(mid, cur[1:j + 4], out=t)
+            nxt += np.multiply(left, flat[width + n:top + n].reshape(t.shape), out=t)
+            nxt += np.multiply(right, flat[1:top - n].reshape(t.shape), out=t)
             prev[0, 1:] = prev[2, :n]  # (i, i - 1) is (i - 1, i)
         prev, cur = cur, prev
     lower = acc.ravel()[n:n * len(acc)].reshape(len(acc) - 1, n)
@@ -455,7 +465,10 @@ class TruncatedOperator:
     and ``level_counts`` the ball count through it, both from the level-0
     entry on.  ``space`` is the space the ball was cut from: its
     ``key_limit`` turns a radius into a level, so weight profiles and
-    ball prefixes are evaluated without float comparisons.
+    ball prefixes are evaluated without float comparisons.  ``frame`` is
+    the read-only part fixed by space, hopping and radius, which holds
+    ``points``, ``dists``, ``levels``, ``level_keys`` and ``level_counts``;
+    ``build_truncated`` takes it back for another potential on the ball.
     """
 
     radius: float
@@ -468,6 +481,7 @@ class TruncatedOperator:
     potential: np.ndarray
     H: sparse.csr_array
     blocks: tuple
+    frame: Frame = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -511,7 +525,7 @@ def _potential_values(space, spec: HamiltonianSpec, points: np.ndarray) -> np.nd
     return pot.low + (pot.high - pot.low) * u
 
 
-def _hopping(space, spec: HamiltonianSpec, points: np.ndarray):
+def _hopping(space, hop: Hopping, points: np.ndarray):
     """(rows, cols, values) of the hopping part between ball points.
 
     A kernel takes the lattice's pairs at its offsets, each with its
@@ -520,7 +534,6 @@ def _hopping(space, spec: HamiltonianSpec, points: np.ndarray):
     point's degree in the untruncated space on the diagonal, boundary
     points included.
     """
-    hop = spec.hopping
     if hop.kind == "kernel":
         rows, cols, which = space.offset_pairs(points, hop.offsets)
         return rows, cols, np.asarray(hop.amplitudes, dtype=np.float64)[which]
@@ -537,11 +550,21 @@ def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
     """The block M_b = Q_b^T H Q_b, where point i lies in the orbit labelled
     ``orbits[i]`` with sign ``signs[i]`` (sign 0: in no orbit of the block)
     and column j of Q_b is the signed indicator of the j-th smallest label,
-    scaled to unit length.  Every block of every operator is built here."""
+    scaled to unit length.  Every block of every operator is built here.
+
+    When every point is an orbit of its own with sign +1, Q_b is a
+    permutation and M_b is H with its rows and columns gathered into orbit
+    order, indices sorted: the bytes the product below gives, as each of
+    its entries is then one entry of the exactly symmetric H times 1, save
+    that an entry past half the float64 range stays finite where
+    (m + m^T) / 2 overflows.  Only the two blocks of a reflection fold
+    take the product."""
     n, rows = H.shape[0], np.flatnonzero(signs)
-    _, cols, size = np.unique(orbits[rows], return_inverse=True,
-                              return_counts=True)
+    _, first, cols, size = np.unique(orbits[rows], return_index=True,
+                                     return_inverse=True, return_counts=True)
     k, size = len(size), size.astype(np.float64)
+    if k == n and np.all(signs == 1):  # first[j] is the point of orbit j
+        return Block(H[first][:, first].sorted_indices(), rows, cols, size)
     signs = np.asarray(signs[rows], dtype=np.float64)
     pattern = sparse.csr_array((signs, (rows, cols)), shape=(n, k))
     m = (pattern.T @ H @ pattern).tocoo()
@@ -553,32 +576,89 @@ def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
     return Block(sparse.csr_array((m + m.T) / 2.0), rows, cols, size)
 
 
-def build_truncated(space, spec: HamiltonianSpec,
-                    radius: float) -> TruncatedOperator:
-    """Dirichlet truncation of the operator to the closed ball of ``radius``.
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The part of a truncation fixed by (space, hopping, radius) alone.
 
-    One path serves every space: the potential and ``_hopping`` give the
-    triplets of H, and ``_orbit_block`` its blocks.  With b the base point
-    and x a site, a 1-d lattice operator with hopping and a potential even
-    about b takes the orbits of |x - b|: the even block holds all of them,
-    the odd block those with x != b, signed by sign(x - b).  Any other 1-d
-    lattice operator with hopping takes the orbits of x - b (coordinate
-    order), and everything else one orbit per point, in ball order.  The
-    level table is the space's own (``levels``), and each point's level is
-    its key's place in it.  An H with a row sum of |H| past float64 (so
-    past any Gershgorin bound) is refused, and so is a spec that does not
-    fit the space (``check_fit``), before the ball is enumerated.
+    ``points``, ``dists``, ``levels``, ``level_keys`` and ``level_counts``
+    are the ball and its level table; ``rows``, ``cols`` the triplet
+    positions of H, the n diagonal slots of the potential first, and
+    ``values`` the hopping values after them.  On a 1-d lattice with
+    hopping, ``orbits`` is x - b for base point b and ``order`` its
+    argsort; elsewhere both are None.  Every array is read-only, as each
+    operator built on the frame shares it.
     """
-    check_fit(space, spec)
+
+    space: object
+    hopping: Hopping
+    radius: float
+    points: np.ndarray
+    dists: np.ndarray
+    levels: np.ndarray
+    level_keys: np.ndarray
+    level_counts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    orbits: np.ndarray | None = None
+    order: np.ndarray | None = None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+def _frame(space, hop: Hopping, radius: float) -> Frame:
+    """The ball, its levels, the hopping triplets and the 1-d orbit order
+    of the truncation of ``hop`` on ``space`` to ``radius``."""
     points, keys, dists = space.ball_arrays(radius)
     level_keys, level_counts = space.levels(radius)
-    v = _potential_values(space, spec, points)
-    n = len(points)
-    parts = [(np.arange(n), np.arange(n), v)]
-    if spec.hopping.kind != "none":
-        parts.append(_hopping(space, spec, points))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    H = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    rows = cols = np.arange(len(points))
+    values, orbits, order = np.empty(0), None, None
+    if hop.kind != "none":
+        hop_rows, hop_cols, values = _hopping(space, hop, points)
+        rows = np.concatenate((rows, hop_rows))
+        cols = np.concatenate((cols, hop_cols))
+        if isinstance(space, Lattice) and space.d == 1:
+            orbits = points[:, 0] - space.base[0]
+            order = np.argsort(orbits)
+    return Frame(space, hop, float(radius), points, dists,
+                 np.searchsorted(level_keys, keys), level_keys, level_counts,
+                 rows, cols, values, orbits, order)
+
+
+def build_truncated(space, spec: HamiltonianSpec, radius: float,
+                    frame: Frame | None = None) -> TruncatedOperator:
+    """Dirichlet truncation of the operator to the closed ball of ``radius``.
+
+    One path serves every space: ``_frame`` gives the ball, its levels and
+    the hopping triplets, the potential the diagonal of H, and
+    ``_orbit_block`` its blocks.  ``frame``, the ``frame`` of an earlier
+    build, skips ``_frame`` when only the potential differs, as between
+    disorder realizations; it is refused unless its space (the same
+    object), hopping and radius are these.  Everything else runs for every
+    build.  With b the base point and x a site, a 1-d lattice operator
+    with hopping and a potential even about b takes the orbits of |x - b|:
+    the even block holds all of them, the odd block those with x != b,
+    signed by sign(x - b).  Any other 1-d lattice operator with hopping
+    takes the orbits of x - b (coordinate order), and everything else one
+    orbit per point, in ball order.  The level table is the space's own
+    (``levels``), and each point's level is its key's place in it.  An H
+    with a row sum of |H| past float64 (so past any Gershgorin bound) is
+    refused, and so is a spec that does not fit the space (``check_fit``),
+    before the ball is enumerated.
+    """
+    check_fit(space, spec)
+    if frame is None:
+        frame = _frame(space, spec.hopping, radius)
+    elif (frame.space is not space or frame.hopping != spec.hopping
+          or frame.radius != float(radius)):
+        raise ValueError("frame of another space, hopping or radius")
+    v = _potential_values(space, spec, frame.points)
+    n = len(v)
+    H = sparse.coo_array((np.concatenate((v, frame.values)),
+                          (frame.rows, frame.cols)), shape=(n, n)).tocsr()
     H.eliminate_zeros()
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(abs(H).sum(axis=1)).all()
@@ -588,19 +668,15 @@ def build_truncated(space, spec: HamiltonianSpec,
     if (H != H.T).nnz:
         raise AssertionError("truncated matrix lost exact symmetry")
     orbits, signs = np.arange(n), [np.ones(n)]
-    if (spec.hopping.kind != "none" and isinstance(space, Lattice)
-            and space.d == 1):
-        orbits = points[:, 0] - space.base[0]
-        order = np.argsort(orbits)
-        if np.array_equal(v[order], v[order[::-1]]):
+    if frame.order is not None:
+        orbits = frame.orbits
+        if np.array_equal(v[frame.order], v[frame.order[::-1]]):
             signs.append(np.sign(orbits))
             orbits = np.abs(orbits)
     blocks = tuple(_orbit_block(H, orbits, s) for s in signs)
-    return TruncatedOperator(
-        radius=float(radius), space=space, points=points, dists=dists,
-        levels=np.searchsorted(level_keys, keys), level_keys=level_keys,
-        level_counts=level_counts,
-        potential=v, H=H, blocks=blocks)
+    return TruncatedOperator(float(radius), space, frame.points, frame.dists,
+                             frame.levels, frame.level_keys,
+                             frame.level_counts, v, H, blocks, frame)
 
 
 @dataclass

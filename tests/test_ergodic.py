@@ -11,12 +11,15 @@ import pytest
 import scipy.linalg.lapack
 
 import doslab
+from doslab._rng import derive_seed
+from doslab.dos import dos_approximant
 from doslab.ergodic import (FolnerSequence, cubes,
                             equivariance_check, ergodic_average,
                             folner_tempered_check, l1_balls, shift_weight_gap)
 from doslab.errors import PreconditionFailed
 from doslab.hamiltonians import (adjacency, build_truncated, default_weight,
-                                 iid_potential, lattice_weight,
+                                 diagonal_spec, iid_potential, kernel,
+                                 laplacian, lattice_weight,
                                  periodic_potential)
 from doslab.spaces import CayleyF2, Lattice
 from doslab.spectral import function_diagonal, gaussian
@@ -401,6 +404,123 @@ def test_ergodic_average_guards():
     with pytest.raises(ValueError, match="dimension"):
         ergodic_average(Lattice(2), _iid_spec(), g, fol, realizations=2,
                         seed=0, margin=4.0)
+
+
+def test_nan_margin_is_refused_as_a_margin():
+    """NaN passes no margin test, so it meets the margin's own message
+    rather than the radius refusal further down."""
+    g = gaussian(0.3, 0.7)
+    with pytest.raises(ValueError, match="margin too small"):
+        ergodic_average(Lattice(1), _iid_spec(), g, cubes(1, [2, 4, 8]),
+                        realizations=2, seed=0, margin=float("nan"))
+    with pytest.raises(ValueError, match="margin must be >= 0"):
+        dos_approximant(Lattice(1), _iid_spec(), g, [4.0, 8.0],
+                        margin=float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# one frame per disorder average
+
+# (hopping, spec of a potential, the route an iid anderson shape takes)
+_FRAME_HOPPINGS = [
+    ("adjacency", adjacency, "chebyshev"),
+    ("laplacian", laplacian, "chebyshev"),
+    ("kernel", lambda pot: kernel([(1,), (-1,)], [0.6, 0.6], pot), "chebyshev"),
+    ("none", diagonal_spec, "diagonal"),
+]
+# (name, schedule, margin, realizations, seed): the anderson-average shape
+# and the small window of tools/configs/ergodic.json
+_FRAME_SHAPES = [("anderson", [10, 100, 1000], 50.0, 3, 11),
+                 ("small", [2, 4, 8], 4.0, 4, 7)]
+
+
+def _independent_builds(space, spec_of, low, high, g, fol, realizations,
+                        seed, margin):
+    """(averages, routes, solvers) of one fresh build per child seed."""
+    window = fol.points(-1)
+    radius = float(np.max(space.norms(window))) + margin
+    averages, routes = [], []
+    for j in range(realizations):
+        op = build_truncated(space, spec_of(
+            iid_potential(low, high, derive_seed(seed, j))), radius)
+        diag = function_diagonal(op, g)
+        rows = np.flatnonzero(np.abs(op.points[:, 0]) <= fol.schedule[-1])
+        averages.append(float(np.mean(diag.values[rows])))
+        routes.append(diag.routes)
+    return np.array(averages), tuple(routes), op.solvers
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.4, 0.4)],
+                         ids=["iid", "degenerate"])
+@pytest.mark.parametrize("shape", _FRAME_SHAPES, ids=[s[0] for s in _FRAME_SHAPES])
+@pytest.mark.parametrize("hopping", _FRAME_HOPPINGS,
+                         ids=[h[0] for h in _FRAME_HOPPINGS])
+def test_shared_frame_equals_independent_builds(hopping, shape, low, high):
+    """Every realization of one call builds on the first one's frame; its
+    window means, routes and solvers are bit for bit those of a fresh
+    ``build_truncated`` per child seed.  A degenerate band [c, c] is even
+    about the base point, so with hopping every realization folds."""
+    name, spec_of, route = hopping
+    _, schedule, margin, realizations, seed = shape
+    space, g, fol = Lattice(1), gaussian(0.3, 0.7), cubes(1, schedule)
+    rep = ergodic_average(space, spec_of(iid_potential(low, high, 0)), g, fol,
+                          realizations=realizations, seed=seed, margin=margin)
+    averages, routes, solvers = _independent_builds(
+        space, spec_of, low, high, g, fol, realizations, seed, margin)
+    assert np.array_equal(rep.averages, averages)
+    assert rep.diagonal_routes == routes
+    assert rep.solvers == solvers
+    if name == "none":
+        assert len(solvers) == 1
+    else:
+        assert len(solvers) == (2 if low == high else 1)
+    if shape[0] == "anderson" and low < high:
+        assert {r[0] for rs in routes for r in rs} == {route}
+    if shape[0] == "small" and low < high and name != "none":
+        assert {r[0] for rs in routes for r in rs} == {"eigh"}
+
+
+@pytest.mark.parametrize("first, second", [
+    (periodic_potential([0.5]), iid_potential(0.0, 1.0, 4)),
+    (iid_potential(0.0, 1.0, 4), periodic_potential([0.5])),
+], ids=["constant-then-iid", "iid-then-constant"])
+def test_each_build_on_a_frame_takes_its_own_fold(first, second):
+    """The fold is decided on each build's own potential: a constant one
+    folds into two blocks and an iid one does not, whichever comes first,
+    and the second build equals a fresh one byte for byte."""
+    space = Lattice(1)
+    a = build_truncated(space, adjacency(first), 30.0)
+    b = build_truncated(space, adjacency(second), 30.0, frame=a.frame)
+    fresh = build_truncated(space, adjacency(second), 30.0)
+    assert [len(op.blocks) for op in (a, b)] == [
+        2 if p.kind == "periodic" else 1 for p in (first, second)]
+    assert b.frame is a.frame
+    for x, y in [(b.H, fresh.H)] + [(u.matrix, v.matrix) for u, v in
+                                    zip(b.blocks, fresh.blocks, strict=True)]:
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(x, field), getattr(y, field))
+            assert getattr(x, field).dtype == getattr(y, field).dtype
+
+
+def test_frame_of_another_space_hopping_or_radius_is_refused():
+    """A frame serves only the space object, hopping and radius it was
+    built for, and its shared arrays cannot be written through any of the
+    operators built on it."""
+    space = Lattice(1)
+    op = build_truncated(space, _iid_spec(), 20.0)
+    for other_space, spec, radius in [
+            (Lattice(1), _iid_spec(), 20.0),
+            (Lattice(1, base=(3,)), _iid_spec(), 20.0),
+            (space, laplacian(iid_potential(0.0, 1.0, 0)), 20.0),
+            (space, diagonal_spec(iid_potential(0.0, 1.0, 0)), 20.0),
+            (space, _iid_spec(), 21.0)]:
+        with pytest.raises(ValueError, match="frame of another"):
+            build_truncated(other_space, spec, radius, frame=op.frame)
+    again = build_truncated(space, _iid_spec(seed=1), 20, frame=op.frame)
+    for array in (again.points, again.dists, again.levels, again.level_keys,
+                  again.level_counts, op.frame.rows, op.frame.values,
+                  op.frame.order):
+        assert not array.flags.writeable
 
 
 def test_library_imports_leave_heavy_scipy_out():

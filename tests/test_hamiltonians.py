@@ -12,7 +12,7 @@ from doslab._rng import site_keys
 from doslab.dos import (_modulated_gap, dixmier_lhs, dos_approximant,
                         ids_histogram)
 from doslab.errors import BudgetExceeded
-from doslab.hamiltonians import (HamiltonianSpec, Hopping, Potential,
+from doslab.hamiltonians import (Block, HamiltonianSpec, Hopping, Potential,
                                  TruncatedOperator, WeightFunction,
                                  adjacency, build_truncated,
                                  default_weight, diagonal_spec, iid_potential,
@@ -470,6 +470,88 @@ def test_fold_auto_kicks_in_for_large_even_operators():
     assert [b.matrix.shape[0] for b in op.blocks] == [3001, 3000]
     # folding needs no minimum size
     assert len(build_truncated(Lattice(1), adjacency(), 1.0).blocks) == 2
+
+
+def pattern_product_block(H, orbits, signs):
+    """Reference M_b = Q_b^T H Q_b formed as a product with the sparse
+    signed pattern of Q_b, orbit sizes scaled by sqrt(c)/c and symmetrised
+    as (m + m^T) / 2: the route every block took before singleton orbits
+    were gathered by indexing."""
+    n, rows = H.shape[0], np.flatnonzero(signs)
+    _, cols, size = np.unique(orbits[rows], return_inverse=True,
+                              return_counts=True)
+    k, size = len(size), size.astype(np.float64)
+    pattern = sparse.csr_array(
+        (np.asarray(signs[rows], dtype=np.float64), (rows, cols)),
+        shape=(n, k))
+    m = (pattern.T @ H @ pattern).tocoo()
+    cc = size[m.row] * size[m.col]
+    m = sparse.csr_array((m.data * (np.sqrt(cc) / cc), (m.row, m.col)),
+                         shape=(k, k))
+    return Block(sparse.csr_array((m + m.T) / 2.0), rows, cols, size)
+
+
+def _singleton_orbit_cases():
+    graph, _ = _random_graph()
+    cluster = largest_cluster(percolate_bonds(2, 30, 0.6, 4))
+    iid = iid_potential(-0.5, 1.5, 9)
+    return [
+        ("cluster", cluster, adjacency(iid), 6.0),
+        ("graph", graph, laplacian(iid), 3.0),
+        ("f2-r5", CayleyF2(), adjacency(iid), 5.0),
+        ("z2-l1", Lattice(2, 1.0), adjacency(iid), 7.0),
+        ("z2-l2", Lattice(2, 2.0), laplacian(iid), 6.0),
+        ("z2-linf", Lattice(2, math.inf), kernel(
+            [(1, 0), (-1, 0), (1, 1), (-1, -1)], [1.0, 1.0, 0.5, 0.5], iid),
+         5.0),
+        ("chain-iid", Lattice(1), adjacency(iid), 40.0),
+        ("chain-iid-moved", Lattice(1, base=(7,)), adjacency(iid), 40.0),
+        ("chain-period-3", Lattice(1), adjacency(
+            periodic_potential([0.0, 0.7, 1.3])), 41.0),
+        ("chain-laplacian", Lattice(1), laplacian(iid), 40.0),
+        ("chain-kernel", Lattice(1), kernel(
+            [(1,), (-1,), (2,), (-2,)], [1.0, 1.0, 0.3, 0.3], iid), 30.0),
+        ("chain-diagonal", Lattice(1), diagonal_spec(iid), 20.0),
+        ("z2-diagonal", Lattice(2), diagonal_spec(iid), 4.0),
+    ]
+
+
+_SINGLETON_CASES = _singleton_orbit_cases()
+
+
+@pytest.mark.parametrize("name, space, spec, radius", _SINGLETON_CASES,
+                         ids=[c[0] for c in _SINGLETON_CASES])
+def test_singleton_orbit_blocks_equal_the_pattern_product(name, space, spec,
+                                                           radius):
+    """An unfolded block (every orbit one point with sign +1) is H gathered
+    into orbit order; it keeps every byte of the pattern product: CSR
+    arrays with their dtypes, rows, cols, sizes, diagonal and solver."""
+    op = build_truncated(space, spec, radius)
+    orbits = np.arange(op.n)
+    if (isinstance(space, Lattice) and space.d == 1
+            and spec.hopping.kind != "none"):
+        orbits = op.points[:, 0] - space.base[0]
+    (block,) = op.blocks
+    want = pattern_product_block(op.H, orbits, np.ones(op.n))
+    for field in ("data", "indices", "indptr"):
+        got, ref = getattr(block.matrix, field), getattr(want.matrix, field)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    for field in ("rows", "cols", "size", "diagonal"):
+        got, ref = getattr(block, field), getattr(want, field)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert block.matrix.shape == want.matrix.shape
+    assert block.solver == want.solver
+
+
+def test_gathered_block_keeps_entries_past_half_the_float_range():
+    """A finite H whose entries pass half the float64 range has finite
+    blocks: the gather copies them, where (m + m^T) / 2 gave inf."""
+    op = build_truncated(Lattice(2), diagonal_spec(
+        iid_potential(1e308, 1e308, 0)), 2.0)
+    (block,) = op.blocks
+    assert np.array_equal(block.diagonal, np.full(op.n, 1e308))
 
 
 # ---------------------------------------------------------------------------
