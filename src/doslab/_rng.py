@@ -21,23 +21,30 @@ _S11 = np.uint64(11)
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def mix64(x):
-    """Splitmix64 finaliser, vectorised over uint64 arrays."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    x ^= x >> _S30
-    x *= _MIX1
-    x ^= x >> _S27
-    x *= _MIX2
-    x ^= x >> _S31
+def mix64(x: np.ndarray) -> np.ndarray:
+    """Splitmix64 finaliser, applied in place to the uint64 array ``x``
+    with one buffer for its shifts."""
+    shifted = np.empty_like(x)
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(x, shift, out=shifted)
+        x ^= shifted
+        x *= mult
+    np.right_shift(x, _S31, out=shifted)
+    x ^= shifted
     return x
 
 
 def uniform_stream(seed: int, counters) -> np.ndarray:
     """U[0,1) doubles at the given counter positions of seed's stream."""
-    c = np.asarray(counters, dtype=np.uint64)
-    state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (c + np.uint64(1)) * _GAMMA
-    bits = mix64(state) >> _S11
-    return bits.astype(np.float64) * _INV_2_53
+    state = np.array(counters, dtype=np.uint64)
+    state += np.uint64(1)
+    state *= _GAMMA
+    state += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    bits = mix64(state)
+    bits >>= _S11
+    u = bits.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 _MASK64 = (1 << 64) - 1
@@ -47,7 +54,8 @@ def derive_seed(seed: int, index: int) -> int:
     """Child seed for sub-stream ``index`` (realisations, repeats)."""
     # plain ints, masked: numpy scalar uint64 arithmetic warns on wraparound
     state = ((seed & _MASK64) + (index + 1) * int(_GAMMA)) & _MASK64
-    return int(mix64(np.uint64(state ^ 0xD6E8FEB86659FD93)))
+    return int(mix64(np.array([state ^ 0xD6E8FEB86659FD93],
+                              dtype=np.uint64))[0])
 
 
 _COORD_OFFSET = 1 << 20

@@ -555,10 +555,11 @@ def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
     When every point is an orbit of its own with sign +1, Q_b is a
     permutation and M_b is H with its rows and columns gathered into orbit
     order, indices sorted: the bytes the product below gives, as each of
-    its entries is then one entry of the exactly symmetric H times 1, save
-    that an entry past half the float64 range stays finite where
-    (m + m^T) / 2 overflows.  Only the two blocks of a reflection fold
-    take the product."""
+    its entries is then one entry of the exactly symmetric H times 1.
+    Only the two blocks of a reflection fold take the product, on H / 4:
+    every sum in it then stays inside the float64 range, and the exact
+    powers of two give the bytes of the unscaled product wherever no
+    entry of H / 4 is subnormal."""
     n, rows = H.shape[0], np.flatnonzero(signs)
     _, first, cols, size = np.unique(orbits[rows], return_index=True,
                                      return_inverse=True, return_counts=True)
@@ -567,13 +568,14 @@ def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
         return Block(H[first][:, first].sorted_indices(), rows, cols, size)
     signs = np.asarray(signs[rows], dtype=np.float64)
     pattern = sparse.csr_array((signs, (rows, cols)), shape=(n, k))
-    m = (pattern.T @ H @ pattern).tocoo()
+    m = (pattern.T @ (H * 0.25) @ pattern).tocoo()
     # sqrt(c)/c instead of 1/sqrt(c): pair-pair entries scale by exactly
     # 1/2, so integer operators fold without rounding
     cc = size[m.row] * size[m.col]
     m = sparse.csr_array((m.data * (np.sqrt(cc) / cc), (m.row, m.col)),
                          shape=(k, k))
-    return Block(sparse.csr_array((m + m.T) / 2.0), rows, cols, size)
+    # (m + m^T) / 2 unscaled: finite, as every row sum of |H| is
+    return Block(sparse.csr_array((m + m.T) * 2.0), rows, cols, size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,11 +6,13 @@ sample seed, and the edge is open iff its uniform is below p.  Samples are
 therefore pure functions of (d, L, p, seed), reruns are bit-identical, and
 raising p only adds open edges (monotone coupling on shared uniforms).
 
-The open bonds form one banded sparse adjacency matrix, which each call
-that needs it builds from the open-edge mask (nothing is cached).
-Clusters are its connected components, each labelled by its smallest
-vertex, and the largest cluster becomes a graph space, the slice of that
-matrix on its members, whose hop metric is the chemical distance.
+Clusters are the components of the run graph, whose nodes are the runs
+(maximal chains of open bonds along the last axis) and whose edges are the
+open bonds along the other axes; each is labelled by its smallest vertex.
+The largest cluster is cut out by masking its bonds: in the banded
+adjacency matrix of the open bonds with a member tail every other row is
+empty, so the member rows, renumbered, are the cluster's graph, whose hop
+metric is the chemical distance.  Nothing is cached.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from scipy import sparse
 
 from ._rng import uniform_stream
 from .budget import charge
-from .spaces import Graph, induced_csr
+from .spaces import Graph
 
 _MAGIC = b"DLPC"
 _HEADER = struct.Struct("<4sQQQQ")
@@ -85,7 +87,7 @@ def _open_bonds(d: int, L: int, open_mask: np.ndarray) -> sparse.csr_array:
     sorted rows and no duplicate entries.
 
     Edge id ``v*d + axis`` joins its tail v to the head one C-order step
-    along ``axis``; this is the one place that rule is written down.  The
+    along ``axis`` (``_cluster_labels`` reads the same rule).  The
     bonds along an axis fill the two diagonals at -step and +step, so the
     matrix is banded: its CSR is read off the 2d diagonals, each row in
     ascending column order, with no COO sort and no duplicate merge.
@@ -103,19 +105,31 @@ def _open_bonds(d: int, L: int, open_mask: np.ndarray) -> sparse.csr_array:
 
 
 def _cluster_labels(d: int, L: int, open_mask: np.ndarray) -> np.ndarray:
-    """Each vertex labelled by the smallest vertex of its cluster."""
+    """Each vertex labelled by the smallest vertex of its cluster, through
+    the components of the run graph.  Runs are numbered by their first
+    (smallest) vertex; the bonds joining them, taken in ascending order of
+    tail vertex, give the graph's CSR rows from one ``bincount``."""
     # csgraph imports scipy.sparse.linalg, which costs every process ~8 MB
     from scipy.sparse.csgraph import connected_components
-    # the matrix is symmetric, so its strong components are the clusters
-    # and the directed search needs no transpose; float data is what
-    # csgraph works in, so it converts nothing
-    bonds = _open_bonds(d, L, open_mask)
-    bonds.data = np.ones(bonds.nnz)
-    n_comp, comp = connected_components(bonds, directed=True,
-                                        connection="strong")
-    smallest = np.full(n_comp, len(comp), dtype=np.int64)
-    np.minimum.at(smallest, comp, np.arange(len(comp)))
-    return smallest[comp]
+    n = L ** d
+    bonds = open_mask.reshape(n, d)
+    # bonds[v, -1] joins v to v + 1; it is closed at the end of each row
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ~bonds[:-1, -1]
+    run = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    # empty at d = 1, where divmod by 0 divides nothing
+    tails, axis = np.divmod(np.flatnonzero(bonds[:, :-1]), d - 1)
+    heads = tails + L ** (d - 1 - axis)
+    n_runs = len(first)
+    indptr = np.zeros(n_runs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(run[tails], minlength=n_runs), out=indptr[1:])
+    graph = sparse.csr_array((np.ones(len(tails)), run[heads], indptr),
+                             shape=(n_runs, n_runs))
+    n_comp, comp = connected_components(graph, directed=False)
+    smallest = np.full(n_comp, n, dtype=np.int64)
+    np.minimum.at(smallest, comp, first)
+    return smallest[comp][run]
 
 
 def largest_cluster(sample: PercolationSample) -> Graph:
@@ -126,7 +140,8 @@ def largest_cluster(sample: PercolationSample) -> Graph:
     lexicographic) to the box center.
     """
     sizes = np.bincount(sample.labels)
-    members = np.flatnonzero(sample.labels == np.argmax(sizes))
+    inside = sample.labels == np.argmax(sizes)
+    members = np.flatnonzero(inside)
     coords = sample.vertex_coords(members)
     center = (sample.L - 1) / 2.0
     offset = coords - center
@@ -134,11 +149,15 @@ def largest_cluster(sample: PercolationSample) -> Graph:
     # members ascend in C order, which is lexicographic coordinate order,
     # so the first closest member is the lexicographically smallest
     base = int(np.argmin(d2))
-    # every open bond out of a member ends in the same cluster, so the
-    # slice keeps all of the cluster's edges and it is connected
-    adj = induced_csr(_open_bonds(sample.d, sample.L, sample.open_mask),
-                      members)
-    return Graph(adj.indptr, adj.indices, base, members, coords,
+    # a bond with its tail in the cluster has its head there too, so the
+    # masked bonds leave every other row empty: the member rows are its graph
+    n = len(sample.labels)
+    adj = _open_bonds(sample.d, sample.L,
+                      sample.open_mask & np.repeat(inside, sample.d))
+    pos = np.zeros(n, dtype=adj.indices.dtype)
+    pos[members] = np.arange(len(members), dtype=pos.dtype)
+    return Graph(adj.indptr[np.append(members, n)], pos[adj.indices], base,
+                 members, coords,
                  meta={"d": sample.d, "L": sample.L, "p": sample.p,
                        "seed": sample.seed, "cluster_size": int(len(members)),
                        "n_clusters": int(np.count_nonzero(sizes))})

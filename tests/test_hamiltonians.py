@@ -554,6 +554,18 @@ def test_gathered_block_keeps_entries_past_half_the_float_range():
     assert np.array_equal(block.diagonal, np.full(op.n, 1e308))
 
 
+@pytest.mark.filterwarnings("error")
+def test_folded_blocks_keep_entries_past_half_the_float_range():
+    """The parity fold of a finite H is finite: its pair sums 1e308 + 1e308
+    are formed on H / 4, where (m + m^T) / 2 of H itself gave inf."""
+    op = build_truncated(Lattice(1), adjacency(periodic_potential([1e308])),
+                         2.0)
+    assert len(op.blocks) == 2
+    for block in op.blocks:
+        assert np.all(np.isfinite(block.matrix.data))
+        assert np.array_equal(block.diagonal, np.full(len(block.size), 1e308))
+
+
 # ---------------------------------------------------------------------------
 # operator metadata
 

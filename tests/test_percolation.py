@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from doslab.percolation import (_open_bonds, _valid_edge_mask,
@@ -140,6 +140,36 @@ def test_union_find_matches_scipy_components(d, L, p, seed):
     s = percolate_bonds(d, L, p, seed)
     want = smallest_member_labels(union_find_labels(d, L, s.open_mask))
     assert np.array_equal(s.labels, want)
+
+
+@st.composite
+def boxes(draw):
+    """(d, L, p, seed) with L^d at most a few hundred vertices; p takes
+    both endpoints as well as values between."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    L = draw(st.integers(2, {1: 60, 2: 16, 3: 7}[d]))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return d, L, p, draw(st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes())
+@example((1, 2, 1.0, 0))
+@example((3, 2, 0.0, 0))
+def test_run_graph_labels_and_masked_cluster_match_the_oracles(box):
+    """Labels equal the union-find oracle's, and the cluster cut by masking
+    its bonds equals the slice of the COO bond matrix on its members."""
+    d, L, p, seed = box
+    s = percolate_bonds(d, L, p, seed)
+    want = smallest_member_labels(union_find_labels(d, L, s.open_mask))
+    assert np.array_equal(s.labels, want)
+    g = largest_cluster(s)
+    sizes = np.bincount(want)
+    assert np.array_equal(g.labels, np.flatnonzero(want == np.argmax(sizes)))
+    cut = coo_open_bonds(d, L, s.open_mask)[g.labels][:, g.labels]
+    cut.sort_indices()
+    assert np.array_equal(g.indptr, cut.indptr)
+    assert np.array_equal(g.indices, cut.indices)
 
 
 @pytest.mark.parametrize("d,L", [(1, 40), (2, 12), (3, 6)])
