@@ -60,20 +60,20 @@ def derive_seed(seed: int, index: int) -> int:
 
 _COORD_OFFSET = 1 << 20
 _COORD_BITS = 21
+SITE_AXES = 3  # 3 x 21 bits fit in a uint64 counter
 
 
 def site_keys(coords) -> np.ndarray:
     """Pack integer lattice coordinates into uint64 stream counters.
 
-    Coordinates must lie in (-2**20, 2**20); up to three axes fit.  The
-    packing is injective, so a translated operator literally evaluates the
-    same random field at shifted sites.
+    Coordinates must lie in (-2**20, 2**20); up to ``SITE_AXES`` axes fit.
+    The packing is injective, so a translated operator literally evaluates
+    the same random field at shifted sites.  Only the random field reads
+    these keys.
     """
     a = np.asarray(coords, dtype=np.int64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.shape[1] > 3:
-        raise ValueError("site keys support at most 3 coordinates")
+    if a.shape[1] > SITE_AXES:
+        raise ValueError(f"site keys support at most {SITE_AXES} coordinates")
     if np.any(a >= _COORD_OFFSET) or np.any(a <= -_COORD_OFFSET):
         raise ValueError("coordinate out of packable range (|x| < 2**20)")
     key = np.zeros(a.shape[0], dtype=np.uint64)

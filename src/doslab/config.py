@@ -170,8 +170,11 @@ def validate(cfg: dict, fields: dict) -> dict:
 
 # Lattice._box enumerates a d-axis grid and numpy broadcasts at most 32
 # axes (so 3^d ball counts stay int64); a periodic potential has one axis
-# per lattice dimension; _rng.site_keys packs coordinates (and so base
-# points, shifts and kernel offsets) with |x| < 2^20
+# per lattice dimension.  Base points, shifts and kernel offsets stay
+# within |x| < 2^20 as input validation: the site index is a position map
+# that takes any coordinates, and only the iid field's packed keys
+# (_rng.site_keys, at most 3 axes, refused by check_fit past that) need
+# the bound
 _AXES = 32
 _DIMENSION = integer(lo=1, hi=_AXES)
 _SITE = integer(lo=1 - (1 << 20), hi=(1 << 20) - 1)

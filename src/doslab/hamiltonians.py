@@ -25,8 +25,11 @@ is even about the base point b commutes with x -> 2b - x and splits into
 even and odd blocks on the orbits of |x - b|, which halves every
 eigensolve; any other 1-d lattice operator with hopping is one block in
 coordinate order.  A nearest-neighbour chain gives tridiagonal blocks.
-Where every orbit is one point, Q_b is a permutation and the block is H
-gathered into orbit order; only the two blocks of a fold are products.
+Every block, folded or not, is one ``spaces.induced_csr`` gather of H:
+one representative row per orbit, each column moved to its orbit and
+signed, and then, on a fold, scaled entrywise by the orbit sizes.  Where
+every orbit is one point with sign +1, Q_b is a permutation, the scale is
+exactly 1 and the block is H gathered into orbit order.
 
 Each block picks its solver once from its own nonzero pattern (see
 ``Block``): a block without off-diagonal entries is its own eigenbasis, a
@@ -62,9 +65,9 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from ._rng import uniform_stream
+from ._rng import SITE_AXES, uniform_stream
 from .budget import charge_entries
-from .spaces import Lattice, RadiiLadder
+from .spaces import Lattice, RadiiLadder, induced_csr
 
 
 @dataclass(frozen=True)
@@ -363,7 +366,9 @@ def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
     p_K = 0.  So g is also sampled at the N + 1 points cos(pi j / N)
     between them, the interval's ends included, and p_K must match it
     there to CHEBYSHEV_TOL scale as well; a g that is zero at every
-    sample gives no relative bound at all.  The route is taken only when
+    sample gives no relative bound at all, and an interval that rounds to
+    one point (off-diagonal entries too small to move the diagonal's
+    floats) cannot be mapped onto [-1, 1].  The route is taken only when
     both checks pass with K^2 <= n, so that its band of about n K^2 / 8
     entries stays well below the n^2 entries of the eigenvectors.
     """
@@ -379,7 +384,7 @@ def _chebyshev_plan(block: Block, fn: Callable) -> tuple | None:
     between = np.cos(np.pi * np.arange(points + 1) / points)
     g_between = np.asarray(fn(centre + half * between), dtype=np.float64)
     scale = max(np.abs(f).max(), np.abs(g_between).max())
-    if scale == 0.0:
+    if scale == 0.0 or half == 0.0:
         return None
     spectrum = np.fft.fft(np.concatenate((f[::2], f[1::2][::-1])))
     c = (np.exp(-0.5j * np.pi * k / points) * spectrum).real * (2.0 / points)
@@ -495,8 +500,13 @@ class TruncatedOperator:
 
 def check_fit(space, spec: HamiltonianSpec) -> None:
     """Refuse a spec that needs more than ``space`` has: a periodic
-    potential and a kernel need a lattice of their own dimension."""
+    potential and a kernel need a lattice of their own dimension, and an
+    iid potential on a lattice needs d <= SITE_AXES, as its field is drawn
+    at packed site keys (``Lattice.site_ids``)."""
     pot, hop = spec.potential, spec.hopping
+    if pot.kind == "iid_uniform" and getattr(space, "d", 0) > SITE_AXES:
+        raise ValueError(f"iid_uniform potential keys its field by at most "
+                         f"{SITE_AXES} coordinates, the lattice has d = {space.d}")
     if pot.kind == "periodic":
         if not isinstance(space, Lattice):
             raise ValueError("periodic potential requires a lattice space")
@@ -550,32 +560,35 @@ def _orbit_block(H: sparse.csr_array, orbits: np.ndarray,
     """The block M_b = Q_b^T H Q_b, where point i lies in the orbit labelled
     ``orbits[i]`` with sign ``signs[i]`` (sign 0: in no orbit of the block)
     and column j of Q_b is the signed indicator of the j-th smallest label,
-    scaled to unit length.  Every block of every operator is built here.
+    scaled to unit length.  Every block of every operator is built here,
+    by one ``induced_csr`` gather.
 
-    When every point is an orbit of its own with sign +1, Q_b is a
-    permutation and M_b is H with its rows and columns gathered into orbit
-    order, indices sorted: the bytes the product below gives, as each of
-    its entries is then one entry of the exactly symmetric H times 1.
-    Only the two blocks of a reflection fold take the product, on H / 4:
-    every sum in it then stays inside the float64 range, and the exact
-    powers of two give the bytes of the unscaled product wherever no
-    entry of H / 4 is subnormal."""
-    n, rows = H.shape[0], np.flatnonzero(signs)
+    With s the signs and c the orbit sizes, entry (j, k) of M_b is the sum
+    of s_i s_l H_il / sqrt(c_j c_k) over the points i of orbit j and l of
+    orbit k.  An orbit is one point, or a point and its mirror image under
+    a reflection that commutes with H and keeps every product s_i s_l (a
+    fold is taken only then), so each of the c_j points of orbit j gives
+    the same sum over l.  M_b is therefore the gather of one
+    representative row i_j per orbit, each column l moved to its orbit
+    and multiplied by s_l, then scaled entrywise by
+    s_i_j sqrt(c_j c_k) / c_k.  That is sqrt(c_j / c_k), written so that
+    pair-pair entries scale by exactly 1 and integer operators fold
+    without rounding.  An entry is then a sum of at most two entries of
+    one row of H, times one scale: finite where H is, and exact down to
+    the subnormals.  When every orbit is one point with sign +1, the
+    scale is exactly 1 and is not applied."""
+    rows = np.flatnonzero(signs)
     _, first, cols, size = np.unique(orbits[rows], return_index=True,
                                      return_inverse=True, return_counts=True)
-    k, size = len(size), size.astype(np.float64)
-    if k == n and np.all(signs == 1):  # first[j] is the point of orbit j
-        return Block(H[first][:, first].sorted_indices(), rows, cols, size)
-    signs = np.asarray(signs[rows], dtype=np.float64)
-    pattern = sparse.csr_array((signs, (rows, cols)), shape=(n, k))
-    m = (pattern.T @ (H * 0.25) @ pattern).tocoo()
-    # sqrt(c)/c instead of 1/sqrt(c): pair-pair entries scale by exactly
-    # 1/2, so integer operators fold without rounding
-    cc = size[m.row] * size[m.col]
-    m = sparse.csr_array((m.data * (np.sqrt(cc) / cc), (m.row, m.col)),
-                         shape=(k, k))
-    # (m + m^T) / 2 unscaled: finite, as every row sum of |H| is
-    return Block(sparse.csr_array((m + m.T) * 2.0), rows, cols, size)
+    first, size = rows[first], size.astype(np.float64)
+    pos = np.zeros(H.shape[0], dtype=np.int64)
+    pos[rows] = cols
+    m = induced_csr(H, first, pos, signs)
+    if np.any(size > 1) or np.any(signs[first] != 1):
+        coo = m.tocoo(copy=False)
+        cc = size[coo.row] * size[coo.col]
+        m.data *= signs[first[coo.row]] * (np.sqrt(cc) / size[coo.col])
+    return Block(m, rows, cols, size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,8 +34,11 @@ points and each point's degree in the untruncated space, and
 ``site_ids(points)`` the key a random field is drawn at.  Operator
 assembly asks nothing else of a point, so each point format is read only
 in this module.  A lattice adds ``offset_pairs`` (pairs at any offsets,
-for kernels) and ``site_rows``, the one lattice site index; a graph builds
-its CSR ``adj`` once, for every search and slice.
+for kernels) and ``site_rows``, the one lattice site index: a position map
+over the points' bounding box, in any dimension and at any coordinates.
+A graph builds its CSR ``adj`` once, for every search and slice.
+``induced_csr`` is the one CSR gather: graph slices and every block of a
+truncated operator are cut out by it.
 """
 from __future__ import annotations
 
@@ -209,11 +212,6 @@ def lattice_ball_count(d: int, p: float, k):
     return count
 
 
-def _lex_order(keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    cols = [coords[:, j] for j in range(coords.shape[1] - 1, -1, -1)]
-    return np.lexsort(tuple(cols) + (keys,))
-
-
 # Both ladders read ``levels`` alone; the classes perfbench traces bind them.
 
 def ladder_to_radius(space, radius: float) -> RadiiLadder:
@@ -314,8 +312,7 @@ class Lattice:
     def _box(self, radius: float) -> np.ndarray:
         half = self._box_half(radius)
         axes = (np.arange(-half, half + 1, dtype=np.int64),) * self.d
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, self.d)
 
     def ball_arrays(self, radius: float):
         """(sites, keys, dists) inside the closed ball around the base, in
@@ -324,7 +321,7 @@ class Lattice:
         keys, dists = self._norm_keys(offsets)
         mask = keys <= self.key_limit(radius)
         offsets, keys, dists = offsets[mask], keys[mask], dists[mask]
-        order = _lex_order(keys, offsets)
+        order = np.lexsort((*offsets.T[::-1], keys))
         sites = offsets[order] + np.asarray(self.base, dtype=np.int64)
         return sites, keys[order], dists[order]
 
@@ -390,12 +387,22 @@ class Lattice:
 
 def site_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Row of each lattice site of ``sites`` in ``points``, -1 where the
-    site is not among them."""
-    keys = site_keys(points)
-    order = np.argsort(keys)
-    sorted_keys, wanted = keys[order], site_keys(sites)
-    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
-    return np.where(sorted_keys[pos] == wanted, order[pos], -1)
+    site is not among them.
+
+    A position map over the bounding box of ``points`` holds each point's
+    row at its row-major box index, and one slot past the box holds -1 for
+    every site outside it.  For a ball the box is never larger than the
+    one ``Lattice._box`` charged, in any dimension and at any coordinates.
+    """
+    index, inside, size = 0, True, 1
+    for c, axis in zip(np.concatenate((points, sites)).T, points.T):
+        low, width = int(axis.min()), int(np.ptp(axis)) + 1
+        c = np.subtract(c, low, dtype=np.int64)
+        inside = inside & (c.view(np.uint64) < width)
+        index, size = index * width + c, size * width
+    pos = np.full(size + 1, -1)
+    pos[index[:len(points)]] = np.arange(len(points))
+    return pos[np.where(inside, index, -1)[len(points):]]
 
 
 class _HopMetric:
@@ -414,24 +421,28 @@ class _HopMetric:
     radii_ladder = _hop_radii_ladder
 
 
-def induced_csr(adj: sparse.csr_array, keep: np.ndarray) -> sparse.csr_array:
-    """Rows and columns ``keep`` (distinct indices, in any order) of a
-    square CSR matrix, with sorted rows; row i of the result is keep[i].
+def induced_csr(adj: sparse.csr_array, keep: np.ndarray, pos=None,
+                signs=None) -> sparse.csr_array:
+    """Rows ``keep`` (distinct indices, in any order) of a square CSR
+    matrix as a len(keep)-square matrix, each column j moved to ``pos[j]``
+    and multiplied by ``signs[j]``: the one CSR gather, for graph slices
+    and for every block of an operator.  Row i of the result is row
+    keep[i].
 
-    The rows are gathered whole and their columns renumbered through a
-    position map, dropping those outside ``keep``.  An increasing ``keep``
-    renumbers monotonically, so its rows stay sorted and need no sort.
+    A column of sign 0 is dropped.  The default map moves keep[i] to i
+    with sign 1 and gives every other column sign 0, which cuts out rows
+    and columns ``keep``; an orbit map moves several columns to one, and
+    the entries that land together are summed.  Zeros are dropped last,
+    the entries of sign 0 among them, and rows come out sorted.
     """
-    pos = np.full(adj.shape[0], -1, dtype=adj.indices.dtype)
-    pos[keep] = np.arange(len(keep), dtype=pos.dtype)
+    if pos is None:
+        pos, signs = np.zeros((2, adj.shape[0]), dtype=adj.indices.dtype)
+        pos[keep], signs[keep] = np.arange(len(keep)), 1
     rows = adj[keep]
-    data, cols, indptr = rows.data, pos[rows.indices], rows.indptr
-    inside = cols >= 0
-    if not inside.all():
-        kept = np.concatenate(([0], np.cumsum(inside)))
-        data, cols, indptr = data[inside], cols[inside], kept[indptr]
-    sub = sparse.csr_array((data, cols, indptr), shape=(len(keep),) * 2)
-    sub.sort_indices()
+    sub = sparse.csr_array((rows.data * signs[rows.indices], pos[rows.indices],
+                            rows.indptr), shape=(len(keep),) * 2)
+    sub.sum_duplicates()
+    sub.eliminate_zeros()
     return sub
 
 

@@ -556,6 +556,32 @@ def test_ids_csv(tmp_path):
     assert meta["solvers"] == [["tridiagonal", 61], ["tridiagonal", 60]]
 
 
+def test_ids_past_three_axes(tmp_path, capsys):
+    """A lattice with d >= 4 carries a zero or periodic potential: the l_1
+    ball of radius 2 in Z^4 has 41 points, and its adjacency spectrum
+    spans [-sqrt(21), sqrt(21)].  An iid potential there is refused with
+    one error line that names it."""
+    out = tmp_path / "ids.csv"
+    z4 = {"space": {"kind": "lattice", "d": 4, "p": 1}, "radius": 2,
+          "out": str(out)}
+    cfg = write_config(tmp_path, {**z4, "hamiltonian": FREE_CHAIN})
+    assert cli.main(["ids", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith(
+        "41 eigenvalues in [-4.5826, 4.5826]\n")
+    _, rows = read_csv(out)
+    energies = [float(r[0]) for r in rows]
+    assert len(energies) == 41
+    assert energies[0] == pytest.approx(-math.sqrt(21), abs=1e-12)
+    assert energies[-1] == pytest.approx(math.sqrt(21), abs=1e-12)
+    cfg = write_config(tmp_path, {**z4, "hamiltonian": {
+        "hopping": {"kind": "adjacency"},
+        "potential": {"kind": "iid_uniform"}}})
+    assert cli.main(["ids", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "doslab: error: hamiltonian: iid_uniform potential keys its field "
+        "by at most 3 coordinates, the lattice has d = 4\n")
+
+
 def test_dixmier_json(tmp_path):
     out = tmp_path / "dix.json"
     cfg = write_config(tmp_path, {

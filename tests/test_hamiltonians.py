@@ -19,7 +19,7 @@ from doslab.hamiltonians import (Block, HamiltonianSpec, Hopping, Potential,
                                  kernel, laplacian, lattice_weight,
                                  periodic_potential, weak_l1_bound)
 from doslab.percolation import largest_cluster, percolate_bonds
-from doslab.spaces import CayleyF2, Graph, Lattice
+from doslab.spaces import CayleyF2, Graph, Lattice, lattice_ball_count
 from doslab.spectral import function_diagonal, gaussian, product_eigenvalues
 
 
@@ -127,6 +127,59 @@ def test_kernel_operator_matches_manual_matrix():
 def test_spec_that_does_not_fit_its_space_is_refused(space, spec, message):
     with pytest.raises(ValueError, match=message):
         build_truncated(space, spec, 2.0)
+
+
+def brute_hopping(points, offsets, amplitudes):
+    """Dense hopping part: entry (i, j) is the amplitude of the offset
+    x_j - x_i, found by comparing every pair of points."""
+    step = points[None, :, :] - points[:, None, :]
+    out = np.zeros((len(points), len(points)))
+    for offset, amplitude in zip(offsets, amplitudes):
+        out[np.all(step == np.asarray(offset), axis=2)] = amplitude
+    return out
+
+
+@pytest.mark.parametrize("d, p, radius, base", [
+    (4, 1.0, 2.0, 0), (5, 1.0, 2.0, 0), (4, math.inf, 1.0, 2 ** 21),
+    (6, 1.0, 2.0, -2 ** 40),
+])
+def test_lattice_hoppings_past_three_axes_match_brute_force(d, p, radius,
+                                                             base):
+    """Adjacency, Laplacian and kernel hopping with a zero or periodic
+    potential build on Z^d with d >= 4, also around sites far past 2^20:
+    every entry of H is the one the pairwise offsets give."""
+    space = Lattice(d, p, base=(base,) * d)
+    unit = np.concatenate((np.eye(d, dtype=int), -np.eye(d, dtype=int)))
+    far = np.zeros(d, dtype=int)
+    far[[0, 1, d - 1]] = 1, 1, -1
+    offsets, amplitudes = [unit[0], unit[d], far, -far], [1.0, 1.0, 0.4, 0.4]
+    # the value at x is x_0 mod 2
+    values = np.arange(2.0).reshape((2,) + (1,) * (d - 1))
+    for pot in (None, periodic_potential(values)):
+        for spec in (adjacency(pot), laplacian(pot),
+                     kernel(offsets, amplitudes, pot)):
+            op = build_truncated(space, spec, radius)
+            x = op.points
+            assert op.n == lattice_ball_count(d, p, int(radius))
+            adj = brute_hopping(x, unit, np.ones(2 * d))
+            want = {"adjacency": adj,
+                    "laplacian": 2.0 * d * np.eye(op.n) - adj,
+                    "kernel": brute_hopping(x, offsets, amplitudes),
+                    }[spec.hopping.kind]
+            if pot is not None:
+                want += np.diag(np.mod(x[:, 0], 2).astype(float))
+            assert np.array_equal(op.H.toarray(), want)
+
+
+def test_iid_potential_past_three_axes_is_refused_before_the_ball():
+    """The iid field is drawn at packed site keys, which hold three axes:
+    on Z^4 the spec is refused, naming the potential, before the ball (a
+    radius past the point budget here) is enumerated."""
+    with pytest.raises(ValueError, match="^iid_uniform potential .* the "
+                                         "lattice has d = 4$"):
+        build_truncated(Lattice(4), adjacency(iid_potential(0, 1, 0)), 1e6)
+    op = build_truncated(Lattice(3), adjacency(iid_potential(0, 1, 0)), 1.0)
+    assert op.n == 7
 
 
 @pytest.mark.parametrize("spec", [
@@ -532,7 +585,13 @@ def test_singleton_orbit_blocks_equal_the_pattern_product(name, space, spec,
             and spec.hopping.kind != "none"):
         orbits = op.points[:, 0] - space.base[0]
     (block,) = op.blocks
-    want = pattern_product_block(op.H, orbits, np.ones(op.n))
+    assert_same_block(block, pattern_product_block(op.H, orbits,
+                                                   np.ones(op.n)))
+
+
+def assert_same_block(block, want):
+    """Every byte of ``block`` is that of ``want``: CSR arrays with their
+    dtypes, rows, cols, sizes, diagonal and solver."""
     for field in ("data", "indices", "indptr"):
         got, ref = getattr(block.matrix, field), getattr(want.matrix, field)
         assert got.dtype == ref.dtype
@@ -543,6 +602,41 @@ def test_singleton_orbit_blocks_equal_the_pattern_product(name, space, spec,
         assert np.array_equal(got, ref)
     assert block.matrix.shape == want.matrix.shape
     assert block.solver == want.solver
+
+
+_FOLD_CASES = [
+    ("free-chain", Lattice(1), adjacency(), 40.0),
+    ("period-2", Lattice(1), adjacency(periodic_potential([0.0, 1.0])), 41.0),
+    ("laplacian", Lattice(1), laplacian(periodic_potential([0.3, 0.7, 0.7])),
+     40.0),
+    ("kernel-3", Lattice(1), kernel(
+        [(1,), (-1,), (2,), (-2,), (3,), (-3,)],
+        [1.0, 1.0, 0.37, 0.37, -0.11, -0.11],
+        periodic_potential([0.1, 0.35, 0.35])), 40.0),
+    # [0, 0, 1] is even about the site 2
+    ("base-2", Lattice(1, base=(2,)), adjacency(periodic_potential(
+        [0.0, 0.0, 1.0])), 30.0),
+    ("p-1", Lattice(1, p=1.0), adjacency(periodic_potential([0.0, 1.0])),
+     40.0),
+    ("subnormal", Lattice(1), kernel([(1,), (-1,), (2,), (-2,)],
+                                     [1.0, 1.0, 5e-310, 5e-310],
+                                     periodic_potential([3e-310])), 20.0),
+]
+
+
+@pytest.mark.parametrize("name, space, spec, radius", _FOLD_CASES,
+                         ids=[c[0] for c in _FOLD_CASES])
+def test_fold_blocks_equal_the_pattern_product(name, space, spec, radius):
+    """Both blocks of a parity fold, gathered from one representative row
+    per orbit and scaled entrywise, keep every byte of the pattern
+    product on the orbits of |x - b|: even block signs 1, odd block
+    signs sign(x - b)."""
+    op = build_truncated(space, spec, radius)
+    assert len(op.blocks) == 2
+    offset = op.points[:, 0] - space.base[0]
+    for block, signs in zip(op.blocks, (np.ones(op.n), np.sign(offset))):
+        assert_same_block(block, pattern_product_block(op.H, np.abs(offset),
+                                                       signs))
 
 
 def test_gathered_block_keeps_entries_past_half_the_float_range():
@@ -556,14 +650,27 @@ def test_gathered_block_keeps_entries_past_half_the_float_range():
 
 @pytest.mark.filterwarnings("error")
 def test_folded_blocks_keep_entries_past_half_the_float_range():
-    """The parity fold of a finite H is finite: its pair sums 1e308 + 1e308
-    are formed on H / 4, where (m + m^T) / 2 of H itself gave inf."""
+    """The parity fold of a finite H is finite: a block entry sums only
+    the entries of one row of H that land in one orbit, never the two
+    mirrored rows whose sum 1e308 + 1e308 overflowed in a product with
+    the orbit pattern."""
     op = build_truncated(Lattice(1), adjacency(periodic_potential([1e308])),
                          2.0)
     assert len(op.blocks) == 2
     for block in op.blocks:
         assert np.all(np.isfinite(block.matrix.data))
         assert np.array_equal(block.diagonal, np.full(len(block.size), 1e308))
+
+
+def test_folded_blocks_keep_subnormal_entries():
+    """A fold rounds no entry of H: a subnormal potential stays exact on
+    the diagonal of both blocks, where the product on H / 4 dropped its
+    low bits (2.99999999999994e-310)."""
+    op = build_truncated(Lattice(1), adjacency(periodic_potential([3e-310])),
+                         2.0)
+    assert len(op.blocks) == 2
+    for block in op.blocks:
+        assert np.array_equal(block.diagonal, np.full(len(block.size), 3e-310))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from doslab.errors import BudgetExceeded, GraphParseError
 from doslab.hamiltonians import adjacency, build_truncated
 from doslab.percolation import largest_cluster, percolate_bonds
 from doslab.spaces import (CayleyF2, Graph, Lattice, RadiiLadder,
-                           condition_c_report, ingest_graph)
+                           condition_c_report, induced_csr, ingest_graph,
+                           site_rows)
 from doslab.spectral import gaussian
 
 
@@ -183,6 +184,25 @@ def test_key_limit_is_elementwise_and_far_radii_stay_refusable():
             space.ball_arrays(1e300)
     with pytest.raises(ValueError, match="beyond supported maximum 30"):
         CayleyF2().ladder_to_radius(1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), centre=st.integers(-2 ** 40, 2 ** 40),
+       data=st.data())
+def test_site_rows_match_a_dict_oracle(d, centre, data):
+    """Each site's row among the points, -1 for a site that is not one of
+    them, inside or outside the points' box, in any dimension and far
+    past |x| = 2^20."""
+    near = st.tuples(*[st.integers(-3, 3)] * d)
+    anywhere = st.tuples(*[st.integers(-4, 4) | st.integers(-2 ** 50, 2 ** 50)]
+                         * d)
+    points = data.draw(st.lists(near, min_size=1, max_size=30, unique=True))
+    sites = data.draw(st.lists(near | anywhere, max_size=30))
+    points = np.array(points, dtype=np.int64) + centre
+    sites = np.array(sites, dtype=np.int64).reshape(-1, d) + centre
+    row = {p: i for i, p in enumerate(map(tuple, points.tolist()))}
+    want = [row.get(s, -1) for s in map(tuple, sites.tolist())]
+    assert site_rows(points, sites).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +418,37 @@ def test_graph_distance_and_subgraph():
             {(lbl - 1) % 10, (lbl + 1) % 10} & kept
     with pytest.raises(ValueError, match="base node"):
         g.subgraph(keep[keep != g.base_index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_induced_csr_matches_a_dense_oracle(data):
+    """Rows ``keep`` with column l added into column pos[l] times signs[l]:
+    sums land together, sign 0 drops a column, zeros are dropped and rows
+    come out sorted; the default map cuts out rows and columns ``keep``."""
+    n = data.draw(st.integers(1, 10))
+    dense = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 2.0]), min_size=n * n,
+        max_size=n * n))).reshape(n, n)
+    keep = np.array(data.draw(st.permutations(range(n))))
+    keep = keep[:data.draw(st.integers(1, n))]
+    k = len(keep)
+    pos = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                      max_size=n)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1]),
+                                        min_size=n, max_size=n)))
+    want = np.zeros((k, k))
+    for i, row in enumerate(keep):
+        for col in range(n):
+            want[i, pos[col]] += dense[row, col] * signs[col]
+    adj = sparse.csr_array(dense)
+    for got, ref in ((induced_csr(adj, keep, pos, signs), want),
+                     (induced_csr(adj, keep), dense[np.ix_(keep, keep)])):
+        for i in range(k):  # sorted rows, one entry per column
+            assert np.all(np.diff(got.indices[got.indptr[i]:
+                                              got.indptr[i + 1]]) > 0)
+        assert np.all(got.data != 0)
+        assert np.array_equal(got.toarray(), ref)
 
 
 def test_graph_distance_refuses_nodes_outside_the_graph():

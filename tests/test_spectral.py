@@ -714,6 +714,20 @@ def test_chebyshev_route_matches_dense_eigh_on_random_chains(case):
     _close(result.values, (vec * vec) @ g(lam))
 
 
+@pytest.mark.filterwarnings("error")
+def test_chebyshev_route_declines_an_interval_that_rounds_to_a_point():
+    """Off-diagonal entries too small to move the diagonal's floats give
+    a Gershgorin interval of width 0, which no rescaling maps onto
+    [-1, 1]: the block takes the eigen route, where the Chebyshev route
+    divided by zero and gave NaN."""
+    tiny = 2.225073858507203e-309
+    op = build_truncated(Lattice(1), kernel([(1,), (-1,)], [tiny, tiny],
+                                            periodic_potential([1.0])), 1.0)
+    result = function_diagonal(op, gaussian(0.0, 1.0))
+    assert [r[0] for r in result.routes] == ["eigh", "diagonal"]
+    assert np.allclose(result.values, math.exp(-0.5), rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("chain, radius", [("iid", 100), ("period-2", 60)])
 def test_cubic_diagonal_equals_the_dense_polynomial(chain, radius):
     """A cubic is its own 4-term Chebyshev series, so the route has no
